@@ -297,10 +297,6 @@ class GradedMatrix:
         return GradedMatrix(other.source, self.target,
                             [self.apply(c) for c in other.columns], check=False)
 
-    def transpose_entries(self):
-        return [[self.entry(i, j) for i in range(self.target.rank)]
-                for j in range(self.source.rank)]
-
     def is_zero(self) -> bool:
         return all(c.reduced().is_zero() for c in self.columns)
 

@@ -3,7 +3,9 @@
 A GradedModule is the cokernel of a GradedMatrix; its generators are the
 basis vectors of the matrix target ("cover").  Subobjects are immediately
 re-presented as cokernels through `subquotient`, which computes minimal
-generators and minimal relations with the Groebner engine.
+generators and minimal relations with the Groebner engine.  Both
+`subquotient` and `kernel_of_map` take their relation modules from
+`groebner.syzygies(gens, rels=...)`, which tracks only the generators.
 """
 
 from __future__ import annotations
@@ -51,9 +53,6 @@ class GradedModule:
         gb = self.relations_gb()
         return all(gb.reduce(self.cover.basis_element(j)).is_zero()
                    for j in range(self.cover.rank))
-
-    def contains_in_relations(self, v: ModuleElement) -> bool:
-        return self.relations_gb().reduce(v).is_zero()
 
     def __repr__(self):
         return (f"GradedModule(generators {list(self.generator_degrees)}, "
@@ -177,18 +176,10 @@ def subquotient(gens, rels, ambient: FreeModule):
     _, gmin = minimal_generators(gens, rels=rels, ambient=ambient)
     if not gmin:
         return zero_module(ring), []
-    gfree = FreeModule(ring, tuple(g.degree() for g in gmin))
-    syz = syzygies(gmin + rels, ambient=ambient)
-    proj = []
-    k = len(gmin)
-    for c in syz.columns:
-        data = {(i, m): v for (i, m), v in c.data.items() if i < k}
-        el = ModuleElement(gfree, data)
-        if not el.is_zero():
-            proj.append(el)
-    _, relmin = minimal_generators(proj, ambient=gfree)
+    syz = syzygies(gmin, rels=rels, ambient=ambient)
+    _, relmin = minimal_generators(syz.columns, ambient=syz.target)
     src = FreeModule(ring, tuple(c.degree() for c in relmin))
-    pres = GradedMatrix(src, gfree, relmin, check=False)
+    pres = GradedMatrix(src, syz.target, relmin, check=False)
     return GradedModule(pres), gmin
 
 
@@ -253,17 +244,10 @@ def direct_sum(a: GradedModule, b: GradedModule) -> GradedModule:
 
 def kernel_of_map(f: ModuleMap):
     """(K, inclusion K -> source(f))."""
-    cols = list(f.matrix.columns)
-    k = len(cols)
-    combined = cols + list(f.target.relations)
-    syz = syzygies(combined, ambient=f.target.cover)
+    syz = syzygies(f.matrix.columns, rels=f.target.relations,
+                   ambient=f.target.cover)
     scover = f.source.cover
-    pre = []
-    for c in syz.columns:
-        data = {(i, m): v for (i, m), v in c.data.items() if i < k}
-        el = ModuleElement(scover, data)
-        if not el.is_zero():
-            pre.append(el)
+    pre = [ModuleElement(scover, c.data) for c in syz.columns]
     kernel, gelts = subquotient(pre, f.source.relations, scover)
     if not gelts:
         mat = GradedMatrix.zero(FreeModule(f.source.ring, ()), scover)

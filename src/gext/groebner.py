@@ -76,15 +76,6 @@ class _Basis:
         self.seq = seq
 
 
-class ComputationResult:
-    def __init__(self, ambient, basis, min_indices, min_elements, syzygy_tracks):
-        self.ambient = ambient
-        self.basis = basis
-        self.min_indices = min_indices
-        self.min_elements = min_elements
-        self.syzygy_tracks = syzygy_tracks
-
-
 _KIND_PAIR, _KIND_REL, _KIND_GEN = 0, 1, 2
 
 
@@ -293,7 +284,7 @@ class ModuleComputation:
 
     # -- main loop ------------------------------------------------------------
 
-    def run(self, stop_degree=None) -> ComputationResult:
+    def run(self, stop_degree=None) -> None:
         while self.events:
             if stop_degree is not None and self.events[0][0] > stop_degree:
                 break
@@ -317,13 +308,6 @@ class ModuleComputation:
                     self.min_elements.append(ModuleElement(self.ambient, terms))
                 elif self.track and track:
                     self.syzygy_tracks.append(track)
-        return ComputationResult(self.ambient, self.basis, self.min_indices,
-                                 self.min_elements, self.syzygy_tracks)
-
-    def reduce_element(self, v: ModuleElement):
-        """Normal form of v against the current basis (no tracking)."""
-        terms, _ = self._reduce(dict(v.data), None)
-        return ModuleElement(self.ambient, terms)
 
     def express(self, v: ModuleElement):
         """Coefficients c with v = sum c_i gens_i modulo relations and the
@@ -439,11 +423,13 @@ def _autoreduce(comp: ModuleComputation):
         if not redundant:
             kept.append((b.comp, b.lead, b))
     comp2 = ModuleComputation(comp.ambient, [], use_quotient=bool(comp.quot))
+    # One index for all tails: b never divides its own tail, whose terms lie
+    # below b's lead and only shrink under reduction, while a multiple of a
+    # lead is never smaller than it in a degree-compatible order.
+    for c, l, b in kept:
+        comp2._by_comp.setdefault(c, []).append((l, b))
     out = []
     for c, l, b in kept:
-        comp2._by_comp = {
-            cc: [(ll, bb) for (ll, bb) in lst if bb is not b]
-            for cc, lst in _group(kept)}
         tail = dict(b.terms)
         lead_coeff = tail.pop((c, l))
         terms, _ = comp2._reduce(tail, None)
@@ -454,27 +440,23 @@ def _autoreduce(comp: ModuleComputation):
     return out
 
 
-def _group(kept):
-    groups: dict[int, list] = {}
-    for c, l, b in kept:
-        groups.setdefault(c, []).append((l, b))
-    return groups.items()
-
-
 def normal_form(v: ModuleElement, gb: GroebnerBasis) -> ModuleElement:
     return gb.reduce(v)
-
-
-def track_to_element(ambient_g: FreeModule, track: dict) -> ModuleElement:
-    return ModuleElement(ambient_g, dict(track))
 
 
 def syzygies(gens, rels=(), ambient: FreeModule = None) -> GradedMatrix:
     """Columns generate {c : sum c_i gens_i in span(rels) + I*F}.
 
+    This is the one "syzygies modulo relations" primitive.  Only gens are
+    tracked; rels (and the quotient ideal I) are reduced untracked, so no
+    syzygy involving only relations is ever emitted.  The columns generate
+    the projection onto the gens coordinates of Syz(gens + rels), so a
+    caller that wants a kernel modulo relations passes them as rels rather
+    than tracking them in gens and discarding their coordinates.
+
     The result is a GradedMatrix into the free module on the degrees of
-    gens.  Over the base polynomial ring with no rels, gens . result = 0
-    exactly.
+    gens (degree 0 for a zero generator).  Over the base polynomial ring
+    with no rels, gens . result = 0 exactly.
     """
     gens = list(gens)
     if ambient is None:

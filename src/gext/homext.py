@@ -92,18 +92,8 @@ def hom_module(source: GradedModule, target: GradedModule) -> HomModule:
 
 def _kernel_generators(delta_cols, hom_next: GradedModule, cover0: FreeModule):
     """Generators in cover0 of the kernel of the induced map."""
-    k = len(delta_cols)
-    combined = delta_cols + list(hom_next.relations)
-    if not combined:
-        return [cover0.basis_element(j) for j in range(cover0.rank)]
-    syz = syzygies(combined, ambient=hom_next.cover)
-    out = []
-    for c in syz.columns:
-        data = {(i, m): v for (i, m), v in c.data.items() if i < k}
-        el = ModuleElement(cover0, data)
-        if not el.is_zero():
-            out.append(el)
-    return out
+    syz = syzygies(delta_cols, rels=hom_next.relations, ambient=hom_next.cover)
+    return [ModuleElement(cover0, c.data) for c in syz.columns]
 
 
 def ext_module(m: int, source: GradedModule, target: GradedModule) -> ExtModule:

@@ -81,11 +81,6 @@ class MonomialContext:
     def variable(self, j: int) -> int:
         return self.encode(tuple(1 if i == j else 0 for i in range(self.nvars)))
 
-    def support(self, m: int):
-        """Indices of variables with positive exponent."""
-        e = self.decode(m)
-        return frozenset(j for j, x in enumerate(e) if x)
-
     def monomials_of_degree(self, d: int):
         """All packed monomials of total degree d, in a fixed order."""
         if d < 0:

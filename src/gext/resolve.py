@@ -34,10 +34,6 @@ class FreeResolution:
     def length(self) -> int:
         return len(self.differentials)
 
-    @property
-    def minimal(self) -> bool:
-        return True
-
     def twists(self, i: int):
         """Betti degrees a_{i,j}; empty beyond the computed range."""
         if 0 <= i < len(self.free_modules):

@@ -268,9 +268,12 @@ def _parse_modexpr(toks):
     raise ScriptError(f"unknown module constructor {head!r}", line, col)
 
 
+# command -> (fewest, most) arguments
 _COMMANDS = {
-    "resolution", "betti", "globalExtSum", "globalExt",
-    "sheafCohomologySum", "sheafCohomology", "yonedaExt", "hilbert", "dim",
+    "resolution": (1, 2), "betti": (1, 2), "globalExtSum": (4, 4),
+    "globalExt": (3, 3), "sheafCohomologySum": (3, 3),
+    "sheafCohomology": (2, 2), "yonedaExt": (3, 3), "hilbert": (2, 2),
+    "dim": (1, 1),
 }
 
 
@@ -288,6 +291,12 @@ def _parse_compute(toks):
             args.append(_parse_arg(toks))
     toks.expect(")")
     toks.expect(";")
+    lo, hi = _COMMANDS[cmd]
+    if not lo <= len(args) <= hi:
+        want = str(lo) if lo == hi else f"{lo} to {hi}"
+        plural = "" if hi == 1 else "s"
+        raise ScriptError(f"{cmd} takes {want} argument{plural}, "
+                          f"got {len(args)}", line, col)
     return (cmd, args)
 
 

@@ -1,7 +1,11 @@
 """Script language and command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -166,6 +170,26 @@ def test_exit_code_parse_error(tmp_path):
     f.write_text("ring R = ZZ/32003[x,y;\n")
     result = run_cli(["run", str(f)])
     assert result.exit_code == 1
+
+
+@pytest.mark.parametrize("statement", [
+    "compute hilbert(R);", "compute dim();", "compute dim(R, 1);",
+    "compute betti(R, 1, 2);", "compute globalExtSum(1, 0, R);",
+    "compute yonedaExt(R, R);",
+])
+def test_wrong_arity_is_parse_error(tmp_path, statement):
+    """`gext run` reports a wrong argument count as a one-line parse error
+    with the statement position, exit code 1 and no traceback."""
+    f = tmp_path / "arity.gx"
+    f.write_text("ring R = ZZ/32003[x,y,z];\n" + statement + "\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-m", "gext.cli", "run", str(f)],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("parse error: line 2, column 9:")
+    assert len(proc.stderr.strip().splitlines()) == 1
 
 
 def test_exit_code_computation_error(tmp_path):

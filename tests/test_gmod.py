@@ -1,10 +1,14 @@
 """Graded modules: Hilbert functions, truncation, twist, kernels, dimension."""
 
-from gext import (direct_sum, free_module_of, graded_component,
+import random
+
+import pytest
+
+from gext import (Ring, direct_sum, free_module_of, graded_component,
                   hilbert_function, image_of, kernel_of_map, krull_dim,
                   prune, ring_module, submodule_equals, truncate_module,
                   twist, zero_module)
-from gext.free import GradedMatrix
+from gext.free import FreeModule, GradedMatrix
 from gext.gmod import ModuleMap, cokernel, restrict_scalars
 from gext.groebner import MINUS_INF
 
@@ -156,3 +160,37 @@ def test_krull_dim_finite_length(p2_ring):
     # k = S/(x,y,z) has dimension 0
     mat = GradedMatrix.from_entries(p2_ring, [["x", "y", "z"]], (0,))
     assert krull_dim(cokernel(mat)) == 0
+
+
+@pytest.mark.parametrize("quotient", [(), ("x^3 + y^3 - z^3",)])
+@pytest.mark.parametrize("seed", range(3))
+def test_kernel_into_module_with_relations(seed, quotient):
+    """ker(f: F -> N) with N = coker of random linear forms: degreewise
+    dim ker_d = dim F_d - dim N_d + dim (N / im f)_d by dense linear
+    algebra, and the kernel maps to zero."""
+    rng = random.Random(900 + seed)
+    ring = Ring(P, ("x", "y", "z"), quotient=list(quotient))
+
+    def form(d):
+        f = ring.zero()
+        for e in rng.sample(monomial_exponents(3, d), 2):
+            f = f + ring.monomial(e, rng.randrange(1, P))
+        return f
+
+    N = cokernel(GradedMatrix.from_entries(
+        ring, [[form(1), form(1)], [form(1), form(1)]], (0, 0)))
+    F = free_module_of(ring, (1, 2, 2))
+    mat = GradedMatrix.from_entries(
+        ring, [[form(1), form(2), form(2)], [form(1), form(2), "0"]], (0, 0),
+        source_twists=(1, 2, 2))
+    f = ModuleMap(F, N, mat)
+    ker, inclusion = kernel_of_map(f)
+    assert f.compose(inclusion).is_zero()
+    quotient_by_image = cokernel(GradedMatrix(
+        FreeModule(ring, N.presentation.source.twists + mat.source.twists),
+        N.cover, list(N.relations) + list(mat.columns), check=False))
+    for d in range(6):
+        want = (module_component_dim(F, d) - module_component_dim(N, d)
+                + module_component_dim(quotient_by_image, d))
+        assert hilbert_function(ker, d) == want
+        assert module_component_dim(ker, d) == want

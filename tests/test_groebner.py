@@ -227,3 +227,47 @@ def test_quotient_hilbert_agreement(quartic_base):
         total = len(monomial_exponents(4, d))
         assert total - span_dim(quartic_base, gb, d) == \
             quotient_hilbert(polys, 4, d, P)
+
+
+def random_module_element(ambient, degree, rng):
+    """Random homogeneous element of the given degree (possibly zero)."""
+    data = {}
+    for j, a in enumerate(ambient.twists):
+        f = random_homogeneous(ambient.ring, degree - a, rng)
+        data.update({(j, m): c for m, c in f.terms.items()})
+    return ModuleElement(ambient, data).reduced()
+
+
+@pytest.mark.parametrize("quotient", [(), ("x^3 + y^3 - z^3",)])
+@pytest.mark.parametrize("seed", range(6))
+def test_syzygies_modulo_relations(seed, quotient):
+    """syzygies(gens, rels=rels) generates the projection onto the gens
+    coordinates of syzygies(gens + rels), and every column c satisfies
+    sum c_i gens_i in span(rels) + I*F."""
+    rng = random.Random(500 + seed)
+    ring = Ring(P, ("x", "y", "z"), quotient=list(quotient))
+    fm = FreeModule(ring, (0, 1))
+    gens = [random_module_element(fm, rng.choice([1, 2, 2, 3]), rng)
+            for _ in range(3)]
+    rels = [random_module_element(fm, rng.choice([2, 3]), rng)
+            for _ in range(2)]
+    gens = [g for g in gens if not g.is_zero()]
+    rels = [r for r in rels if not r.is_zero()]
+    assert gens and rels
+    k = len(gens)
+
+    direct = syzygies(gens, rels=rels, ambient=fm)
+    tracked = syzygies(gens + rels, ambient=fm)
+    gfree = direct.target
+    projected = [ModuleElement(gfree, {(i, m): c for (i, m), c in col.data.items()
+                                       if i < k})
+                 for col in tracked.columns]
+    projected = [c for c in projected if not c.is_zero()]
+    gb_direct = groebner_basis(direct.columns, ambient=gfree)
+    gb_projected = groebner_basis(projected, ambient=gfree)
+    assert all(gb_direct.contains(c) for c in projected)
+    assert all(gb_projected.contains(c) for c in direct.columns)
+
+    gb_rels = groebner_basis(rels, ambient=fm)
+    for col in direct.columns:
+        assert gb_rels.contains(apply_column(gens, col))
