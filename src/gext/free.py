@@ -159,12 +159,10 @@ class ModuleElement:
         ring = self.ambient.ring
         if not ring.is_quotient:
             return self
-        out = {}
-        for j in range(self.ambient.rank):
-            terms = {m: c for (k, m), c in self.data.items() if k == j}
-            for m, c in ring.reduce_terms(terms).items():
-                out[(j, m)] = c
-        return ModuleElement(self.ambient, out)
+        from .groebner import DivisorIndex, normal_form_terms
+        return ModuleElement(self.ambient, normal_form_terms(
+            self.ambient, DivisorIndex(ring.quotient_groebner()), self.data,
+            None))
 
     def __eq__(self, other):
         return (isinstance(other, ModuleElement) and self.ambient == other.ambient

@@ -11,8 +11,8 @@ generators and minimal relations with the Groebner engine.  Both
 from __future__ import annotations
 
 from .free import FreeModule, GradedMatrix, ModuleElement
-from .groebner import (GroebnerBasis, MINUS_INF, groebner_basis,
-                       minimal_generators, syzygies)
+from .groebner import (GroebnerBasis, groebner_basis, minimal_generators,
+                       syzygies)
 from .ring import AlgebraError, Ring, RingMismatch
 
 
@@ -183,6 +183,14 @@ def subquotient(gens, rels, ambient: FreeModule):
     return GradedModule(pres), gmin
 
 
+def _inclusion(sub: GradedModule, gelts, module: GradedModule) -> ModuleMap:
+    """The map sub -> module sending generator k to gelts[k] (a cover
+    element of module), as returned by `subquotient`."""
+    src = FreeModule(module.ring, sub.generator_degrees)
+    mat = GradedMatrix(src, module.cover, gelts, check=False)
+    return ModuleMap(sub, module, mat, check=False)
+
+
 # -- operations ------------------------------------------------------------------
 
 def prune(module: GradedModule):
@@ -190,12 +198,7 @@ def prune(module: GradedModule):
     cover = module.cover
     gens = [cover.basis_element(j) for j in range(cover.rank)]
     pruned, gelts = subquotient(gens, module.relations, cover)
-    if not gelts:
-        mat = GradedMatrix.zero(FreeModule(module.ring, ()), cover)
-        return pruned, ModuleMap(pruned, module, mat, check=False)
-    src = FreeModule(module.ring, pruned.generator_degrees)
-    mat = GradedMatrix(src, cover, gelts, check=False)
-    return pruned, ModuleMap(pruned, module, mat, check=False)
+    return pruned, _inclusion(pruned, gelts, module)
 
 
 def truncate_module(module: GradedModule, r: int) -> GradedModule:
@@ -249,24 +252,14 @@ def kernel_of_map(f: ModuleMap):
     scover = f.source.cover
     pre = [ModuleElement(scover, c.data) for c in syz.columns]
     kernel, gelts = subquotient(pre, f.source.relations, scover)
-    if not gelts:
-        mat = GradedMatrix.zero(FreeModule(f.source.ring, ()), scover)
-        return kernel, ModuleMap(kernel, f.source, mat, check=False)
-    src = FreeModule(f.source.ring, kernel.generator_degrees)
-    mat = GradedMatrix(src, scover, gelts, check=False)
-    return kernel, ModuleMap(kernel, f.source, mat, check=False)
+    return kernel, _inclusion(kernel, gelts, f.source)
 
 
 def image_of(f: ModuleMap):
     """(image re-presented, inclusion image -> target(f))."""
     cols = [c for c in f.matrix.columns if not c.is_zero()]
     img, gelts = subquotient(cols, f.target.relations, f.target.cover)
-    if not gelts:
-        mat = GradedMatrix.zero(FreeModule(f.target.ring, ()), f.target.cover)
-        return img, ModuleMap(img, f.target, mat, check=False)
-    src = FreeModule(f.target.ring, img.generator_degrees)
-    mat = GradedMatrix(src, f.target.cover, gelts, check=False)
-    return img, ModuleMap(img, f.target, mat, check=False)
+    return img, _inclusion(img, gelts, f.target)
 
 
 def submodule_equals(a: ModuleMap, b: ModuleMap) -> bool:
@@ -339,35 +332,7 @@ def restrict_scalars(module: GradedModule) -> GradedModule:
 def krull_dim(module: GradedModule):
     """Krull dimension of the support; MINUS_INF for the zero module.
 
-    Computed as n+1 minus the vanishing order at t=1 of the Hilbert-series
-    numerator read off a finite S-free resolution of the restriction of
-    scalars.
+    Read off a finite S-free resolution of the restriction of scalars.
     """
-    from .resolve import free_resolution, hilbert_numerator
-    m = restrict_scalars(module)
-    pruned, _ = prune(m)
-    if pruned.cover.rank == 0:
-        return MINUS_INF
-    res = free_resolution(pruned)
-    numer = hilbert_numerator(res)
-    nvars = module.ring.nvars
-    order = 0
-    coeffs = dict(numer)
-    while order <= nvars:
-        if sum(coeffs.values()) != 0:
-            break
-        # synthetic division by (1 - t)
-        items = sorted(coeffs.items())
-        out: dict[int, int] = {}
-        acc = 0
-        for e in range(items[0][0], items[-1][0] + 1):
-            acc += coeffs.get(e, 0)
-            if acc:
-                out[e] = acc
-        # quotient of p(t) by (1-t) is sum_{e} (sum_{k<=e} c_k) t^e, minus
-        # the top cancelling term; the loop above yields it directly when
-        # p(1) = 0 (the final accumulated value is then zero).
-        out.pop(items[-1][0] + 1, None)
-        coeffs = out
-        order += 1
-    return nvars - order
+    from .resolve import free_resolution, resolution_dim
+    return resolution_dim(free_resolution(restrict_scalars(module)))

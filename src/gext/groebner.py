@@ -4,6 +4,15 @@ One engine drives everything above it: Groebner bases, normal forms,
 syzygies (via reduction tracking, Schreyer style), minimal generators
 (degree-synchronized insertion) and membership certificates.
 
+Every normal form is computed by one kernel, `normal_form_terms`.  Its
+four callers are `ModuleComputation._reduce` (tracked or untracked, inside
+Buchberger), `GroebnerBasis.reduce` (hence `normal_form`), `_autoreduce`
+(tails of a finished basis) and, through `Ring.reduce_terms` and
+`ModuleElement.reduced`, the canonical forms of quotient-ring elements.
+Each caller hands it a `DivisorIndex`, which tries the quotient leads
+first and then its own divisors in insertion order, and stores each
+divisor's tail once, when the divisor is added.
+
 Quotient rings R = S/I are handled by treating GB(I) times every basis
 vector as *virtual* divisors: they reduce terms and form S-pairs against
 real elements, but pairs among themselves are skipped (they reduce to
@@ -24,39 +33,84 @@ INF = float("inf")
 MINUS_INF = float("-inf")
 
 
-# -- plain polynomial reduction (used to canonicalize quotient-ring elements) --
+# -- the normal-form kernel ---------------------------------------------------
 
-def reduce_poly_terms(ring, terms: dict, gb) -> dict:
-    """Full normal form of a term dict modulo monic (lead, terms) reducers."""
+class DivisorIndex(dict):
+    """comp -> divisor entries for `normal_form_terms`: the quotient
+    divisors GB(I) e_comp first (filled in on first lookup), then the
+    divisors appended with `add`, in insertion order."""
+
+    __slots__ = ("quot",)
+
+    def __init__(self, quot):
+        super().__init__()
+        self.quot = quot    # ((lead, terms sorted descending), ...)
+
+    def __missing__(self, comp):
+        entries = self[comp] = [
+            [lead, tuple(((comp, m), c) for m, c in qterms[1:]), None]
+            for lead, qterms in self.quot]
+        return entries
+
+    def add(self, comp, lead, terms, track):
+        """Append the monic divisor with lead term (comp, lead); returns
+        its entry [lead, tail, track]."""
+        entry = [lead,
+                 tuple((k, c) for k, c in terms.items() if k != (comp, lead)),
+                 track]
+        self[comp].append(entry)
+        return entry
+
+
+def normal_form_terms(ambient: FreeModule, index: DivisorIndex, terms,
+                      track) -> dict:
+    """Full normal form of a term dict {(comp, mono): coeff} of `ambient`.
+
+    Each term is reduced by the first entry of index[comp] whose lead
+    divides it.  When `track` is a dict, that divisor's track times the
+    multiplier is subtracted from it in place; None tracks nothing.
+    """
+    ring = ambient.ring
     ctx = ring.ctx
+    divides, mul, degree = ctx.divides, ctx.mul, ctx.degree
     p = ring.p
+    twists = ambient.twists
     coeffs = dict(terms)
-    heap = [-m for m in coeffs]
+    heap = [(-(degree(m) + twists[j]), j, -m) for (j, m) in coeffs]
     heapq.heapify(heap)
     out: dict = {}
     while heap:
-        m = -heapq.heappop(heap)
-        c = coeffs.pop(m, 0)
+        _, comp, negm = heapq.heappop(heap)
+        mono = -negm
+        c = coeffs.pop((comp, mono), 0)
         if not c:
             continue
-        for lead, gterms in gb:
-            if ctx.divides(lead, m):
-                u = ctx.quotient(m, lead)
-                for gm, gc in gterms:
-                    if gm == lead:
-                        continue  # cancels the popped term
-                    k = ctx.mul(gm, u)
-                    old = coeffs.get(k, 0)
-                    nc = (old - c * gc) % p
-                    if nc:
-                        if not old:
-                            heapq.heappush(heap, -k)
-                        coeffs[k] = nc
-                    elif old:
-                        del coeffs[k]
+        for lead, tail, dtrack in index[comp]:
+            if divides(lead, mono):
                 break
         else:
-            out[m] = c
+            out[(comp, mono)] = c
+            continue
+        u = ctx.quotient(mono, lead)
+        for (gj, gm), gc in tail:
+            k = (gj, mul(gm, u))
+            old = coeffs.get(k, 0)
+            nc = (old - c * gc) % p
+            if nc:
+                if not old:
+                    heapq.heappush(
+                        heap, (-(degree(k[1]) + twists[gj]), gj, -k[1]))
+                coeffs[k] = nc
+            elif old:
+                del coeffs[k]
+        if track is not None and dtrack:
+            for (gi, gm), gc in dtrack.items():
+                k = (gi, mul(gm, u))
+                nv = (track.get(k, 0) - c * gc) % p
+                if nv:
+                    track[k] = nv
+                else:
+                    track.pop(k, None)
     return out
 
 
@@ -87,8 +141,7 @@ class ModuleComputation:
     known to lie in the submodule (ambient relations).
     """
 
-    def __init__(self, ambient: FreeModule, gens, rels=(), track=False,
-                 use_quotient=True):
+    def __init__(self, ambient: FreeModule, gens, rels=(), track=False):
         self.ambient = ambient
         ring = ambient.ring
         self.ring = ring
@@ -96,9 +149,10 @@ class ModuleComputation:
         self.p = ring.p
         self.twists = ambient.twists
         self.track = track
-        self.quot = ring.quotient_groebner() if use_quotient else ()
+        self.quot = ring.quotient_groebner()
         self.basis: list[_Basis] = []
-        self._by_comp: dict[int, list] = {}
+        self._by_comp: dict[int, list] = {}    # comp -> [(lead, _Basis)]
+        self._index = DivisorIndex(self.quot)
         self.events: list = []
         self._seq = 0
         self.min_indices: list[int] = []
@@ -130,61 +184,9 @@ class ModuleComputation:
 
     # -- reduction ----------------------------------------------------------
 
-    def _find_divisor(self, comp, mono):
-        divides = self.ctx.divides
-        for lead, qterms in self.quot:
-            if divides(lead, mono):
-                return None, lead, qterms
-        for lead, b in self._by_comp.get(comp, ()):
-            if divides(lead, mono):
-                return b, lead, None
-        return None, None, None
-
-    def _reduce(self, element_terms, track):
-        """Full normal form.  Mutates nothing; returns (terms, track)."""
-        ctx = self.ctx
-        p = self.p
-        twists = self.twists
-        coeffs = dict(element_terms)
-        heap = [(-(ctx.degree(m) + twists[j]), j, -m) for (j, m) in coeffs]
-        heapq.heapify(heap)
-        out: dict = {}
-        while heap:
-            _, comp, negm = heapq.heappop(heap)
-            mono = -negm
-            c = coeffs.pop((comp, mono), 0)
-            if not c:
-                continue
-            b, lead, qterms = self._find_divisor(comp, mono)
-            if b is None and qterms is None:
-                out[(comp, mono)] = c
-                continue
-            u = ctx.quotient(mono, lead)
-            if qterms is not None:
-                items = [((comp, gm), gc) for gm, gc in qterms[1:]]
-            else:
-                items = [(k2, v2) for k2, v2 in b.terms.items()
-                         if k2 != (comp, lead)]
-            for (gj, gm), gc in items:
-                k = (gj, ctx.mul(gm, u))
-                old = coeffs.get(k, 0)
-                nc = (old - c * gc) % p
-                if nc:
-                    if not old:
-                        heapq.heappush(
-                            heap, (-(ctx.degree(k[1]) + twists[gj]), gj, -k[1]))
-                    coeffs[k] = nc
-                elif old:
-                    del coeffs[k]
-            if track is not None and b is not None and b.track:
-                for (gi, gm), gc in b.track.items():
-                    k = (gi, ctx.mul(gm, u))
-                    nv = (track.get(k, 0) - c * gc) % p
-                    if nv:
-                        track[k] = nv
-                    else:
-                        track.pop(k, None)
-        return out, track
+    def _reduce(self, terms, track):
+        """Normal form of terms; track (a dict or None) is updated in place."""
+        return normal_form_terms(self.ambient, self._index, terms, track)
 
     # -- basis growth -------------------------------------------------------
 
@@ -216,6 +218,7 @@ class ModuleComputation:
             self._push(deg, _KIND_PAIR, (b.seq, -1, (lcm, qterms)))
         self.basis.append(b)
         self._by_comp.setdefault(comp, []).append((lead, b))
+        self._index.add(comp, lead, terms, track)
         return b
 
     def _chain_skip(self, s, t, lcm):
@@ -276,7 +279,7 @@ class ModuleComputation:
                         track[k] = nv
                     else:
                         track.pop(k, None)
-        terms, track = self._reduce(terms, track)
+        terms = self._reduce(terms, track)
         if terms:
             self._add_basis(terms, track)
         elif self.track and track:
@@ -292,8 +295,8 @@ class ModuleComputation:
             if kind == _KIND_PAIR:
                 self._process_pair(payload)
             elif kind == _KIND_REL:
-                terms, track = self._reduce(dict(payload.data),
-                                            {} if self.track else None)
+                track = {} if self.track else None
+                terms = self._reduce(payload.data, track)
                 if terms:
                     self._add_basis(terms, track)
                 elif self.track and track:
@@ -301,7 +304,7 @@ class ModuleComputation:
             else:
                 idx, g = payload
                 track = {(idx, self.ctx.one): 1} if self.track else None
-                terms, track = self._reduce(dict(g.data), track)
+                terms = self._reduce(g.data, track)
                 if terms:
                     self._add_basis(terms, track)
                     self.min_indices.append(idx)
@@ -312,8 +315,8 @@ class ModuleComputation:
     def express(self, v: ModuleElement):
         """Coefficients c with v = sum c_i gens_i modulo relations and the
         quotient ideal, or None if v is not in the submodule."""
-        terms, track = self._reduce(dict(v.data), {})
-        if terms:
+        track = {}
+        if self._reduce(v.data, track):
             return None
         p = self.p
         return {k: (p - c) % p for k, c in track.items()}
@@ -329,11 +332,11 @@ class GroebnerBasis:
         self.elements = list(elements)
         self.over_quotient = over_quotient
         ring = ambient.ring
-        self._quot = ring.quotient_groebner() if over_quotient else ()
-        self._by_comp: dict[int, list] = {}
+        self._index = DivisorIndex(
+            ring.quotient_groebner() if over_quotient else ())
         for e in self.elements:
             (comp, lead), _ = e.lead_term()
-            self._by_comp.setdefault(comp, []).append((lead, e))
+            self._index.add(comp, lead, e.data, None)
 
     def lead_terms(self):
         return [e.lead_term()[0] for e in self.elements]
@@ -341,47 +344,8 @@ class GroebnerBasis:
     def reduce(self, v: ModuleElement) -> ModuleElement:
         if v.ambient != self.ambient:
             raise RingMismatch("element in wrong ambient module")
-        ctx = self.ambient.ring.ctx
-        p = self.ambient.ring.p
-        twists = self.ambient.twists
-        coeffs = dict(v.data)
-        heap = [(-(ctx.degree(m) + twists[j]), j, -m) for (j, m) in coeffs]
-        heapq.heapify(heap)
-        out: dict = {}
-        while heap:
-            _, comp, negm = heapq.heappop(heap)
-            mono = -negm
-            c = coeffs.pop((comp, mono), 0)
-            if not c:
-                continue
-            items = None
-            for lead, qterms in self._quot:
-                if ctx.divides(lead, mono):
-                    u = ctx.quotient(mono, lead)
-                    items = [((comp, gm), gc) for gm, gc in qterms[1:]]
-                    break
-            if items is None:
-                for lead, e in self._by_comp.get(comp, ()):
-                    if ctx.divides(lead, mono):
-                        u = ctx.quotient(mono, lead)
-                        items = [(k2, v2) for k2, v2 in e.data.items()
-                                 if k2 != (comp, lead)]
-                        break
-            if items is None:
-                out[(comp, mono)] = c
-                continue
-            for (gj, gm), gc in items:
-                k = (gj, ctx.mul(gm, u))
-                old = coeffs.get(k, 0)
-                nc = (old - c * gc) % p
-                if nc:
-                    if not old:
-                        heapq.heappush(
-                            heap, (-(ctx.degree(k[1]) + twists[gj]), gj, -k[1]))
-                    coeffs[k] = nc
-                elif old:
-                    del coeffs[k]
-        return ModuleElement(self.ambient, out)
+        return ModuleElement(self.ambient, normal_form_terms(
+            self.ambient, self._index, v.data, None))
 
     def contains(self, v: ModuleElement) -> bool:
         return self.reduce(v).is_zero()
@@ -416,27 +380,24 @@ def _autoreduce(comp: ModuleComputation):
     entries = sorted(
         comp.basis,
         key=lambda b: (ctx.degree(b.lead) + comp.twists[b.comp], b.comp, -b.lead))
+    # One index for all tails: b never divides its own tail, whose terms lie
+    # below b's lead and only shrink under reduction, while a multiple of a
+    # lead is never smaller than it in a degree-compatible order.
+    index = DivisorIndex(comp.quot)
     kept = []
     for b in entries:
         redundant = any(
             c == b.comp and ctx.divides(l, b.lead) for (c, l, _) in kept)
         if not redundant:
-            kept.append((b.comp, b.lead, b))
-    comp2 = ModuleComputation(comp.ambient, [], use_quotient=bool(comp.quot))
-    # One index for all tails: b never divides its own tail, whose terms lie
-    # below b's lead and only shrink under reduction, while a multiple of a
-    # lead is never smaller than it in a degree-compatible order.
-    for c, l, b in kept:
-        comp2._by_comp.setdefault(c, []).append((l, b))
+            kept.append((b.comp, b.lead,
+                         index.add(b.comp, b.lead, b.terms, None)))
     out = []
-    for c, l, b in kept:
-        tail = dict(b.terms)
-        lead_coeff = tail.pop((c, l))
-        terms, _ = comp2._reduce(tail, None)
-        terms[(c, l)] = lead_coeff
+    for c, l, entry in kept:
+        terms = normal_form_terms(comp.ambient, index, entry[1], None)
+        # later reductions use the reduced tail
+        entry[1] = tuple(terms.items())
+        terms[(c, l)] = 1
         out.append(ModuleElement(comp.ambient, terms))
-        # refresh stored terms so later reductions use the reduced form
-        b.terms = terms
     return out
 
 

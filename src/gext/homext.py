@@ -126,8 +126,9 @@ def ext_module(m: int, source: GradedModule, target: GradedModule) -> ExtModule:
     return ExtModule(underlying, m, source, target)
 
 
-def homomorphism_from(hom: HomModule, coords) -> ModuleMap:
-    """The ModuleMap selected by coefficients over the Hom generators."""
+def hom_element(hom: HomModule, coords):
+    """sum_t coords[t] * anchors[t], an element of the cover of
+    hom_of_free(F0(M), N); None when it is zero."""
     ring = hom.source.ring
     coords = list(coords)
     if len(coords) != len(hom.anchors):
@@ -137,7 +138,14 @@ def homomorphism_from(hom: HomModule, coords) -> ModuleMap:
     for c, anchor in zip(coords, hom.anchors):
         piece = anchor.poly_mul(ring.polynomial(c))
         element = piece if element is None else element + piece
-    if element is None or element.is_zero():
+    return None if element is None or element.is_zero() else element
+
+
+def homomorphism_from(hom: HomModule, coords) -> ModuleMap:
+    """The ModuleMap selected by coefficients over the Hom generators."""
+    ring = hom.source.ring
+    element = hom_element(hom, coords)
+    if element is None:
         return ModuleMap.zero(hom.source, hom.target)
     if not element.is_homogeneous():
         raise NotHomogeneous("coordinates select an inhomogeneous element")

@@ -168,8 +168,11 @@ class Ring:
         gb = self.quotient_groebner()
         if not gb or not terms:
             return terms
-        from .groebner import reduce_poly_terms
-        return reduce_poly_terms(self, terms, gb)
+        from .free import FreeModule
+        from .groebner import DivisorIndex, normal_form_terms
+        out = normal_form_terms(FreeModule(self, (0,)), DivisorIndex(gb),
+                                {(0, m): c for m, c in terms.items()}, None)
+        return {m: c for (_, m), c in out.items()}
 
 
 class Polynomial:

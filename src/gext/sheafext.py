@@ -14,10 +14,12 @@ from .gmod import (GradedModule, ModuleMap, direct_sum, graded_component,
                    image_of, kernel_of_map, prune, restrict_scalars,
                    ring_module, subquotient, submodule_equals, truncate_module,
                    zero_module)
-from .groebner import INF, MINUS_INF
-from .homext import (HomModule, express_in_generators, ext_module, hom_module,
-                     homomorphism_from)
-from .resolve import BettiTable, betti_stats, free_resolution
+from .groebner import INF, MINUS_INF, groebner_basis
+from .homext import (HomModule, express_in_generators, ext_module, hom_element,
+                     hom_module, hom_of_free, homomorphism_from,
+                     induced_columns)
+from .resolve import (BettiTable, betti_stats, free_resolution,
+                      resolution_dim)
 from .ring import AlgebraError, Ring, RingMismatch
 
 _s_stats_cache: dict = {}
@@ -33,29 +35,8 @@ def s_betti(module: GradedModule) -> BettiTable:
 
 
 def module_dim(module: GradedModule):
-    """Krull dimension via the Hilbert numerator of the S-resolution."""
-    bt = s_betti(module)
-    if not bt.entries:
-        return MINUS_INF
-    numer: dict[int, int] = {}
-    for (i, a), b in bt.entries.items():
-        numer[a] = numer.get(a, 0) + (b if i % 2 == 0 else -b)
-    nvars = module.ring.nvars
-    coeffs = {e: c for e, c in numer.items() if c}
-    order = 0
-    while order <= nvars and coeffs:
-        if sum(coeffs.values()) != 0:
-            break
-        items = sorted(coeffs.items())
-        out: dict[int, int] = {}
-        acc = 0
-        for e in range(items[0][0], items[-1][0] + 1):
-            acc += coeffs.get(e, 0)
-            if acc:
-                out[e] = acc
-        coeffs = out
-        order += 1
-    return nvars - order
+    """Krull dimension, from the cached resolution behind `s_betti`."""
+    return resolution_dim(s_betti(module).resolution)
 
 
 class TruncationBound:
@@ -224,32 +205,12 @@ def _mono_poly(ring, mono):
 def class_is_split(hom: HomModule, alpha: ModuleMap, coords) -> bool:
     """True iff the selected theta: K -> N extends to P along alpha, i.e.
     its class in Ext^1(M', N) vanishes."""
-    from .groebner import groebner_basis
-    from .homext import hom_of_free
-    ring = hom.source.ring
-    target = hom.target
-    nb = target.cover.rank
-    hom_f0 = hom_of_free(hom.source.cover, target)
-    cover = hom_f0.cover
-    restr = []
-    for j in range(alpha.target.cover.rank):
-        entries = [alpha.matrix.entry(j, k)
-                   for k in range(alpha.matrix.source.rank)]
-        for i in range(nb):
-            data = {}
-            for k, f in enumerate(entries):
-                for mo, c in f.terms.items():
-                    data[(k * nb + i, mo)] = c
-            el = ModuleElement(cover, data)
-            if not el.is_zero():
-                restr.append(el)
-    gb = groebner_basis(restr + list(hom_f0.relations), ambient=cover)
-    element = None
-    for c, anchor in zip(coords, hom.anchors):
-        piece = anchor.poly_mul(ring.polynomial(c))
-        element = piece if element is None else element + piece
-    if element is None or element.is_zero():
+    element = hom_element(hom, coords)
+    if element is None:
         return True
+    hom_f0 = hom_of_free(hom.source.cover, hom.target)
+    restr = induced_columns(alpha.matrix, hom.target, hom_f0)
+    gb = groebner_basis(restr + list(hom_f0.relations), ambient=hom_f0.cover)
     return gb.reduce(element).is_zero()
 
 

@@ -11,6 +11,7 @@ from gext import (Ring, direct_sum, free_module_of, graded_component,
 from gext.free import FreeModule, GradedMatrix
 from gext.gmod import ModuleMap, cokernel, restrict_scalars
 from gext.groebner import MINUS_INF
+from gext.sheafext import module_dim
 
 from oracles import module_component_dim, monomial_exponents
 
@@ -148,12 +149,14 @@ def test_restrict_scalars_hilbert(elliptic_ring):
 
 def test_krull_dim_known_values(quartic_base, quartic_cokernel,
                                 quartic_ring, elliptic_ring, del_pezzo_ring):
-    assert krull_dim(ring_module(quartic_base)) == 4
-    assert krull_dim(quartic_cokernel) == 2          # curve in P^3
-    assert krull_dim(ring_module(quartic_ring)) == 2
-    assert krull_dim(ring_module(elliptic_ring)) == 2
-    assert krull_dim(ring_module(del_pezzo_ring)) == 3  # surface in P^4
-    assert krull_dim(zero_module(quartic_base)) == MINUS_INF
+    # both entry points: krull_dim and the s_betti-cached module_dim
+    for dim in (krull_dim, module_dim):
+        assert dim(ring_module(quartic_base)) == 4
+        assert dim(quartic_cokernel) == 2          # curve in P^3
+        assert dim(ring_module(quartic_ring)) == 2
+        assert dim(ring_module(elliptic_ring)) == 2
+        assert dim(ring_module(del_pezzo_ring)) == 3  # surface in P^4
+        assert dim(zero_module(quartic_base)) == MINUS_INF
 
 
 def test_krull_dim_finite_length(p2_ring):

@@ -9,12 +9,13 @@ import random
 
 import pytest
 
-from gext import (Ring, groebner_basis, minimal_generators, normal_form,
-                  parse_polynomial, syzygies)
-from gext.free import FreeModule, ModuleElement
+from gext import (Ring, cokernel, groebner_basis, minimal_generators,
+                  normal_form, parse_polynomial, syzygies)
+from gext.free import FreeModule, GradedMatrix, ModuleElement
 
 from oracles import (ideal_component_dim, ideal_contains,
-                     monomial_exponents, quotient_hilbert)
+                     module_component_dim, monomial_exponents,
+                     quotient_hilbert)
 
 P = 32003
 
@@ -271,3 +272,71 @@ def test_syzygies_modulo_relations(seed, quotient):
     gb_rels = groebner_basis(rels, ambient=fm)
     for col in direct.columns:
         assert gb_rels.contains(apply_column(gens, col))
+
+
+def random_span_element(gens, degree, rng):
+    """Random degree-`degree` combination sum h_i gens_i (possibly zero)."""
+    ambient = gens[0].ambient
+    out = ambient.zero_element()
+    for g in gens:
+        if g.degree() <= degree:
+            h = random_homogeneous(ambient.ring, degree - g.degree(), rng)
+            out = out + g.poly_mul(h)
+    return out
+
+
+@pytest.mark.parametrize("quotient", [(), ("x^3 + y^3 - z^3",)])
+@pytest.mark.parametrize("seed", range(4))
+def test_normal_form_higher_rank(seed, quotient):
+    """normal_form on modules of rank 2 and 3, over S and over S/I: no term
+    of the result is divisible by a lead of its own component or by a
+    quotient lead, it is zero exactly when the dense oracle puts v in the
+    span, and it is additive.  Over S/I, the canonical form of a ring
+    element is its normal form against an empty basis of R^1."""
+    rng = random.Random(900 + seed)
+    ring = Ring(P, ("x", "y", "z"), quotient=list(quotient))
+    ctx = ring.ctx
+    rank = 2 + seed % 2
+    fm = FreeModule(ring, tuple(rng.choice([0, 1]) for _ in range(rank)))
+    gens = [random_module_element(fm, rng.choice([1, 2, 2, 3]), rng)
+            for _ in range(rank + 1)]
+    gens = [g for g in gens if not g.is_zero()]
+    assert gens
+    gb = groebner_basis(gens, ambient=fm)
+    leads = gb.lead_terms()
+    qleads = [lead for lead, _ in ring.quotient_groebner()]
+    degs = [g.degree() for g in gens]
+    module = cokernel(GradedMatrix(FreeModule(ring, degs), fm, gens))
+    seen = set()
+    for d in range(1, 5):
+        base_dim = module_component_dim(module, d)
+        for _ in range(3):
+            inside = random_span_element(gens, d, rng)
+            w = random_module_element(fm, d, rng)
+            for v in (inside, inside + w):
+                r = normal_form(v, gb)
+                for (j, m) in r.data:
+                    assert not any(c == j and ctx.divides(l, m)
+                                   for c, l in leads)
+                    assert not any(ctx.divides(q, m) for q in qleads)
+                if v.is_zero():
+                    assert r.is_zero()
+                    continue
+                ext = cokernel(GradedMatrix(FreeModule(ring, degs + [d]), fm,
+                                            gens + [v]))
+                in_span = module_component_dim(ext, d) == base_dim
+                assert r.is_zero() == in_span
+                seen.add(in_span)
+            assert normal_form(inside + w, gb) == \
+                normal_form(inside, gb) + normal_form(w, gb)
+    assert seen == {True, False}
+
+    if ring.is_quotient:
+        f1 = FreeModule(ring, (0,))
+        empty = groebner_basis([], ambient=f1)
+        for d in range(3, 6):
+            f = random_homogeneous(ring.base, d, rng)
+            v = ModuleElement(f1, {(0, m): c for m, c in f.terms.items()})
+            canonical = {(0, m): c
+                         for m, c in ring.polynomial(f).terms.items()}
+            assert normal_form(v, empty).data == canonical
