@@ -4,19 +4,24 @@ One engine drives everything above it: Groebner bases, normal forms,
 syzygies (via reduction tracking, Schreyer style), minimal generators
 (degree-synchronized insertion) and membership certificates.
 
-Every normal form is computed by one kernel, `normal_form_terms`.  Its
-four callers are `ModuleComputation._reduce` (tracked or untracked, inside
+A divisor is one entry [lead, tail, track, pure] of a `DivisorIndex`
+(component -> entries): a monic element with lead term (comp, lead), its
+other terms, its track (None when nothing is tracked) and whether all its
+terms lie in component comp.  That entry is the only record of a basis
+element; the engine keeps no other list of its basis.
+
+Every normal form is computed by one kernel, `normal_form_terms`, which
+reduces each term by the first entry of its component whose lead divides
+it.  Its callers are `ModuleComputation` (tracked or untracked, inside
 Buchberger), `GroebnerBasis.reduce` (hence `normal_form`), `_autoreduce`
 (tails of a finished basis) and, through `Ring.reduce_terms` and
 `ModuleElement.reduced`, the canonical forms of quotient-ring elements.
-Each caller hands it a `DivisorIndex`, which tries the quotient leads
-first and then its own divisors in insertion order, and stores each
-divisor's tail once, when the divisor is added.
 
 Quotient rings R = S/I are handled by treating GB(I) times every basis
-vector as *virtual* divisors: they reduce terms and form S-pairs against
-real elements, but pairs among themselves are skipped (they reduce to
-zero inside the ideal, since GB(I) is already a Groebner basis).
+vector as *virtual* divisors: entries with no track that come first in
+each component.  They reduce terms and form S-pairs against real elements
+through the same pair path, but pairs among themselves are skipped (they
+reduce to zero inside the ideal, since GB(I) is already a Groebner basis).
 
 Determinism: pair selection by (degree of the lcm term, insertion
 sequence); all containers iterate in insertion order.
@@ -36,9 +41,10 @@ MINUS_INF = float("-inf")
 # -- the normal-form kernel ---------------------------------------------------
 
 class DivisorIndex(dict):
-    """comp -> divisor entries for `normal_form_terms`: the quotient
-    divisors GB(I) e_comp first (filled in on first lookup), then the
-    divisors appended with `add`, in insertion order."""
+    """comp -> divisor entries [lead, tail, track, pure] for
+    `normal_form_terms`: the quotient divisors GB(I) e_comp first (filled in
+    on first lookup, with no track), then the divisors appended with `add`,
+    in insertion order."""
 
     __slots__ = ("quot",)
 
@@ -48,16 +54,14 @@ class DivisorIndex(dict):
 
     def __missing__(self, comp):
         entries = self[comp] = [
-            [lead, tuple(((comp, m), c) for m, c in qterms[1:]), None]
+            [lead, tuple(((comp, m), c) for m, c in qterms[1:]), None, True]
             for lead, qterms in self.quot]
         return entries
 
-    def add(self, comp, lead, terms, track):
-        """Append the monic divisor with lead term (comp, lead); returns
-        its entry [lead, tail, track]."""
-        entry = [lead,
-                 tuple((k, c) for k, c in terms.items() if k != (comp, lead)),
-                 track]
+    def add(self, comp, lead, tail, track):
+        """Append the monic divisor (comp, lead) + tail, where tail is a
+        tuple of ((comp, mono), coeff); returns its entry."""
+        entry = [lead, tail, track, all(j == comp for (j, _), _ in tail)]
         self[comp].append(entry)
         return entry
 
@@ -85,7 +89,7 @@ def normal_form_terms(ambient: FreeModule, index: DivisorIndex, terms,
         c = coeffs.pop((comp, mono), 0)
         if not c:
             continue
-        for lead, tail, dtrack in index[comp]:
+        for lead, tail, dtrack, _ in index[comp]:
             if divides(lead, mono):
                 break
         else:
@@ -116,20 +120,6 @@ def normal_form_terms(ambient: FreeModule, index: DivisorIndex, terms,
 
 # -- the engine -----------------------------------------------------------------
 
-class _Basis:
-    """One element of the working basis (monic)."""
-
-    __slots__ = ("comp", "lead", "terms", "track", "pure", "seq")
-
-    def __init__(self, comp, lead, terms, track, seq):
-        self.comp = comp
-        self.lead = lead
-        self.terms = terms      # dict {(comp, mono): coeff}, lead coeff 1
-        self.track = track      # dict {(gen_index, mono): coeff} or None
-        self.pure = all(k[0] == comp for k in terms)
-        self.seq = seq
-
-
 _KIND_PAIR, _KIND_REL, _KIND_GEN = 0, 1, 2
 
 
@@ -139,27 +129,27 @@ class ModuleComputation:
     gens are tracked candidates (inserted in degree order, marked minimal
     when they do not reduce to zero); rels are untracked elements already
     known to lie in the submodule (ambient relations).
+
+    The basis is kept only in `_index`.  A pair event carries its two
+    entries: two real elements, or a new real element and a quotient
+    divisor, both handled by `_process_pair`.
     """
 
     def __init__(self, ambient: FreeModule, gens, rels=(), track=False):
         self.ambient = ambient
         ring = ambient.ring
-        self.ring = ring
         self.ctx = ring.ctx
         self.p = ring.p
         self.twists = ambient.twists
         self.track = track
         self.quot = ring.quotient_groebner()
-        self.basis: list[_Basis] = []
-        self._by_comp: dict[int, list] = {}    # comp -> [(lead, _Basis)]
         self._index = DivisorIndex(self.quot)
         self.events: list = []
         self._seq = 0
         self.min_indices: list[int] = []
         self.min_elements: list[ModuleElement] = []
         self.syzygy_tracks: list[dict] = []
-        self.gens = list(gens)
-        for idx, g in enumerate(self.gens):
+        for idx, g in enumerate(gens):
             if g.ambient != ambient:
                 raise RingMismatch(f"generator {idx} in wrong ambient module")
             if not g.is_homogeneous():
@@ -182,108 +172,91 @@ class ModuleComputation:
         heapq.heappush(self.events, (degree, kind, self._seq, payload))
         self._seq += 1
 
-    # -- reduction ----------------------------------------------------------
-
-    def _reduce(self, terms, track):
-        """Normal form of terms; track (a dict or None) is updated in place."""
-        return normal_form_terms(self.ambient, self._index, terms, track)
+    def _pair(self, comp, s, t, chain):
+        """Queue the S-pair of entries s and t of component comp, unless
+        the coprime criterion drops it; `chain` allows the chain criterion
+        when the pair is processed."""
+        ctx = self.ctx
+        lcm = ctx.lcm(s[0], t[0])
+        if not self.track and s[3] and t[3] and lcm == ctx.mul(s[0], t[0]):
+            return  # coprime leads of single-component elements
+        self._push(ctx.degree(lcm) + self.twists[comp], _KIND_PAIR,
+                   (s, t, lcm, comp if chain else None))
 
     # -- basis growth -------------------------------------------------------
 
+    def _insert(self, terms, track):
+        """Reduce terms, updating track (a dict or None) in place.  A nonzero
+        normal form joins the basis; otherwise the track is a syzygy.
+        Returns the normal form."""
+        terms = normal_form_terms(self.ambient, self._index, terms, track)
+        if terms:
+            self._add_basis(terms, track)
+        elif track:
+            self.syzygy_tracks.append(track)
+        return terms
+
     def _add_basis(self, terms, track):
+        p = self.p
         (comp, lead), lc = max(
-            ((k, v) for k, v in terms.items()),
+            terms.items(),
             key=lambda kv: (self.ctx.degree(kv[0][1]) + self.twists[kv[0][0]],
                             -kv[0][0], kv[0][1]))
-        inv = field_inverse(lc, self.p)
-        terms = {k: (v * inv) % self.p for k, v in terms.items()}
+        inv = field_inverse(lc, p)
+        tail = tuple((k, (v * inv) % p) for k, v in terms.items()
+                     if k != (comp, lead))
         if track is not None:
-            track = {k: (v * inv) % self.p for k, v in track.items()}
-        b = _Basis(comp, lead, terms, track, len(self.basis))
-        ctx = self.ctx
-        # pairs with real elements sharing the lead component
-        for lead2, b2 in self._by_comp.get(comp, ()):
-            lcm = ctx.lcm(lead, lead2)
-            if (not self.track and b.pure and b2.pure
-                    and lcm == ctx.mul(lead, lead2)):
-                continue  # coprime leads of single-component elements
-            deg = ctx.degree(lcm) + self.twists[comp]
-            self._push(deg, _KIND_PAIR, (b2.seq, b.seq, lcm))
-        # pairs with virtual quotient divisors
-        for qlead, qterms in self.quot:
-            lcm = ctx.lcm(lead, qlead)
-            if not self.track and b.pure and lcm == ctx.mul(lead, qlead):
-                continue
-            deg = ctx.degree(lcm) + self.twists[comp]
-            self._push(deg, _KIND_PAIR, (b.seq, -1, (lcm, qterms)))
-        self.basis.append(b)
-        self._by_comp.setdefault(comp, []).append((lead, b))
-        self._index.add(comp, lead, terms, track)
-        return b
+            track = {k: (v * inv) % p for k, v in track.items()}
+        new = self._index.add(comp, lead, tail, track)
+        entries = self._index[comp]
+        nq = len(self.quot)
+        # pairs with the earlier real elements, then with the quotient
+        # divisors (which get no chain criterion)
+        for old in entries[nq:-1]:
+            self._pair(comp, old, new, not self.track)
+        for q in entries[:nq]:
+            self._pair(comp, new, q, False)
 
-    def _chain_skip(self, s, t, lcm):
+    def _chain_skip(self, comp, s, t, lcm):
         ctx = self.ctx
-        comp = self.basis[s].comp
-        ls = self.basis[s].lead
-        lt = self.basis[t].lead
-        for lead, b in self._by_comp.get(comp, ()):
-            if b.seq in (s, t):
+        ls, lt = s[0], t[0]
+        for e in self._index[comp][len(self.quot):]:
+            if e is s or e is t:
                 continue
+            lead = e[0]
             if ctx.divides(lead, lcm):
                 if ctx.lcm(ls, lead) != lcm and ctx.lcm(lead, lt) != lcm:
                     return True
         return False
 
+    def _subtract(self, target, items, u):
+        """target -= u * items in place; items are ((index, mono), coeff)."""
+        mul, p = self.ctx.mul, self.p
+        for (i, m), c in items:
+            k = (i, mul(m, u))
+            nv = (target.get(k, 0) - c) % p
+            if nv:
+                target[k] = nv
+            else:
+                target.pop(k, None)
+
     def _process_pair(self, payload):
+        s, t, lcm, chain_comp = payload
+        if chain_comp is not None and self._chain_skip(chain_comp, s, t, lcm):
+            return
         ctx = self.ctx
-        p = self.p
-        s, t, lcm = payload
-        bs = self.basis[s]
-        if t == -1:
-            lcm, qterms = lcm
-            us = ctx.quotient(lcm, bs.lead)
-            terms = {(j, ctx.mul(m, us)): c for (j, m), c in bs.terms.items()}
-            track = ({(i, ctx.mul(m, us)): c for (i, m), c in bs.track.items()}
-                     if self.track else None)
-            qlead = qterms[0][0]
-            ut = ctx.quotient(lcm, qlead)
-            comp = bs.comp
-            for gm, gc in qterms:
-                k = (comp, ctx.mul(gm, ut))
-                nc = (terms.get(k, 0) - gc) % p
-                if nc:
-                    terms[k] = nc
-                else:
-                    terms.pop(k, None)
-        else:
-            if not self.track and self._chain_skip(s, t, lcm):
-                return
-            bt = self.basis[t]
-            us = ctx.quotient(lcm, bs.lead)
-            ut = ctx.quotient(lcm, bt.lead)
-            terms = {(j, ctx.mul(m, us)): c for (j, m), c in bs.terms.items()}
-            track = ({(i, ctx.mul(m, us)): c for (i, m), c in bs.track.items()}
-                     if self.track else None)
-            for (j, m), c in bt.terms.items():
-                k = (j, ctx.mul(m, ut))
-                nc = (terms.get(k, 0) - c) % p
-                if nc:
-                    terms[k] = nc
-                else:
-                    terms.pop(k, None)
-            if self.track:
-                for (i, m), c in bt.track.items():
-                    k = (i, ctx.mul(m, ut))
-                    nv = (track.get(k, 0) - c) % p
-                    if nv:
-                        track[k] = nv
-                    else:
-                        track.pop(k, None)
-        terms = self._reduce(terms, track)
-        if terms:
-            self._add_basis(terms, track)
-        elif self.track and track:
-            self.syzygy_tracks.append(track)
+        us = ctx.quotient(lcm, s[0])
+        ut = ctx.quotient(lcm, t[0])
+        # the monic leads cancel: S = us * tail_s - ut * tail_t, and the
+        # tracks combine the same way (a quotient divisor has none)
+        terms = {(j, ctx.mul(m, us)): c for (j, m), c in s[1]}
+        self._subtract(terms, t[1], ut)
+        track = None
+        if self.track:
+            track = {(i, ctx.mul(m, us)): c for (i, m), c in s[2].items()}
+            if t[2]:
+                self._subtract(track, t[2].items(), ut)
+        self._insert(terms, track)
 
     # -- main loop ------------------------------------------------------------
 
@@ -295,28 +268,20 @@ class ModuleComputation:
             if kind == _KIND_PAIR:
                 self._process_pair(payload)
             elif kind == _KIND_REL:
-                track = {} if self.track else None
-                terms = self._reduce(payload.data, track)
-                if terms:
-                    self._add_basis(terms, track)
-                elif self.track and track:
-                    self.syzygy_tracks.append(track)
+                self._insert(payload.data, {} if self.track else None)
             else:
                 idx, g = payload
-                track = {(idx, self.ctx.one): 1} if self.track else None
-                terms = self._reduce(g.data, track)
+                terms = self._insert(
+                    g.data, {(idx, self.ctx.one): 1} if self.track else None)
                 if terms:
-                    self._add_basis(terms, track)
                     self.min_indices.append(idx)
                     self.min_elements.append(ModuleElement(self.ambient, terms))
-                elif self.track and track:
-                    self.syzygy_tracks.append(track)
 
     def express(self, v: ModuleElement):
         """Coefficients c with v = sum c_i gens_i modulo relations and the
         quotient ideal, or None if v is not in the submodule."""
         track = {}
-        if self._reduce(v.data, track):
+        if normal_form_terms(self.ambient, self._index, v.data, track):
             return None
         p = self.p
         return {k: (p - c) % p for k, c in track.items()}
@@ -325,18 +290,13 @@ class ModuleComputation:
 # -- public operations ------------------------------------------------------
 
 class GroebnerBasis:
-    """Auto-reduced, monic Groebner basis of a submodule of a free module."""
+    """Auto-reduced, monic Groebner basis of a submodule of a free module,
+    with the divisor index `reduce` uses (built by `_autoreduce`)."""
 
-    def __init__(self, ambient: FreeModule, elements, over_quotient: bool):
+    def __init__(self, ambient: FreeModule, elements, index: DivisorIndex):
         self.ambient = ambient
-        self.elements = list(elements)
-        self.over_quotient = over_quotient
-        ring = ambient.ring
-        self._index = DivisorIndex(
-            ring.quotient_groebner() if over_quotient else ())
-        for e in self.elements:
-            (comp, lead), _ = e.lead_term()
-            self._index.add(comp, lead, e.data, None)
+        self.elements = elements
+        self._index = index
 
     def lead_terms(self):
         return [e.lead_term()[0] for e in self.elements]
@@ -360,8 +320,7 @@ class GroebnerBasis:
 def groebner_basis(gens, ambient: FreeModule = None) -> GroebnerBasis:
     """Groebner basis of the submodule generated by homogeneous gens.
 
-    Over a quotient ring the ideal relations are adjoined implicitly and
-    the `over_quotient` flag records it.
+    Over a quotient ring the ideal relations are adjoined implicitly.
     """
     gens = list(gens)
     if ambient is None:
@@ -370,35 +329,33 @@ def groebner_basis(gens, ambient: FreeModule = None) -> GroebnerBasis:
         ambient = gens[0].ambient
     comp = ModuleComputation(ambient, gens)
     comp.run()
-    elements = _autoreduce(comp)
-    return GroebnerBasis(ambient, elements, ambient.ring.is_quotient)
+    return _autoreduce(comp)
 
 
-def _autoreduce(comp: ModuleComputation):
+def _autoreduce(comp: ModuleComputation) -> GroebnerBasis:
     """Keep basis elements with minimal leads, tail-reduce, sort."""
     ctx = comp.ctx
-    entries = sorted(
-        comp.basis,
-        key=lambda b: (ctx.degree(b.lead) + comp.twists[b.comp], b.comp, -b.lead))
+    nq = len(comp.quot)
+    basis = sorted(
+        ((c, e) for c, entries in comp._index.items() for e in entries[nq:]),
+        key=lambda ce: (ctx.degree(ce[1][0]) + comp.twists[ce[0]], ce[0],
+                        -ce[1][0]))
     # One index for all tails: b never divides its own tail, whose terms lie
     # below b's lead and only shrink under reduction, while a multiple of a
     # lead is never smaller than it in a degree-compatible order.
     index = DivisorIndex(comp.quot)
     kept = []
-    for b in entries:
-        redundant = any(
-            c == b.comp and ctx.divides(l, b.lead) for (c, l, _) in kept)
-        if not redundant:
-            kept.append((b.comp, b.lead,
-                         index.add(b.comp, b.lead, b.terms, None)))
-    out = []
-    for c, l, entry in kept:
+    for c, (lead, tail, _, _) in basis:
+        if not any(ctx.divides(e[0], lead) for e in index[c][nq:]):
+            kept.append((c, index.add(c, lead, tail, None)))
+    elements = []
+    for c, entry in kept:
         terms = normal_form_terms(comp.ambient, index, entry[1], None)
         # later reductions use the reduced tail
         entry[1] = tuple(terms.items())
-        terms[(c, l)] = 1
-        out.append(ModuleElement(comp.ambient, terms))
-    return out
+        terms[(c, entry[0])] = 1
+        elements.append(ModuleElement(comp.ambient, terms))
+    return GroebnerBasis(comp.ambient, elements, index)
 
 
 def normal_form(v: ModuleElement, gb: GroebnerBasis) -> ModuleElement:

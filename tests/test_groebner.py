@@ -9,9 +9,10 @@ import random
 
 import pytest
 
-from gext import (Ring, cokernel, groebner_basis, minimal_generators,
-                  normal_form, parse_polynomial, syzygies)
+from gext import (AlgebraError, Ring, cokernel, groebner_basis,
+                  minimal_generators, normal_form, parse_polynomial, syzygies)
 from gext.free import FreeModule, GradedMatrix, ModuleElement
+from gext.homext import express_in_generators
 
 from oracles import (ideal_component_dim, ideal_contains,
                      module_component_dim, monomial_exponents,
@@ -340,3 +341,110 @@ def test_normal_form_higher_rank(seed, quotient):
             canonical = {(0, m): c
                          for m, c in ring.polynomial(f).terms.items()}
             assert normal_form(v, empty).data == canonical
+
+
+@pytest.mark.parametrize("quotient", [(), ("x^3 + y^3 - z^3",)])
+@pytest.mark.parametrize("seed", range(4))
+def test_express_in_generators_certificates(seed, quotient):
+    """Membership certificates: for v = sum h_i gens_i + (a combination of
+    rels), the returned coefficients recombine to an element that differs
+    from v by an element of span(rels) (+ I*F over S/I); an element outside
+    span(gens) + span(rels) raises AlgebraError."""
+    rng = random.Random(1300 + seed)
+    ring = Ring(P, ("x", "y", "z"), quotient=list(quotient))
+    fm = FreeModule(ring, (0,) if seed % 2 == 0 else (0, 1))
+    gens = [random_module_element(fm, rng.choice([1, 2, 2]), rng)
+            for _ in range(fm.rank + 1)]
+    gens = [g for g in gens if not g.is_zero()]
+    assert gens
+    for rels in ([], [r for r in (random_module_element(fm, 2, rng),
+                                  random_module_element(fm, 3, rng))
+                      if not r.is_zero()]):
+        gb_rels = groebner_basis(rels, ambient=fm)
+        gb_all = groebner_basis(gens + rels, ambient=fm)
+        outside = 0
+        for d in range(2, 5):
+            v = random_span_element(gens, d, rng)
+            if rels:
+                v = v + random_span_element(rels, d, rng)
+            (coeffs,) = express_in_generators(gens, fm, [v], rels=rels)
+            back = fm.zero_element()
+            for (i, m), c in coeffs.items():
+                back = back + gens[i].monomial_mul(m, c)
+            assert gb_rels.contains(back - v)
+            w = v + random_module_element(fm, d, rng)
+            if not gb_all.contains(w):
+                outside += 1
+                with pytest.raises(AlgebraError):
+                    express_in_generators(gens, fm, [w], rels=rels)
+        assert outside
+
+
+def sympy_poly(sympy, syms, f):
+    ctx = f.ring.ctx
+    return sympy.Poly.from_dict(
+        {ctx.decode(m): c for m, c in f.terms.items()}, *syms, modulus=P)
+
+
+def random_polys(ring, rng, count, degrees):
+    polys = [random_homogeneous(ring, rng.choice(degrees), rng)
+             for _ in range(count)]
+    return [f for f in polys if not f.is_zero()]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_groebner_basis_matches_sympy(seed):
+    """Differential oracle over S = Z/32003[x0..x3]: the reduced monic
+    Groebner basis of a random homogeneous ideal equals sympy's (grevlex,
+    x0 > x1 > ...), compared as sets of monic term sets."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(1400 + seed)
+    names = ("x0", "x1", "x2", "x3")
+    syms = sympy.symbols(names)
+    ring = Ring(P, names)
+    polys = random_polys(ring, rng, rng.choice([2, 3]), [1, 2, 2, 3])
+    fm = FreeModule(ring, (0,))
+    gb = groebner_basis(
+        [ModuleElement(fm, {(0, m): c for m, c in f.terms.items()})
+         for f in polys], ambient=fm)
+    got = {frozenset((ring.ctx.decode(m), c) for (_, m), c in e.data.items())
+           for e in gb.elements}
+    want = set()
+    for g in sympy.groebner([sympy_poly(sympy, syms, f) for f in polys],
+                            *syms, modulus=P, order="grevlex").polys:
+        inv = pow(int(g.LC(order="grevlex")) % P, -1, P)
+        want.add(frozenset((e, int(c) * inv % P) for e, c in g.terms()))
+    assert got == want
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_groebner_basis_over_quotient_matches_sympy(seed):
+    """Differential oracle over R = S/I, S = Z/32003[x0..x3]: the lead terms
+    of groebner_basis(J) together with the quotient leads minimally generate
+    the lead ideal of sympy's GB(J + I), and every element of that basis
+    reduces to zero."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(1500 + seed)
+    names = ("x0", "x1", "x2", "x3")
+    syms = sympy.symbols(names)
+    base = Ring(P, names)
+    ideal = random_polys(base, rng, rng.choice([1, 2]), [2, 3])
+    ring = Ring(P, names, quotient=ideal)
+    ctx = ring.ctx
+    polys = random_polys(ring, rng, rng.choice([1, 2, 3]), [1, 2, 2, 3])
+    fm = FreeModule(ring, (0,))
+    gb = groebner_basis(
+        [ModuleElement(fm, {(0, m): c for m, c in f.terms.items()})
+         for f in polys], ambient=fm)
+    leads = ({m for _, m in gb.lead_terms()}
+             | {lead for lead, _ in ring.quotient_groebner()})
+    minimal = {ctx.decode(m) for m in leads
+               if not any(o != m and ctx.divides(o, m) for o in leads)}
+    theirs = sympy.groebner(
+        [sympy_poly(sympy, syms, f) for f in polys + ideal],
+        *syms, modulus=P, order="grevlex").polys
+    assert minimal == {g.LM(order="grevlex").exponents for g in theirs}
+    for g in theirs:
+        v = ModuleElement(fm, {(0, ctx.encode(e)): int(c) % P
+                               for e, c in g.terms()})
+        assert gb.reduce(v).is_zero()
