@@ -42,18 +42,6 @@ class FreeModule:
             raise AlgebraError(f"no basis vector {j} in rank-{self.rank} module")
         return ModuleElement(self, {(j, self.ring.ctx.one): 1})
 
-    def element(self, components) -> "ModuleElement":
-        """Build an element from one polynomial (or string/int) per component."""
-        components = list(components)
-        if len(components) != self.rank:
-            raise AlgebraError("component count does not match rank")
-        data = {}
-        for j, f in enumerate(components):
-            f = self.ring.polynomial(f)
-            for m, c in f.terms.items():
-                data[(j, m)] = c
-        return ModuleElement(self, data)
-
     def term_key(self, comp: int, mono: int):
         """Sort key: bigger key = bigger term."""
         return (self.ring.ctx.degree(mono) + self.twists[comp], -comp, mono)
@@ -266,10 +254,6 @@ class GradedMatrix:
 
     def entry(self, i: int, j: int) -> Polynomial:
         return self.columns[j].component(i)
-
-    def entries(self):
-        return [[self.entry(i, j) for j in range(self.source.rank)]
-                for i in range(self.target.rank)]
 
     def apply(self, v: ModuleElement) -> ModuleElement:
         """Image of an element of the source free module."""

@@ -310,12 +310,6 @@ class GroebnerBasis:
     def contains(self, v: ModuleElement) -> bool:
         return self.reduce(v).is_zero()
 
-    def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
 
 def groebner_basis(gens, ambient: FreeModule = None) -> GroebnerBasis:
     """Groebner basis of the submodule generated by homogeneous gens.

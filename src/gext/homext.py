@@ -77,23 +77,9 @@ class ExtModule:
 def hom_module(source: GradedModule, target: GradedModule) -> HomModule:
     if source.ring != target.ring:
         raise RingMismatch("Hom of modules over different rings")
-    hom_f0 = hom_of_free(source.cover, target)
-    cover0 = hom_f0.cover
-    pres = source.presentation
-    if pres.source.rank == 0:
-        gens = [cover0.basis_element(j) for j in range(cover0.rank)]
-    else:
-        hom_f1 = hom_of_free(pres.source, target)
-        delta = induced_columns(pres, target, hom_f1)
-        gens = _kernel_generators(delta, hom_f1, cover0)
-    underlying, anchors = subquotient(gens, hom_f0.relations, cover0)
+    underlying, anchors = _homology(source.cover, None, source.presentation,
+                                    target)
     return HomModule(underlying, source, target, anchors)
-
-
-def _kernel_generators(delta_cols, hom_next: GradedModule, cover0: FreeModule):
-    """Generators in cover0 of the kernel of the induced map."""
-    syz = syzygies(delta_cols, rels=hom_next.relations, ambient=hom_next.cover)
-    return [ModuleElement(cover0, c.data) for c in syz.columns]
 
 
 def ext_module(m: int, source: GradedModule, target: GradedModule) -> ExtModule:
@@ -109,21 +95,29 @@ def ext_module(m: int, source: GradedModule, target: GradedModule) -> ExtModule:
     f_m = res.free_modules[m]
     if f_m.rank == 0:
         return ExtModule(zero_module(ring), m, source, target)
-    hom_m = hom_of_free(f_m, target)
-    cover = hom_m.cover
-    if m < len(res.differentials):
-        d_next = res.differentials[m]
-        hom_next = hom_of_free(d_next.source, target)
-        delta = induced_columns(d_next, target, hom_next)
-        gens = _kernel_generators(delta, hom_next, cover)
-    else:
-        gens = [cover.basis_element(j) for j in range(cover.rank)]
-    rels = list(hom_m.relations)
-    if m >= 1:
-        d_m = res.differentials[m - 1]
-        rels += induced_columns(d_m, target, hom_m)
-    underlying, _ = subquotient(gens, rels, cover)
+    d_in = res.differentials[m - 1] if m >= 1 else None
+    d_out = res.differentials[m] if m < len(res.differentials) else None
+    underlying, _ = _homology(f_m, d_in, d_out, target)
     return ExtModule(underlying, m, source, target)
+
+
+def _homology(free: FreeModule, d_in, d_out, target: GradedModule):
+    """At Hom(free, N): the kernel of Hom(d_out, N) modulo the image of
+    Hom(d_in, N), where d_in leaves free and d_out enters it (None: a zero
+    map), as subquotient's (module, generator elements)."""
+    hom = hom_of_free(free, target)
+    cover = hom.cover
+    if d_out is None or d_out.source.rank == 0:
+        gens = [cover.basis_element(j) for j in range(cover.rank)]
+    else:
+        hom_next = hom_of_free(d_out.source, target)
+        delta = induced_columns(d_out, target, hom_next)
+        gens = [ModuleElement(cover, c.data) for c in syzygies(
+            delta, rels=hom_next.relations, ambient=hom_next.cover).columns]
+    rels = list(hom.relations)
+    if d_in is not None:
+        rels += induced_columns(d_in, target, hom)
+    return subquotient(gens, rels, cover)
 
 
 def hom_element(hom: HomModule, coords):

@@ -92,9 +92,6 @@ class BettiTable:
             return MINUS_INF
         return max(indices)
 
-    def betti(self, i: int) -> int:
-        return sum(b for (k, _), b in self.entries.items() if k == i)
-
     def max_degree(self, i: int):
         """a-bar_i: max degree of minimal generators of the i-th syzygy."""
         degs = [a for (k, a) in self.entries if k == i]

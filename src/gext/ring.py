@@ -213,9 +213,6 @@ class Polynomial:
             raise AlgebraError("zero polynomial has no lead term")
         return max(self.terms)
 
-    def lead_coefficient(self) -> int:
-        return self.terms[self.lead_monomial()]
-
     # -- arithmetic ----------------------------------------------------------
 
     def _check(self, other) -> "Polynomial":
@@ -279,18 +276,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise AlgebraError("negative powers not supported")
-        out = self.ring.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
-
     def scale(self, c: int) -> "Polynomial":
         c %= self.ring.p
         if not c:
@@ -298,11 +283,6 @@ class Polynomial:
         p = self.ring.p
         return Polynomial(self.ring, {m: (c * v) % p for m, v in self.terms.items()},
                           reduced=True)
-
-    def monic(self) -> "Polynomial":
-        if not self.terms:
-            return self
-        return self.scale(field_inverse(self.lead_coefficient(), self.ring.p))
 
     def derivative(self, j: int) -> "Polynomial":
         ctx = self.ring.ctx
@@ -373,7 +353,7 @@ class Polynomial:
 
 # -- parsing -------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\^|\*|\+|\-|\(|\))")
+_TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\^|\*\*|\*|\+|\-|\(|\))")
 
 
 def _tokenize(text: str):
@@ -406,7 +386,7 @@ def _split_vars(ring: Ring, word: str):
 
 def parse_polynomial(ring: Ring, text: str) -> Polynomial:
     """Parse the shared text grammar: terms joined by +/-, coefficient then
-    variables with ^ powers; '*' between factors is optional."""
+    variables with ^ (or **) powers; '*' between factors is optional."""
     tokens = _tokenize(text)
     if not tokens:
         return ring.zero()
@@ -438,7 +418,7 @@ def parse_polynomial(ring: Ring, text: str) -> Polynomial:
             parts = _split_vars(ring, tok)
             i += 1
             power = 1
-            if i < n and tokens[i] == "^":
+            if i < n and tokens[i] in ("^", "**"):
                 if i + 1 >= n or not tokens[i + 1].isdigit():
                     raise ParseError(f"expected integer power in {text!r}")
                 power = int(tokens[i + 1])

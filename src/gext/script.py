@@ -12,6 +12,11 @@ Grammar (statements end with ';', comments start with '#'):
 Commands: resolution, betti, globalExtSum, globalExt, sheafCohomologySum,
 sheafCohomology, yonedaExt, hilbert, dim.  A ring name used where a module
 is expected denotes the rank-1 free module R^1.
+
+Each module constructor and each command is declared once, in
+`_CONSTRUCTORS` or `_COMMANDS`, by the kinds of its arguments; `_KINDS`
+gives each kind's parser and provenance text.  Argument counts and kinds
+are checked at parse time.
 """
 
 from __future__ import annotations
@@ -97,6 +102,26 @@ class _Tokens:
                               line, col)
         return got
 
+    def sequence(self, item, open, close):
+        """The items of `open item, item, ... close`, possibly none."""
+        self.expect(open)
+        out = []
+        if self.peek()[1] != close:
+            out.append(item(self))
+            while self.peek()[1] == ",":
+                self.next()
+                out.append(item(self))
+        self.expect(close)
+        return out
+
+    def nonempty(self, items, expected):
+        """items, unless empty: then a parse error at the closing bracket
+        just read."""
+        if not items:
+            _, value, line, col = self.items[self.pos - 1]
+            raise ScriptError(f"expected {expected}, found {value!r}", line, col)
+        return items
+
 
 class Script:
     def __init__(self, statements):
@@ -107,22 +132,25 @@ def parse_script(text: str) -> Script:
     toks = _Tokens(text)
     statements = []
     while toks.peek()[0] != "eof":
-        kind, value, line, col = toks.peek()
-        if value == "ring":
-            statements.append(("ring", _parse_ring(toks), line))
-        elif value == "module":
-            statements.append(("module", _parse_module(toks), line))
-        elif value == "compute":
-            statements.append(("compute", _parse_compute(toks), line))
+        _, word, line, col = toks.next()
+        if word == "ring":
+            payload = _parse_ring(toks)
+        elif word == "module":
+            name = toks.expect_kind("name")
+            toks.expect("=")
+            payload = (name, _parse_modexpr(toks))
+        elif word == "compute":
+            payload = _parse_call(toks, toks.next(), _COMMANDS, "command")
         else:
             raise ScriptError(
-                f"expected 'ring', 'module' or 'compute', found {value!r}",
+                f"expected 'ring', 'module' or 'compute', found {word!r}",
                 line, col)
+        toks.expect(";")
+        statements.append((word, payload, line))
     return Script(statements)
 
 
 def _parse_ring(toks):
-    toks.expect("ring")
     name = toks.expect_kind("name")
     toks.expect("=")
     kind, value, line, col = toks.next()
@@ -134,22 +162,13 @@ def _parse_ring(toks):
             raise ScriptError(f"{prime} is not prime", line, col)
     elif value != "kk":
         raise ScriptError("expected 'ZZ/p' or 'kk'", line, col)
-    toks.expect("[")
-    variables = [toks.expect_kind("name")]
-    while toks.peek()[1] == ",":
-        toks.next()
-        variables.append(toks.expect_kind("name"))
-    toks.expect("]")
+    variables = toks.nonempty(
+        toks.sequence(lambda t: t.expect_kind("name"), "[", "]"), "name")
     quotient = []
     if toks.peek()[1] == "/":
         toks.next()
-        toks.expect("(")
-        quotient.append(_parse_poly_text(toks))
-        while toks.peek()[1] == ",":
-            toks.next()
-            quotient.append(_parse_poly_text(toks))
-        toks.expect(")")
-    toks.expect(";")
+        quotient = toks.nonempty(toks.sequence(_parse_poly_text, "(", ")"),
+                                 "a polynomial")
     return (name, prime, variables, quotient)
 
 
@@ -179,137 +198,142 @@ def _parse_int(toks) -> int:
     return int(toks.expect_kind("num"))
 
 
-def _parse_int_list(toks):
-    toks.expect("[")
-    out = []
-    if toks.peek()[1] != "]":
-        out.append(_parse_int(toks))
-        while toks.peek()[1] == ",":
-            toks.next()
-            out.append(_parse_int(toks))
-    toks.expect("]")
-    return out
-
-
-def _parse_poly_list(toks):
-    toks.expect("[")
-    out = []
-    if toks.peek()[1] != "]":
-        out.append(_parse_poly_text(toks))
-        while toks.peek()[1] == ",":
-            toks.next()
-            out.append(_parse_poly_text(toks))
-    toks.expect("]")
-    return out
-
-
-def _parse_module(toks):
-    toks.expect("module")
-    name = toks.expect_kind("name")
+def _parse_degrees(toks):
+    toks.expect("degrees")
     toks.expect("=")
-    expr = _parse_modexpr(toks)
-    toks.expect(";")
-    return (name, expr)
+    return toks.sequence(_parse_int, "[", "]")
 
 
 def _parse_modexpr(toks):
-    kind, head, line, col = toks.next()
+    """A module name (or ring name) or a constructor call."""
+    head = toks.next()
+    kind, name, line, col = head
     if kind != "name":
-        raise ScriptError(f"expected a module expression, found {head!r}",
+        raise ScriptError(f"expected a module expression, found {name!r}",
                           line, col)
     if toks.peek()[1] != "(":
-        return ("ref", head)
-    toks.next()  # (
-    if head == "coker":
-        ringname = toks.expect_kind("name")
-        toks.expect(",")
-        toks.expect("[")
-        rows = [_parse_poly_list(toks)]
-        while toks.peek()[1] == ",":
-            toks.next()
-            rows.append(_parse_poly_list(toks))
-        toks.expect("]")
-        toks.expect(",")
-        kw = toks.expect_kind("name")
-        if kw != "degrees":
-            raise ScriptError("expected 'degrees='", line, col)
-        toks.expect("=")
-        degrees = _parse_int_list(toks)
-        toks.expect(")")
-        return ("coker", ringname, rows, degrees)
-    if head == "free":
-        ringname = toks.expect_kind("name")
-        toks.expect(",")
-        kw = toks.expect_kind("name")
-        if kw != "degrees":
-            raise ScriptError("expected 'degrees='", line, col)
-        toks.expect("=")
-        degrees = _parse_int_list(toks)
-        toks.expect(")")
-        return ("free", ringname, degrees)
-    if head == "truncate":
-        r = _parse_int(toks)
-        toks.expect(",")
-        inner = _parse_modexpr(toks)
-        toks.expect(")")
-        return ("truncate", r, inner)
-    if head == "twist":
-        inner = _parse_modexpr(toks)
-        toks.expect(",")
-        v = _parse_int(toks)
-        toks.expect(")")
-        return ("twist", inner, v)
-    if head == "directSum":
-        a = _parse_modexpr(toks)
-        toks.expect(",")
-        b = _parse_modexpr(toks)
-        toks.expect(")")
-        return ("directSum", a, b)
-    raise ScriptError(f"unknown module constructor {head!r}", line, col)
+        return name
+    return _parse_call(toks, head, _CONSTRUCTORS, "module constructor")
 
 
-# command -> (fewest, most) arguments
-_COMMANDS = {
-    "resolution": (1, 2), "betti": (1, 2), "globalExtSum": (4, 4),
-    "globalExt": (3, 3), "sheafCohomologySum": (3, 3),
-    "sheafCohomology": (2, 2), "yonedaExt": (3, 3), "hilbert": (2, 2),
-    "dim": (1, 1),
-}
+def _parse_surplus(toks):
+    """An argument past a call's last one, parsed only to be counted."""
+    if toks.peek()[1] == "[":
+        return toks.sequence(_parse_surplus, "[", "]")
+    return _parse_poly_text(toks)
 
 
-def _parse_compute(toks):
-    toks.expect("compute")
-    kind, cmd, line, col = toks.next()
-    if cmd not in _COMMANDS:
-        raise ScriptError(f"unknown command {cmd!r}", line, col)
-    toks.expect("(")
-    args = []
-    if toks.peek()[1] != ")":
-        args.append(_parse_arg(toks))
-        while toks.peek()[1] == ",":
-            toks.next()
-            args.append(_parse_arg(toks))
-    toks.expect(")")
-    toks.expect(";")
-    lo, hi = _COMMANDS[cmd]
+def _parse_call(toks, head, table, what):
+    """(name, args) of the call `name(arg, ...)` whose name token is head,
+    declared in table.
+
+    Each argument is parsed by its declared kind.  The argument count and
+    the first token of each argument are checked here and reported at the
+    position of head.
+    """
+    _, name, line, col = head
+    if name not in table:
+        raise ScriptError(f"unknown {what} {name!r}", line, col)
+    kinds = table[name][0]
+    optional = table[name][1] if table is _COMMANDS else 0
+    slots = iter(enumerate(kinds, 1))
+
+    def argument(toks):
+        number, kind = next(slots, (0, None))
+        if kind is None:
+            return _parse_surplus(toks)
+        desc, (field, first), parse, _ = _KINDS[kind]
+        tok = toks.peek()
+        if tok[field] != first:
+            raise ScriptError(f"argument {number} of {name} must be {desc}, "
+                              f"found {tok[1] or 'end of input'!r}", line, col)
+        return parse(toks)
+
+    args = toks.sequence(argument, "(", ")")
+    lo, hi = len(kinds) - optional, len(kinds)
     if not lo <= len(args) <= hi:
         want = str(lo) if lo == hi else f"{lo} to {hi}"
         plural = "" if hi == 1 else "s"
-        raise ScriptError(f"{cmd} takes {want} argument{plural}, "
+        raise ScriptError(f"{name} takes {want} argument{plural}, "
                           f"got {len(args)}", line, col)
-    return (cmd, args)
+    return (name, args)
 
 
-def _parse_arg(toks):
-    kind, value, line, col = toks.peek()
-    if kind == "num":
-        toks.next()
-        return ("int", int(value))
-    if value == "[":
-        return ("list", _parse_poly_list(toks))
-    if kind == "name":
-        return ("expr", _parse_modexpr(toks))
-    raise ScriptError(f"bad argument {value!r}", line, col)
+def _text(table, name, args):
+    """Provenance text of the call name(args) declared in table."""
+    kinds = table[name][0]
+    return f"{name}({', '.join(_KINDS[k][3](a) for k, a in zip(kinds, args))})"
+
+
+# argument kind -> (description, the (field, value) its first token must
+# have, parser, provenance text); token field 0 is the lexical class
+_KINDS = {
+    "int": ("an integer", (0, "num"), _parse_int, str),
+    "ring": ("a ring name", (0, "name"), lambda t: t.expect_kind("name"), str),
+    "module": ("a module", (0, "name"), _parse_modexpr,
+               lambda m: m if isinstance(m, str) else _text(_CONSTRUCTORS, *m)),
+    "matrix": ("a list of rows", (1, "["),
+               lambda t: t.nonempty(t.sequence(_KINDS["coords"][2], "[", "]"),
+                                    "'['"),
+               lambda rows: "..."),
+    "degrees": ("'degrees='", (1, "degrees"), _parse_degrees,
+                "degrees={}".format),
+    "coords": ("a list of polynomials", (1, "["),
+               lambda t: t.sequence(_parse_poly_text, "[", "]"),
+               lambda c: "[" + ", ".join(c) + "]"),
+}
+
+
+def _coker(ring, rows, degrees):
+    if len(rows) != len(degrees):
+        raise AlgebraError("degrees must match the number of rows")
+    if not rows[0]:
+        return free_module_of(ring, tuple(degrees))
+    return GradedModule(GradedMatrix.from_entries(ring, rows, tuple(degrees)))
+
+
+def _betti(module, cap=None):
+    return betti_stats(free_resolution(module, length_cap=cap))
+
+
+def _dim(module):
+    d = krull_dim(module)
+    return "-infinity" if d == MINUS_INF else d
+
+
+# Table entries call library functions by their global names when they run,
+# so that a function replaced in this module after import (a tracing
+# wrapper, say) is the one called.
+
+# constructor -> (argument kinds, builder)
+_CONSTRUCTORS = {
+    "coker": (("ring", "matrix", "degrees"), _coker),
+    "free": (("ring", "degrees"),
+             lambda ring, degrees: free_module_of(ring, tuple(degrees))),
+    "truncate": (("int", "module"), lambda r, m: truncate_module(m, r)),
+    "twist": (("module", "int"), lambda m, v: twist(m, v)),
+    "directSum": (("module", "module"), lambda a, b: direct_sum(a, b)),
+}
+
+# command -> (argument kinds, count of optional trailing arguments,
+# record kind, function)
+_COMMANDS = {
+    "resolution": (("module", "int"), 1, "betti", _betti),
+    "betti": (("module", "int"), 1, "betti", _betti),
+    "globalExtSum": (("int", "int", "module", "module"), 0, "module",
+                     lambda i, e, a, b: global_ext_sum(i, e, a, b)),
+    "globalExt": (("int", "module", "module"), 0, "dimension",
+                  lambda i, a, b: global_ext(i, a, b)[0]),
+    "sheafCohomologySum": (("int", "int", "module"), 0, "module",
+                           lambda i, e, n: sheaf_cohomology_sum(i, e, n)),
+    "sheafCohomology": (("int", "module"), 0, "dimension",
+                        lambda i, n: sheaf_cohomology(i, n)[0]),
+    "yonedaExt": (("module", "module", "coords"), 0, "extension",
+                  lambda a, b, coords: yoneda_extension(a, b, coords)),
+    "hilbert": (("module", "int"), 0, "scalar",
+                lambda m, d: hilbert_function(m, d)),
+    "dim": (("module",), 0, "scalar", _dim),
+}
 
 
 # -- execution -------------------------------------------------------------------
@@ -321,154 +345,47 @@ class ResultRecord:
         self.provenance = provenance
 
 
-class _Env:
-    def __init__(self, default_prime):
-        self.rings: dict[str, Ring] = {}
-        self.modules: dict[str, GradedModule] = {}
-        self.default_prime = default_prime
-
-    def module(self, name, line=0):
-        if name in self.modules:
-            return self.modules[name]
-        if name in self.rings:
-            return ring_module(self.rings[name])
-        raise AlgebraError(f"unbound identifier {name!r}")
-
-
-def _eval_modexpr(env: _Env, expr) -> GradedModule:
-    head = expr[0]
-    if head == "ref":
-        return env.module(expr[1])
-    if head == "coker":
-        _, ringname, rows, degrees = expr
-        ring = env.rings.get(ringname)
-        if ring is None:
-            raise AlgebraError(f"unbound ring {ringname!r}")
-        if len(rows) != len(degrees):
-            raise AlgebraError("degrees must match the number of rows")
-        ncols = len(rows[0]) if rows else 0
-        if ncols == 0:
-            return free_module_of(ring, tuple(degrees))
-        mat = GradedMatrix.from_entries(ring, rows, tuple(degrees))
-        return GradedModule(mat)
-    if head == "free":
-        _, ringname, degrees = expr
-        ring = env.rings.get(ringname)
-        if ring is None:
-            raise AlgebraError(f"unbound ring {ringname!r}")
-        return free_module_of(ring, tuple(degrees))
-    if head == "truncate":
-        return truncate_module(_eval_modexpr(env, expr[2]), expr[1])
-    if head == "twist":
-        return twist(_eval_modexpr(env, expr[1]), expr[2])
-    if head == "directSum":
-        return direct_sum(_eval_modexpr(env, expr[1]),
-                          _eval_modexpr(env, expr[2]))
-    raise AlgebraError(f"bad module expression {head!r}")
+def _eval(env, kind, value):
+    """The value of a parsed argument; env maps "ring" and "module" to the
+    names bound so far."""
+    if kind == "ring":
+        if value not in env["ring"]:
+            raise AlgebraError(f"unbound ring {value!r}")
+        return env["ring"][value]
+    if kind != "module":
+        return value
+    if not isinstance(value, str):
+        return _apply(env, _CONSTRUCTORS, *value)
+    if value in env["module"]:
+        return env["module"][value]
+    if value in env["ring"]:
+        return ring_module(env["ring"][value])
+    raise AlgebraError(f"unbound identifier {value!r}")
 
 
-def _want_int(arg, what):
-    if arg[0] != "int":
-        raise AlgebraError(f"expected an integer for {what}")
-    return arg[1]
-
-
-def _want_module(env, arg, what):
-    if arg[0] != "expr":
-        raise AlgebraError(f"expected a module for {what}")
-    return _eval_modexpr(env, arg[1])
-
-
-def _run_command(env: _Env, cmd, args):
-    if cmd == "hilbert":
-        m = _want_module(env, args[0], "hilbert")
-        d = _want_int(args[1], "degree")
-        return ResultRecord("scalar", hilbert_function(m, d), None)
-    if cmd == "dim":
-        m = _want_module(env, args[0], "dim")
-        d = krull_dim(m)
-        return ResultRecord("scalar", "-infinity" if d == MINUS_INF else d, None)
-    if cmd in ("resolution", "betti"):
-        m = _want_module(env, args[0], cmd)
-        cap = _want_int(args[1], "length cap") if len(args) > 1 else None
-        res = free_resolution(m, length_cap=cap)
-        return ResultRecord("betti", betti_stats(res), None)
-    if cmd == "globalExtSum":
-        m_idx = _want_int(args[0], "m")
-        e = _want_int(args[1], "e")
-        a = _want_module(env, args[2], "M")
-        b = _want_module(env, args[3], "N")
-        return ResultRecord("module", global_ext_sum(m_idx, e, a, b), None)
-    if cmd == "globalExt":
-        m_idx = _want_int(args[0], "m")
-        a = _want_module(env, args[1], "M")
-        b = _want_module(env, args[2], "N")
-        return ResultRecord("dimension", global_ext(m_idx, a, b)[0], None)
-    if cmd == "sheafCohomologySum":
-        m_idx = _want_int(args[0], "m")
-        e = _want_int(args[1], "e")
-        a = _want_module(env, args[2], "N")
-        return ResultRecord("module", sheaf_cohomology_sum(m_idx, e, a), None)
-    if cmd == "sheafCohomology":
-        m_idx = _want_int(args[0], "m")
-        a = _want_module(env, args[1], "N")
-        return ResultRecord("dimension", sheaf_cohomology(m_idx, a)[0], None)
-    if cmd == "yonedaExt":
-        a = _want_module(env, args[0], "M")
-        b = _want_module(env, args[1], "N")
-        if args[2][0] != "list":
-            raise AlgebraError("yonedaExt needs a coordinate list")
-        coords = [c for c in args[2][1]]
-        result = yoneda_extension(a, b, coords)
-        return ResultRecord("extension", result, None)
-    raise AlgebraError(f"unknown command {cmd!r}")
+def _apply(env, table, name, args):
+    """Call the builder or function of name in table on args' values."""
+    kinds, call = table[name][0], table[name][-1]
+    return call(*[_eval(env, k, a) for k, a in zip(kinds, args)])
 
 
 def run_script(script: Script, default_prime: int = DEFAULT_PRIME):
-    env = _Env(default_prime)
+    env = {"ring": {}, "module": {}}
     records = []
     for index, (kind, payload, line) in enumerate(script.statements):
         try:
             if kind == "ring":
                 name, prime, variables, quotient = payload
-                p = prime if prime is not None else env.default_prime
-                env.rings[name] = Ring(p, variables, quotient=quotient)
+                p = prime if prime is not None else default_prime
+                env["ring"][name] = Ring(p, variables, quotient=quotient)
             elif kind == "module":
                 name, expr = payload
-                env.modules[name] = _eval_modexpr(env, expr)
+                env["module"][name] = _eval(env, "module", expr)
             else:
-                cmd, args = payload
-                rec = _run_command(env, cmd, args)
-                argtext = ", ".join(_arg_text(a) for a in args)
-                rec.provenance = f"{cmd}({argtext})"
-                records.append(rec)
+                name, args = payload
+                records.append(ResultRecord(
+                    _COMMANDS[name][2], _apply(env, _COMMANDS, name, args),
+                    _text(_COMMANDS, name, args)))
         except (AlgebraError, OverflowError) as err:
-            if isinstance(err, ScriptError):
-                raise
             raise ComputationError(str(err), index) from err
     return records
-
-
-def _arg_text(arg):
-    if arg[0] == "int":
-        return str(arg[1])
-    if arg[0] == "list":
-        return "[" + ", ".join(arg[1]) + "]"
-    return _expr_text(arg[1])
-
-
-def _expr_text(expr):
-    head = expr[0]
-    if head == "ref":
-        return expr[1]
-    if head == "coker":
-        return f"coker({expr[1]}, ..., degrees={expr[3]})"
-    if head == "free":
-        return f"free({expr[1]}, degrees={expr[2]})"
-    if head == "truncate":
-        return f"truncate({expr[1]}, {_expr_text(expr[2])})"
-    if head == "twist":
-        return f"twist({_expr_text(expr[1])}, {expr[2]})"
-    if head == "directSum":
-        return f"directSum({_expr_text(expr[1])}, {_expr_text(expr[2])})"
-    return head

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -11,10 +12,17 @@ import jsonschema
 import pytest
 from click.testing import CliRunner
 
+import gext.script
 from gext.cli import main, module_payload
 from gext.script import (ComputationError, ScriptError, parse_script,
                          run_script)
-from gext import hilbert_function
+from gext import (Ring, betti_stats, direct_sum, free_module_of,
+                  free_resolution, global_ext, global_ext_sum,
+                  hilbert_function, krull_dim, ring_module, sheaf_cohomology,
+                  sheaf_cohomology_sum, truncate_module, twist,
+                  yoneda_extension)
+from gext.free import GradedMatrix
+from gext.gmod import GradedModule
 
 QUARTIC_SCRIPT = """\
 # rational quartic curve in P^3
@@ -64,6 +72,15 @@ def test_parse_error_has_position():
 def test_nonprime_modulus_is_parse_error():
     with pytest.raises(ScriptError):
         parse_script("ring R = ZZ/4[x];")
+
+
+@pytest.mark.parametrize("text", [
+    "ring R = ZZ/7[];",
+    "ring R = ZZ/7[x];\nmodule M = coker(R, [], degrees=[]);",
+])
+def test_empty_list_is_parse_error(text):
+    with pytest.raises(ScriptError):
+        parse_script(text)
 
 
 def test_unbound_identifier():
@@ -175,11 +192,13 @@ def test_exit_code_parse_error(tmp_path):
 @pytest.mark.parametrize("statement", [
     "compute hilbert(R);", "compute dim();", "compute dim(R, 1);",
     "compute betti(R, 1, 2);", "compute globalExtSum(1, 0, R);",
-    "compute yonedaExt(R, R);",
+    "compute yonedaExt(R, R);", "compute hilbert(3, R);",
+    "compute hilbert(R, R);", "compute yonedaExt(R, R, 3);",
+    "compute globalExt(1, [x], R);",
 ])
 def test_wrong_arity_is_parse_error(tmp_path, statement):
-    """`gext run` reports a wrong argument count as a one-line parse error
-    with the statement position, exit code 1 and no traceback."""
+    """`gext run` reports a wrong argument count or kind as a one-line parse
+    error with the statement position, exit code 1 and no traceback."""
     f = tmp_path / "arity.gx"
     f.write_text("ring R = ZZ/32003[x,y,z];\n" + statement + "\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -238,3 +257,90 @@ compute yonedaExt(R, R, [0, 0, 0, 0, 0, 0, z, 0, 0]);
     assert rec["kind"] == "extension"
     assert rec["verified"] == [True, True, True]
     assert len(rec["module"]["generators"]) == 7
+
+
+def test_script_double_star_power():
+    script = ("ring R = ZZ/32003[x,y] / (x**2 - y**2);\n"
+              "compute hilbert(R, 3);\n")
+    assert run_script(parse_script(script))[0].payload == 2
+
+
+PARITY_SCRIPT = """\
+ring S = ZZ/32003[x,y,z];
+ring R = ZZ/32003[x,y,z] / (x^3 + y^3 - z^3);
+module N = coker(S, [[x^2, y^2]], degrees=[0]);
+compute resolution(truncate(2, twist(directSum(R, free(R, degrees=[1])), -1)), 2);
+compute betti(N);
+compute dim(coker(S, [[x^2, y^2]], degrees=[0]));
+compute hilbert(N, 3);
+compute globalExtSum(1, 0, S, N);
+compute globalExt(1, R, R);
+compute sheafCohomologySum(0, 0, N);
+compute sheafCohomology(0, twist(R, 1));
+compute yonedaExt(R, R, [0, 0, 0, 0, 0, 0, z, 0, 0]);
+"""
+
+
+def test_script_matches_library_calls():
+    """Every constructor and command, run through a script, gives the
+    provenance text of its call and the payload of the library call."""
+    records = run_script(parse_script(PARITY_SCRIPT))
+    assert [r.provenance for r in records] == [
+        "resolution(truncate(2, twist(directSum(R, free(R, degrees=[1])), "
+        "-1)), 2)",
+        "betti(N)",
+        "dim(coker(S, ..., degrees=[0]))",
+        "hilbert(N, 3)",
+        "globalExtSum(1, 0, S, N)",
+        "globalExt(1, R, R)",
+        "sheafCohomologySum(0, 0, N)",
+        "sheafCohomology(0, twist(R, 1))",
+        "yonedaExt(R, R, [0, 0, 0, 0, 0, 0, z, 0, 0])",
+    ]
+    assert [r.kind for r in records] == [
+        "betti", "betti", "scalar", "scalar", "module", "dimension",
+        "module", "dimension", "extension"]
+
+    S = Ring(32003, ("x", "y", "z"))
+    R = Ring(32003, ("x", "y", "z"), quotient=["x^3 + y^3 - z^3"])
+    N = GradedModule(GradedMatrix.from_entries(S, [["x^2", "y^2"]], (0,)))
+    T = truncate_module(
+        twist(direct_sum(ring_module(R), free_module_of(R, (1,))), -1), 2)
+
+    def same_module(a, b):
+        assert a.generator_degrees == b.generator_degrees
+        for d in range(-2, 6):
+            assert hilbert_function(a, d) == hilbert_function(b, d)
+
+    (res, betti, dim, hilb, ext_sum, ext, h_sum, h0, yoneda) = [
+        r.payload for r in records]
+    assert res.entries == betti_stats(
+        free_resolution(T, length_cap=2)).entries
+    assert betti.entries == betti_stats(free_resolution(N)).entries
+    assert dim == krull_dim(N) == 1
+    assert hilb == hilbert_function(N, 3) == 4
+    same_module(ext_sum, global_ext_sum(1, 0, ring_module(S), N))
+    assert ext == global_ext(1, ring_module(R), ring_module(R))[0] == 1
+    same_module(h_sum, sheaf_cohomology_sum(0, 0, N))
+    assert h0 == sheaf_cohomology(0, twist(ring_module(R), 1))[0] == 3
+    direct = yoneda_extension(ring_module(R), ring_module(R),
+                              ["0"] * 6 + ["z", "0", "0"])
+    assert yoneda.verified == direct.verified == (True, True, True)
+    same_module(yoneda.module, direct.module)
+
+
+def _listed_names(text, start, end):
+    """Backquoted names, each followed by '(' or '`', in text between the
+    first `start` and the next `end`."""
+    body = text.split(start, 1)[1].split(end, 1)[0]
+    return re.findall(r"`(\w+)[(`]", body)
+
+
+def test_docs_list_the_declared_commands_and_constructors():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    commands = sorted(gext.script._COMMANDS)
+    assert sorted(_listed_names(readme, "Commands:", ".")) == commands
+    doc = gext.script.__doc__.split("Commands:", 1)[1].split(".", 1)[0]
+    assert sorted(re.findall(r"\w+", doc)) == commands
+    assert sorted(_listed_names(readme, "Module constructors:", ";")) == \
+        sorted(gext.script._CONSTRUCTORS)

@@ -28,6 +28,13 @@ def test_parse_powers_and_implicit_coefficients(p2_ring):
     assert f.degree() == 2
 
 
+@pytest.mark.parametrize("text, caret", [
+    ("x**2", "x^2"), ("3x**2y", "3x^2y"), ("x**2*y**3", "x^2*y^3"),
+])
+def test_double_star_is_power(p2_ring, text, caret):
+    assert parse_polynomial(p2_ring, text) == parse_polynomial(p2_ring, caret)
+
+
 def test_parse_errors(p2_ring):
     with pytest.raises(ParseError):
         parse_polynomial(p2_ring, "x +")
