@@ -3,9 +3,15 @@
 A GradedModule is the cokernel of a GradedMatrix; its generators are the
 basis vectors of the matrix target ("cover").  Subobjects are immediately
 re-presented as cokernels through `subquotient`, which computes minimal
-generators and minimal relations with the Groebner engine.  Both
+generators and minimal relations with the Groebner engine, so its output
+is a minimal presentation and callers do not `prune` it again.  Both
 `subquotient` and `kernel_of_map` take their relation modules from
 `groebner.syzygies(gens, rels=...)`, which tracks only the generators.
+
+A module caches on itself, on first use, the Groebner basis of its
+relations (`relations_gb`) and the S-free resolution of its restriction
+of scalars (`s_resolution`, read by `krull_dim` and Algorithm 3.1).  No
+cache is shared between modules.
 """
 
 from __future__ import annotations
@@ -19,11 +25,12 @@ from .ring import AlgebraError, Ring, RingMismatch
 class GradedModule:
     """Cokernel of a presentation matrix between graded free modules."""
 
-    __slots__ = ("presentation", "_gb")
+    __slots__ = ("presentation", "_gb", "_s_res")
 
     def __init__(self, presentation: GradedMatrix):
         self.presentation = presentation
         self._gb = None
+        self._s_res = None
 
     @property
     def ring(self) -> Ring:
@@ -46,6 +53,13 @@ class GradedModule:
             self._gb = groebner_basis(self.presentation.columns,
                                       ambient=self.cover)
         return self._gb
+
+    def s_resolution(self):
+        """Minimal S-free resolution of the restriction of scalars (cached)."""
+        if self._s_res is None:
+            from .resolve import free_resolution
+            self._s_res = free_resolution(restrict_scalars(self))
+        return self._s_res
 
     def is_zero(self) -> bool:
         if self.cover.rank == 0:
@@ -332,7 +346,7 @@ def restrict_scalars(module: GradedModule) -> GradedModule:
 def krull_dim(module: GradedModule):
     """Krull dimension of the support; MINUS_INF for the zero module.
 
-    Read off a finite S-free resolution of the restriction of scalars.
+    Read off the S-free resolution cached on the module (`s_resolution`).
     """
-    from .resolve import free_resolution, resolution_dim
-    return resolution_dim(free_resolution(restrict_scalars(module)))
+    from .resolve import resolution_dim
+    return resolution_dim(module.s_resolution())

@@ -77,7 +77,6 @@ class BettiTable:
     """Multiplicities of Betti degrees with the max/min conventions."""
 
     def __init__(self, resolution: FreeResolution):
-        self.resolution = resolution
         self.entries: dict = {}
         for i in range(len(resolution.free_modules)):
             for a in resolution.twists(i):

@@ -91,20 +91,18 @@ class Ring:
         else:
             self.base = self
             self.quotient = ()
+        self._key = (p, variables,
+                     tuple(frozenset(f.terms.items()) for f in self.quotient))
 
     @property
     def is_quotient(self) -> bool:
         return bool(self.quotient)
 
-    def _key(self):
-        return (self.p, self.variables,
-                tuple(frozenset(f.terms.items()) for f in self.quotient))
-
     def __eq__(self, other):
-        return isinstance(other, Ring) and self._key() == other._key()
+        return isinstance(other, Ring) and self._key == other._key
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self._key)
 
     def __repr__(self):
         s = f"ZZ/{self.p}[{','.join(self.variables)}]"
@@ -178,14 +176,13 @@ class Ring:
 class Polynomial:
     """Sparse homogeneous-friendly polynomial; immutable by convention."""
 
-    __slots__ = ("ring", "terms", "_sorted")
+    __slots__ = ("ring", "terms")
 
     def __init__(self, ring: Ring, terms: dict, reduced=False):
         if ring.is_quotient and not reduced:
             terms = ring.reduce_terms(terms)
         self.ring = ring
         self.terms = terms
-        self._sorted = None
 
     # -- inspection ----------------------------------------------------------
 
@@ -201,12 +198,6 @@ class Polynomial:
 
     def is_homogeneous(self) -> bool:
         return len({self.ring.ctx.degree(m) for m in self.terms}) <= 1
-
-    def sorted_terms(self):
-        """Terms as (monomial, coeff), descending in grevlex."""
-        if self._sorted is None:
-            self._sorted = sorted(self.terms.items(), reverse=True)
-        return self._sorted
 
     def lead_monomial(self) -> int:
         if not self.terms:
@@ -327,7 +318,7 @@ class Polynomial:
         ctx = self.ring.ctx
         names = self.ring.variables
         pieces = []
-        for m, c in self.sorted_terms():
+        for m, c in sorted(self.terms.items(), reverse=True):
             sc = c - p if c > p // 2 else c  # symmetric representative
             sign = "-" if sc < 0 else "+"
             mag = abs(sc)

@@ -4,39 +4,31 @@ The key identity: for r at least the truncation bound, the graded pieces
 of Ext^m_R(M_{>=r}, N) in degrees >= e compute the global extension
 modules Ext^m(X; M~, N~(v)) for v >= e, where X = Proj(R).  Sheaf
 cohomology is the M = R case.  The bound uses Betti degree statistics of
-the restriction of scalars _S N.
+the restriction of scalars _S N, read with `krull_dim` from the
+S-resolution cached on N like `_gb` (`GradedModule.s_resolution`).  The
+modules returned come from `subquotient`, so they are already minimal
+and are not pruned again.
 """
 
 from __future__ import annotations
 
 from .free import FreeModule, GradedMatrix, ModuleElement
 from .gmod import (GradedModule, ModuleMap, direct_sum, graded_component,
-                   image_of, kernel_of_map, prune, restrict_scalars,
-                   ring_module, subquotient, submodule_equals, truncate_module,
+                   image_of, kernel_of_map, krull_dim, prune, ring_module,
+                   subquotient, submodule_equals, truncate_module,
                    zero_module)
 from .groebner import INF, MINUS_INF, groebner_basis
 from .homext import (HomModule, express_in_generators, ext_module, hom_element,
                      hom_module, hom_of_free, homomorphism_from,
                      induced_columns)
-from .resolve import (BettiTable, betti_stats, free_resolution,
-                      resolution_dim)
+from .resolve import BettiTable, betti_stats, free_resolution
 from .ring import AlgebraError, Ring, RingMismatch
-
-_s_stats_cache: dict = {}
 
 
 def s_betti(module: GradedModule) -> BettiTable:
-    """Betti table of the restriction of scalars _S N (cached)."""
-    cached = _s_stats_cache.get(module)
-    if cached is None:
-        res = free_resolution(restrict_scalars(module))
-        cached = _s_stats_cache[module] = betti_stats(res)
-    return cached
-
-
-def module_dim(module: GradedModule):
-    """Krull dimension, from the cached resolution behind `s_betti`."""
-    return resolution_dim(s_betti(module).resolution)
+    """Betti table of the restriction of scalars _S N, read from the
+    S-resolution cached on the module."""
+    return betti_stats(module.s_resolution())
 
 
 class TruncationBound:
@@ -62,13 +54,13 @@ def truncation_bound(m: int, e: int, module: GradedModule) -> TruncationBound:
     """r such that Ext^m_R(M_{>=r}, N)_{>=e} computes the global Ext sum."""
     n = module.ring.nvars - 1
     bt = s_betti(module)
-    dim_n = module_dim(module)
+    dim_n = krull_dim(module)
     ell = min(dim_n, m)
     pd = bt.pd
     lo = n - ell if ell != MINUS_INF else INF
     abar = {}
     if pd != MINUS_INF and lo != INF:
-        for i in range(int(lo), int(pd) + 1):
+        for i in range(lo, pd + 1):
             abar[i] = bt.max_degree(i)
     if abar:
         r = max(a - i for i, a in abar.items()) - e - m + 1
@@ -100,14 +92,14 @@ def corollary_bound(m: int, source: GradedModule, target: GradedModule):
         raise RingMismatch("modules over different rings")
     n = target.ring.nvars - 1
     bt_n = s_betti(target)
-    ell = min(module_dim(target), m)
+    ell = min(krull_dim(target), m)
     if ell == MINUS_INF or m < 0:
         return MINUS_INF
     cap = max(m, 0)
     res_m = free_resolution(source, length_cap=cap)
     bt_m = betti_stats(res_m)
     best = MINUS_INF
-    for u in range(0, int(ell) + 1):
+    for u in range(ell + 1):
         under = bt_m.min_degree(m - u)
         v1 = bt_n.max_degree(n - u) - under - n
         best = max(best, v1)
@@ -122,20 +114,11 @@ def global_ext_sum(m: int, e: int, source: GradedModule,
     """Algorithm 3.1: the graded module +_{v>=e} Ext^m(X; M~, N~(v))."""
     if source.ring != target.ring:
         raise RingMismatch("modules over different rings")
-    ring = source.ring
-    if m < 0:
-        return zero_module(ring)
-    if module_dim(source) <= 0:
-        return zero_module(ring)  # Remark dim0 (includes the zero module)
-    if module_dim(target) == MINUS_INF:
-        return zero_module(ring)
-    tb = truncation_bound(m, e, target)
-    if tb.pd != MINUS_INF and tb.pd >= tb.n - tb.ell:
-        source = truncate_module(source, int(tb.r))
-    ext = ext_module(m, source, target)
-    result = truncate_module(ext.underlying, e)
-    pruned, _ = prune(result)
-    return pruned
+    if m < 0 or krull_dim(source) <= 0 or krull_dim(target) == MINUS_INF:
+        return zero_module(source.ring)  # Remark dim0 (incl. zero modules)
+    tb = truncation_bound(m, e, target)  # r = -inf when pd < n - ell
+    ext = ext_module(m, truncate_module(source, tb.r), target)
+    return truncate_module(ext.underlying, e)
 
 
 def global_ext(m: int, source: GradedModule, target: GradedModule):
@@ -173,7 +156,7 @@ def extension_setup(source: GradedModule, target: GradedModule):
         raise RingMismatch("modules over different rings")
     ring = source.ring
     tb = truncation_bound(1, 0, target)
-    m_tr = source if tb.r == MINUS_INF else truncate_module(source, int(tb.r))
+    m_tr = truncate_module(source, tb.r)
     p_free = GradedModule(GradedMatrix.zero(FreeModule(ring, ()), m_tr.cover))
     mu = ModuleMap(
         GradedModule(GradedMatrix.zero(FreeModule(ring, ()),

@@ -201,3 +201,13 @@ def projective_space_line_bundle(n: int, m: int, v: int) -> int:
     if m == n:
         return comb(-v - 1, n) if -v - 1 >= n else 0
     return 0
+
+
+def projective_space_cotangent(n: int, q: int, d: int) -> int:
+    """dim H^q(P^n, Omega^1(d)) by Bott's formula."""
+    from math import comb
+    if q == 0:
+        return comb(d + n - 1, d) * (d - 1) if d >= 2 else 0
+    if q == n:
+        return (1 - d) * comb(-d - 1, n - 1) if d <= -n else 0
+    return 1 if (q, d) == (1, 0) else 0

@@ -1,0 +1,76 @@
+"""The names and call structure that bench/layers.py relies on.
+
+The benchmark traces gext from outside, by module attribute, so renaming a
+traced function or one of the parameters it reads would break
+`bench/run.py --trace 1` without failing any other test.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+LAYERS = ROOT / "bench" / "layers.py"
+
+
+def _layers():
+    """bench/layers.py as a module, leaving no byte-code under bench/."""
+    spec = importlib.util.spec_from_file_location("bench_layers", LAYERS)
+    module = importlib.util.module_from_spec(spec)
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+def test_traced_functions_resolve():
+    for module, attr, _ in _layers().TRACED:
+        obj = importlib.import_module("gext." + module)
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), (module, attr)
+
+
+def test_counted_parameters_exist():
+    """`_count_inputs` reads the `gens` and `rels` arguments by name."""
+    from gext import groebner
+    for fn in (groebner.syzygies, groebner.minimal_generators):
+        params = inspect.signature(fn).parameters
+        assert "gens" in params and "rels" in params, fn.__name__
+
+
+CACHE_PROBE = """
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("bench_layers", sys.argv[1])
+layers = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(layers)
+recorder = layers.Recorder()
+layers.install(recorder)
+from gext import Ring, krull_dim, ring_module
+from gext.sheafext import s_betti
+ring = Ring(32003, ("x", "y", "z"), quotient=["x^3 + y^3 - z^3"])
+a, b = ring_module(ring), ring_module(ring)
+s_betti(a)       # miss: resolves a
+s_betti(a)       # hit
+krull_dim(b)     # resolves b
+s_betti(b)       # hit
+print(int(recorder.stats["sheafext.s_betti.calls"]),
+      int(recorder.stats["sheafext.s_betti.hits"]))
+"""
+
+
+def test_s_betti_cache_misses_are_visible_to_the_tracer():
+    """The tracer counts an `s_betti` miss by `free_resolution` running as
+    its direct child, so the cached S-resolution must be filled there."""
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", CACHE_PROBE, str(LAYERS)],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["3", "2"]

@@ -6,13 +6,13 @@ import pytest
 
 from gext import (Ring, direct_sum, free_module_of, graded_component,
                   hilbert_function, image_of, kernel_of_map, krull_dim,
-                  prune, ring_module, submodule_equals, truncate_module,
-                  twist, zero_module)
+                  prune, ring_module, sheaf_cohomology, submodule_equals,
+                  truncate_module, twist, zero_module)
 from gext.free import FreeModule, GradedMatrix
 from gext.gmod import ModuleMap, cokernel, restrict_scalars
 from gext.groebner import MINUS_INF
-from gext.sheafext import module_dim
 
+from conftest import QUARTIC_GENS
 from oracles import module_component_dim, monomial_exponents
 
 P = 32003
@@ -149,20 +149,59 @@ def test_restrict_scalars_hilbert(elliptic_ring):
 
 def test_krull_dim_known_values(quartic_base, quartic_cokernel,
                                 quartic_ring, elliptic_ring, del_pezzo_ring):
-    # both entry points: krull_dim and the s_betti-cached module_dim
-    for dim in (krull_dim, module_dim):
-        assert dim(ring_module(quartic_base)) == 4
-        assert dim(quartic_cokernel) == 2          # curve in P^3
-        assert dim(ring_module(quartic_ring)) == 2
-        assert dim(ring_module(elliptic_ring)) == 2
-        assert dim(ring_module(del_pezzo_ring)) == 3  # surface in P^4
-        assert dim(zero_module(quartic_base)) == MINUS_INF
+    assert krull_dim(ring_module(quartic_base)) == 4
+    assert krull_dim(quartic_cokernel) == 2          # curve in P^3
+    assert krull_dim(ring_module(quartic_ring)) == 2
+    assert krull_dim(ring_module(elliptic_ring)) == 2
+    assert krull_dim(ring_module(del_pezzo_ring)) == 3  # surface in P^4
+    assert krull_dim(zero_module(quartic_base)) == MINUS_INF
 
 
 def test_krull_dim_finite_length(p2_ring):
     # k = S/(x,y,z) has dimension 0
     mat = GradedMatrix.from_entries(p2_ring, [["x", "y", "z"]], (0,))
     assert krull_dim(cokernel(mat)) == 0
+
+
+def _count_resolutions(monkeypatch):
+    """Count calls of resolve.free_resolution from here on."""
+    import gext.resolve
+    calls = []
+    original = gext.resolve.free_resolution
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gext.resolve, "free_resolution", counted)
+    return calls
+
+
+def test_krull_dim_reuses_the_resolution_of_sheaf_cohomology(monkeypatch,
+                                                             quartic_base):
+    """dim(N) after sheafCohomology(1, N) resolves nothing again: both read
+    the S-resolution cached on N."""
+    N = cokernel(GradedMatrix.from_entries(quartic_base, [QUARTIC_GENS],
+                                           (0,)))
+    calls = _count_resolutions(monkeypatch)
+    assert sheaf_cohomology(1, N)[0] == 0
+    assert any(c is N for c in calls)   # N is resolved here, not earlier
+    before = len(calls)
+    assert krull_dim(N) == 2
+    assert len(calls) == before
+
+
+def test_equal_modules_do_not_share_a_resolution(monkeypatch, elliptic_ring):
+    """The S-resolution is cached per object: an equal but distinct module
+    computes its own, so no result depends on what ran before."""
+    a, b = ring_module(elliptic_ring), ring_module(elliptic_ring)
+    assert a == b and a is not b
+    calls = _count_resolutions(monkeypatch)
+    assert krull_dim(a) == krull_dim(a) == 2
+    assert len(calls) == 1
+    assert krull_dim(b) == 2
+    assert len(calls) == 2
+    assert a.s_resolution() is not b.s_resolution()
 
 
 @pytest.mark.parametrize("quotient", [(), ("x^3 + y^3 - z^3",)])

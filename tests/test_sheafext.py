@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from gext import (AlgebraError, Ring, cokernel, free_module_of,
-                  global_ext, global_ext_sum, hilbert_function, krull_dim,
-                  ring_module, sheaf_cohomology, sheaf_cohomology_sum,
+from gext import (AlgebraError, Ring, cokernel, cotangent_module,
+                  free_module_of, global_ext, global_ext_sum,
+                  hilbert_function, krull_dim, prune, ring_module,
+                  sheaf_cohomology, sheaf_cohomology_sum,
                   truncate_module, truncation_bound, twist, vanishing_bound,
                   yoneda_extension, zero_module)
 from gext.free import GradedMatrix
@@ -15,7 +16,8 @@ from gext.sheafext import (class_is_split, corollary_bound,
                            nonsplit_extension_coords)
 
 from conftest import line_bundle
-from oracles import monomial_exponents, projective_space_line_bundle
+from oracles import (monomial_exponents, projective_space_cotangent,
+                     projective_space_line_bundle)
 
 P = 32003
 
@@ -136,6 +138,48 @@ def test_eh_consistency(elliptic_ring):
     b = sheaf_cohomology_sum(1, 0, Rm)
     for d in range(4):
         assert hilbert_function(a, d) == hilbert_function(b, d)
+
+
+@pytest.mark.parametrize("n, twists", [(2, range(-4, 4)),
+                                       (3, range(-3, 4))])
+def test_bott_formula_cotangent(n, twists):
+    """h^q(P^n, Omega^1(d)) from Algorithm 3.4 equals Bott's formula."""
+    S = Ring(P, tuple(f"x{i}" for i in range(n + 1)))
+    omega = cotangent_module(S)[0]
+    got = {(q, d): sheaf_cohomology(q, twist(omega, d))[0]
+           for q in range(n + 1) for d in twists}
+    want = {(q, d): projective_space_cotangent(n, q, d) for (q, d) in got}
+    assert got == want
+
+
+def _presentation_degrees(module):
+    return (sorted(module.generator_degrees),
+            sorted(module.presentation.source.twists))
+
+
+@pytest.mark.parametrize("case", ["quartic", "elliptic", "del_pezzo"])
+def test_global_ext_sum_is_minimal(case, quartic_base, quartic_cokernel,
+                                   elliptic_ring, del_pezzo_ring, del_pezzo_g):
+    """global_ext_sum returns a minimal presentation: pruning it keeps the
+    generator degrees and the multiset of relation degrees."""
+    if case == "quartic":
+        S1 = free_module_of(quartic_base, (0,))
+        calls = [(m, e, S1, quartic_cokernel) for m in (0, 1) for e in (-2, 0)]
+    elif case == "elliptic":
+        Rm = ring_module(elliptic_ring)
+        calls = [(m, e, Rm, Rm) for m in (0, 1) for e in (-1, 0, 2)]
+    else:
+        omega = free_module_of(del_pezzo_ring, (1,))
+        calls = [(m, 0, del_pezzo_g, omega) for m in range(3)]
+        calls += [(m, 0, ring_module(del_pezzo_ring), del_pezzo_g)
+                  for m in range(3)]
+    nonzero = 0
+    for args in calls:
+        E = global_ext_sum(*args)
+        nonzero += not E.is_zero()
+        assert _presentation_degrees(prune(E)[0]) == \
+            _presentation_degrees(E), args
+    assert nonzero >= 2
 
 
 # -- Del Pezzo duality -------------------------------------------------------------
