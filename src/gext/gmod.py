@@ -4,8 +4,11 @@ A GradedModule is the cokernel of a GradedMatrix; its generators are the
 basis vectors of the matrix target ("cover").  Subobjects are immediately
 re-presented as cokernels through `subquotient`, which computes minimal
 generators and minimal relations with the Groebner engine, so its output
-is a minimal presentation and callers do not `prune` it again.  Both
-`subquotient` and `kernel_of_map` take their relation modules from
+is a minimal presentation and callers do not `prune` it again.
+`subquotient` builds one Groebner basis of its relations (or takes the
+one it is given) and shares it between its two runs,
+`minimal_generators` and `syzygies`.  Both `subquotient` and
+`kernel_of_map` take their relation modules from
 `groebner.syzygies(gens, rels=...)`, which tracks only the generators.
 
 A module caches on itself, on first use, the Groebner basis of its
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 from .free import FreeModule, GradedMatrix, ModuleElement
 from .groebner import (GroebnerBasis, groebner_basis, minimal_generators,
-                       syzygies)
+                       relation_basis, syzygies)
 from .ring import AlgebraError, Ring, RingMismatch
 
 
@@ -180,13 +183,15 @@ class ModuleMap:
 def subquotient(gens, rels, ambient: FreeModule):
     """Present (span(gens) + span(rels)) / span(rels) as a cokernel.
 
-    Returns (module, generator_elements): generator_elements[k] is the
-    element of `ambient` representing the k-th generator of the module.
-    Both the generators and the relation columns are minimalized.
+    rels is a GroebnerBasis, or an iterable of relations turned into one;
+    both Groebner runs below read that one basis.  Returns (module,
+    generator_elements): generator_elements[k] is the element of `ambient`
+    representing the k-th generator of the module.  Both the generators
+    and the relation columns are minimalized.
     """
     ring = ambient.ring
     gens = list(gens)
-    rels = list(rels)
+    rels = relation_basis(rels, ambient)
     _, gmin = minimal_generators(gens, rels=rels, ambient=ambient)
     if not gmin:
         return zero_module(ring), []
@@ -211,7 +216,7 @@ def prune(module: GradedModule):
     """Minimal presentation plus the isomorphism back to `module`."""
     cover = module.cover
     gens = [cover.basis_element(j) for j in range(cover.rank)]
-    pruned, gelts = subquotient(gens, module.relations, cover)
+    pruned, gelts = subquotient(gens, module.relations_gb(), cover)
     return pruned, _inclusion(pruned, gelts, module)
 
 
@@ -230,7 +235,7 @@ def truncate_module(module: GradedModule, r: int) -> GradedModule:
         else:
             for m in ctx.monomials_of_degree(r - a):
                 gens.append(ModuleElement(cover, {(j, m): 1}))
-    truncated, _ = subquotient(gens, module.relations, cover)
+    truncated, _ = subquotient(gens, module.relations_gb(), cover)
     return truncated
 
 
@@ -261,18 +266,18 @@ def direct_sum(a: GradedModule, b: GradedModule) -> GradedModule:
 
 def kernel_of_map(f: ModuleMap):
     """(K, inclusion K -> source(f))."""
-    syz = syzygies(f.matrix.columns, rels=f.target.relations,
+    syz = syzygies(f.matrix.columns, rels=f.target.relations_gb(),
                    ambient=f.target.cover)
     scover = f.source.cover
     pre = [ModuleElement(scover, c.data) for c in syz.columns]
-    kernel, gelts = subquotient(pre, f.source.relations, scover)
+    kernel, gelts = subquotient(pre, f.source.relations_gb(), scover)
     return kernel, _inclusion(kernel, gelts, f.source)
 
 
 def image_of(f: ModuleMap):
     """(image re-presented, inclusion image -> target(f))."""
     cols = [c for c in f.matrix.columns if not c.is_zero()]
-    img, gelts = subquotient(cols, f.target.relations, f.target.cover)
+    img, gelts = subquotient(cols, f.target.relations_gb(), f.target.cover)
     return img, _inclusion(img, gelts, f.target)
 
 
@@ -280,14 +285,14 @@ def submodule_equals(a: ModuleMap, b: ModuleMap) -> bool:
     """True iff two inclusions into a common target have equal images."""
     if a.target != b.target:
         raise RingMismatch("submodules live in different targets")
-    rels = list(a.target.relations)
+    rels = a.target.relations_gb()
     cover = a.target.cover
     acols = [ModuleElement(cover, c.data) for c in a.matrix.columns]
     bcols = [ModuleElement(cover, c.data) for c in b.matrix.columns]
-    gb_b = groebner_basis(bcols + rels, ambient=cover)
+    gb_b = groebner_basis(bcols, cover, rels=rels)
     if not all(gb_b.reduce(c).is_zero() for c in acols):
         return False
-    gb_a = groebner_basis(acols + rels, ambient=cover)
+    gb_a = groebner_basis(acols, cover, rels=rels)
     return all(gb_a.reduce(c).is_zero() for c in bcols)
 
 

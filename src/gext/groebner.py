@@ -17,11 +17,24 @@ Buchberger), `GroebnerBasis.reduce` (hence `normal_form`), `_autoreduce`
 (tails of a finished basis) and, through `Ring.reduce_terms` and
 `ModuleElement.reduced`, the canonical forms of quotient-ring elements.
 
-Quotient rings R = S/I are handled by treating GB(I) times every basis
-vector as *virtual* divisors: entries with no track that come first in
-each component.  They reduce terms and form S-pairs against real elements
-through the same pair path, but pairs among themselves are skipped (they
-reduce to zero inside the ideal, since GB(I) is already a Groebner basis).
+Each component's entries begin with *fixed* divisors, which carry no
+track: first the quotient divisors GB(I) e_comp of R = S/I, then the
+elements of the Groebner basis of the relations (the ambient submodule
+the computation works modulo), entered once, up front.  The engine forms
+no S-pair among fixed entries: they already form a Groebner basis, so by
+Buchberger's criterion those pairs reduce to zero.  Pairs are formed only
+between each new element and the fixed entries, and among new elements.
+
+Two criteria drop pairs.  The product criterion drops a pair with coprime
+leads against a quotient divisor q e_comp: S(s, q e_comp) =
+q * tail(s) - tail(q) * s is a standard representation, as q * tail(s)
+reduces to zero by the quotient divisors of every component, and the
+syzygy it stands for, q * track(s), is zero over R = S/I, so this holds
+in tracked runs too.  Between two elements that each lie in one component
+it drops coprime pairs only when nothing is tracked, since their Koszul
+syzygy is needed.  The chain criterion, also for untracked runs only,
+skips a pair (s, t) when the lead of another entry, fixed or new, divides
+lcm(s, t) while both smaller pairs have a strictly smaller lcm.
 
 Determinism: pair selection by (degree of the lcm term, insertion
 sequence); all containers iterate in insertion order.
@@ -120,19 +133,21 @@ def normal_form_terms(ambient: FreeModule, index: DivisorIndex, terms,
 
 # -- the engine -----------------------------------------------------------------
 
-_KIND_PAIR, _KIND_REL, _KIND_GEN = 0, 1, 2
+_KIND_PAIR, _KIND_GEN = 0, 1
 
 
 class ModuleComputation:
     """Degree-by-degree Buchberger over one ambient free module.
 
     gens are tracked candidates (inserted in degree order, marked minimal
-    when they do not reduce to zero); rels are untracked elements already
-    known to lie in the submodule (ambient relations).
+    when they do not reduce to zero); rels is a Groebner basis of the
+    relations, the submodule the computation works modulo (an iterable of
+    relations is turned into one by `relation_basis`).  Its elements are
+    fixed entries of `_index`, after the quotient divisors, with no track.
 
     The basis is kept only in `_index`.  A pair event carries its two
-    entries: two real elements, or a new real element and a quotient
-    divisor, both handled by `_process_pair`.
+    entries: two new elements, or a new element and a fixed entry, both
+    handled by `_process_pair`.
     """
 
     def __init__(self, ambient: FreeModule, gens, rels=(), track=False):
@@ -144,6 +159,12 @@ class ModuleComputation:
         self.track = track
         self.quot = ring.quotient_groebner()
         self._index = DivisorIndex(self.quot)
+        # comp -> number of fixed entries (quotient divisors, then the
+        # relation basis); components not listed have only the former
+        self._nfixed: dict = {}
+        for comp, entries in relation_basis(rels, ambient)._index.items():
+            self._index[comp] = list(entries)
+            self._nfixed[comp] = len(entries)
         self.events: list = []
         self._seq = 0
         self.min_indices: list[int] = []
@@ -157,14 +178,6 @@ class ModuleComputation:
             if g.is_zero():
                 continue
             self._push(g.degree(), _KIND_GEN, (idx, g))
-        for r in rels:
-            if r.ambient != ambient:
-                raise RingMismatch("relation in wrong ambient module")
-            if not r.is_homogeneous():
-                raise NotHomogeneous("relation is not homogeneous")
-            if r.is_zero():
-                continue
-            self._push(r.degree(), _KIND_REL, r)
 
     # -- scheduling ---------------------------------------------------------
 
@@ -172,16 +185,16 @@ class ModuleComputation:
         heapq.heappush(self.events, (degree, kind, self._seq, payload))
         self._seq += 1
 
-    def _pair(self, comp, s, t, chain):
+    def _pair(self, comp, s, t, product):
         """Queue the S-pair of entries s and t of component comp, unless
-        the coprime criterion drops it; `chain` allows the chain criterion
-        when the pair is processed."""
+        their leads are coprime and `product` says the product criterion
+        holds for them."""
         ctx = self.ctx
         lcm = ctx.lcm(s[0], t[0])
-        if not self.track and s[3] and t[3] and lcm == ctx.mul(s[0], t[0]):
-            return  # coprime leads of single-component elements
+        if product and lcm == ctx.mul(s[0], t[0]):
+            return
         self._push(ctx.degree(lcm) + self.twists[comp], _KIND_PAIR,
-                   (s, t, lcm, comp if chain else None))
+                   (s, t, lcm, comp))
 
     # -- basis growth -------------------------------------------------------
 
@@ -210,17 +223,22 @@ class ModuleComputation:
         new = self._index.add(comp, lead, tail, track)
         entries = self._index[comp]
         nq = len(self.quot)
-        # pairs with the earlier real elements, then with the quotient
-        # divisors (which get no chain criterion)
-        for old in entries[nq:-1]:
-            self._pair(comp, old, new, not self.track)
-        for q in entries[:nq]:
-            self._pair(comp, new, q, False)
+        nfixed = self._nfixed.get(comp, nq)
+        # pairs with the earlier new elements, then with the fixed entries
+        # (there the new element is s, as a fixed entry has no track); the
+        # product criterion holds against every quotient divisor, and
+        # between two single-component elements only when nothing is
+        # tracked (see the module docstring)
+        untracked = not self.track
+        for old in entries[nfixed:-1]:
+            self._pair(comp, old, new, untracked and old[3] and new[3])
+        for i, f in enumerate(entries[:nfixed]):
+            self._pair(comp, new, f, i < nq or (untracked and f[3] and new[3]))
 
     def _chain_skip(self, comp, s, t, lcm):
         ctx = self.ctx
         ls, lt = s[0], t[0]
-        for e in self._index[comp][len(self.quot):]:
+        for e in self._index[comp]:
             if e is s or e is t:
                 continue
             lead = e[0]
@@ -241,14 +259,14 @@ class ModuleComputation:
                 target.pop(k, None)
 
     def _process_pair(self, payload):
-        s, t, lcm, chain_comp = payload
-        if chain_comp is not None and self._chain_skip(chain_comp, s, t, lcm):
+        s, t, lcm, comp = payload
+        if not self.track and self._chain_skip(comp, s, t, lcm):
             return
         ctx = self.ctx
         us = ctx.quotient(lcm, s[0])
         ut = ctx.quotient(lcm, t[0])
         # the monic leads cancel: S = us * tail_s - ut * tail_t, and the
-        # tracks combine the same way (a quotient divisor has none)
+        # tracks combine the same way (a fixed entry t has none)
         terms = {(j, ctx.mul(m, us)): c for (j, m), c in s[1]}
         self._subtract(terms, t[1], ut)
         track = None
@@ -267,8 +285,6 @@ class ModuleComputation:
             _, kind, _, payload = heapq.heappop(self.events)
             if kind == _KIND_PAIR:
                 self._process_pair(payload)
-            elif kind == _KIND_REL:
-                self._insert(payload.data, {} if self.track else None)
             else:
                 idx, g = payload
                 terms = self._insert(
@@ -291,12 +307,16 @@ class ModuleComputation:
 
 class GroebnerBasis:
     """Auto-reduced, monic Groebner basis of a submodule of a free module,
-    with the divisor index `reduce` uses (built by `_autoreduce`)."""
+    with the divisor index `reduce` uses (built by `_autoreduce`).
+    Iterating over it yields its elements."""
 
     def __init__(self, ambient: FreeModule, elements, index: DivisorIndex):
         self.ambient = ambient
         self.elements = elements
         self._index = index
+
+    def __iter__(self):
+        return iter(self.elements)
 
     def lead_terms(self):
         return [e.lead_term()[0] for e in self.elements]
@@ -310,9 +330,48 @@ class GroebnerBasis:
     def contains(self, v: ModuleElement) -> bool:
         return self.reduce(v).is_zero()
 
+    def block_copies(self, ambient: FreeModule, copies: int) -> "GroebnerBasis":
+        """The basis of `copies` block-diagonal copies of this submodule in
+        `ambient`, copy k on components k*rank .. k*rank + rank - 1.
 
-def groebner_basis(gens, ambient: FreeModule = None) -> GroebnerBasis:
-    """Groebner basis of the submodule generated by homogeneous gens.
+        Valid without a Buchberger run when each block of ambient has this
+        basis's twists shifted by one constant: pairs form only within a
+        component, and the shift preserves the term order inside a block.
+        """
+        nb = self.ambient.rank
+        nq = len(self._index.quot)
+        index = DivisorIndex(self._index.quot)
+        elements = []
+        for k in range(copies):
+            off = k * nb
+            elements += [ModuleElement(ambient, {(j + off, m): c
+                                                 for (j, m), c in e.data.items()})
+                         for e in self.elements]
+            for comp, entries in self._index.items():
+                for lead, tail, _, _ in entries[nq:]:
+                    index.add(comp + off, lead,
+                              tuple(((j + off, m), c) for (j, m), c in tail),
+                              None)
+        return GroebnerBasis(ambient, elements, index)
+
+
+def relation_basis(rels, ambient: FreeModule) -> GroebnerBasis:
+    """rels as a Groebner basis in `ambient`: a GroebnerBasis is returned
+    as it is, an iterable of relations is turned into one."""
+    if isinstance(rels, GroebnerBasis):
+        if rels.ambient != ambient:
+            raise RingMismatch("relation basis in wrong ambient module")
+        return rels
+    rels = list(rels)
+    if not rels:
+        return GroebnerBasis(ambient, [],
+                             DivisorIndex(ambient.ring.quotient_groebner()))
+    return groebner_basis(rels, ambient=ambient)
+
+
+def groebner_basis(gens, ambient: FreeModule = None, rels=()) -> GroebnerBasis:
+    """Groebner basis of the submodule generated by homogeneous gens and
+    the relations rels (a GroebnerBasis, or an iterable turned into one).
 
     Over a quotient ring the ideal relations are adjoined implicitly.
     """
@@ -321,7 +380,7 @@ def groebner_basis(gens, ambient: FreeModule = None) -> GroebnerBasis:
         if not gens:
             raise AlgebraError("need an ambient module for empty input")
         ambient = gens[0].ambient
-    comp = ModuleComputation(ambient, gens)
+    comp = ModuleComputation(ambient, gens, rels=rels)
     comp.run()
     return _autoreduce(comp)
 
@@ -359,12 +418,14 @@ def normal_form(v: ModuleElement, gb: GroebnerBasis) -> ModuleElement:
 def syzygies(gens, rels=(), ambient: FreeModule = None) -> GradedMatrix:
     """Columns generate {c : sum c_i gens_i in span(rels) + I*F}.
 
-    This is the one "syzygies modulo relations" primitive.  Only gens are
-    tracked; rels (and the quotient ideal I) are reduced untracked, so no
-    syzygy involving only relations is ever emitted.  The columns generate
-    the projection onto the gens coordinates of Syz(gens + rels), so a
-    caller that wants a kernel modulo relations passes them as rels rather
-    than tracking them in gens and discarding their coordinates.
+    This is the one "syzygies modulo relations" primitive.  rels is a
+    GroebnerBasis of the relations, or an iterable of them turned into one
+    once, here.  Only gens are tracked; the basis of rels (and the quotient
+    ideal I) enters the engine as fixed, untracked divisors, so no syzygy
+    involving only relations is ever emitted.  The columns generate the
+    projection onto the gens coordinates of Syz(gens + rels), so a caller
+    that wants a kernel modulo relations passes them as rels rather than
+    tracking them in gens and discarding their coordinates.
 
     The result is a GradedMatrix into the free module on the degrees of
     gens (degree 0 for a zero generator).  Over the base polynomial ring
@@ -399,9 +460,10 @@ def syzygies(gens, rels=(), ambient: FreeModule = None) -> GradedMatrix:
 def minimal_generators(gens, rels=(), ambient: FreeModule = None):
     """Subset of gens that minimally generates span(gens) modulo span(rels).
 
-    Returns (indices, reduced elements); processed in degree order, so the
-    reduced elements differ from the originals by earlier generators and
-    relations only.
+    rels is a GroebnerBasis of the relations, or an iterable of them turned
+    into one once, here.  Returns (indices, reduced elements); processed in
+    degree order, so the reduced elements differ from the originals by
+    earlier generators and relations only.
     """
     gens = list(gens)
     if ambient is None:

@@ -11,13 +11,17 @@ from __future__ import annotations
 
 from .free import FreeModule, GradedMatrix, ModuleElement
 from .gmod import GradedModule, ModuleMap, subquotient, zero_module
-from .groebner import ModuleComputation, syzygies
+from .groebner import ModuleComputation, groebner_basis, syzygies
 from .resolve import free_resolution
 from .ring import AlgebraError, NotHomogeneous, RingMismatch
 
 
 def hom_of_free(free: FreeModule, module: GradedModule) -> GradedModule:
-    """Hom(+_k R(-a_k), N) = +_k N(a_k), generators flattened as k*nb + i."""
+    """Hom(+_k R(-a_k), N) = +_k N(a_k), generators flattened as k*nb + i.
+
+    Its relations are block copies of N's, so its relation basis is set
+    to block copies of N's cached one (block k shifted by k*nb) rather
+    than computed again."""
     ring = module.ring
     nb = module.cover.rank
     twists = []
@@ -32,7 +36,9 @@ def hom_of_free(free: FreeModule, module: GradedModule) -> GradedModule:
                 tgt, {(k * nb + i, m): c for (i, m), c in rel.data.items()}))
             src_twists.append(rel.degree() - a)
     src = FreeModule(ring, tuple(src_twists))
-    return GradedModule(GradedMatrix(src, tgt, cols, check=False))
+    hom = GradedModule(GradedMatrix(src, tgt, cols, check=False))
+    hom._gb = module.relations_gb().block_copies(tgt, free.rank)
+    return hom
 
 
 def induced_columns(phi: GradedMatrix, module: GradedModule,
@@ -113,10 +119,11 @@ def _homology(free: FreeModule, d_in, d_out, target: GradedModule):
         hom_next = hom_of_free(d_out.source, target)
         delta = induced_columns(d_out, target, hom_next)
         gens = [ModuleElement(cover, c.data) for c in syzygies(
-            delta, rels=hom_next.relations, ambient=hom_next.cover).columns]
-    rels = list(hom.relations)
+            delta, rels=hom_next.relations_gb(), ambient=hom_next.cover).columns]
+    rels = hom.relations_gb()
     if d_in is not None:
-        rels += induced_columns(d_in, target, hom)
+        rels = groebner_basis(induced_columns(d_in, target, hom), cover,
+                              rels=rels)
     return subquotient(gens, rels, cover)
 
 
@@ -157,7 +164,8 @@ def homomorphism_from(hom: HomModule, coords) -> ModuleMap:
 
 def express_in_generators(gens, ambient: FreeModule, elements, rels=()):
     """Coordinates of each element over gens, modulo span(rels) and the
-    quotient ideal.
+    quotient ideal; rels is a GroebnerBasis, or an iterable of relations
+    turned into one once.
 
     Returns one coefficient dict {(gen index, monomial): coeff} per
     element; raises if an element is not in the span.

@@ -16,7 +16,10 @@ is expected denotes the rank-1 free module R^1.
 Each module constructor and each command is declared once, in
 `_CONSTRUCTORS` or `_COMMANDS`, by the kinds of its arguments; `_KINDS`
 gives each kind's parser and provenance text.  Argument counts and kinds
-are checked at parse time.
+are checked at parse time, and so is every polynomial text: it is parsed
+against the variables of the ring its call names (the ring argument, or
+the ring of the first module argument), so a malformed polynomial is a
+parse error before any statement runs.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .gmod import (GradedModule, direct_sum, free_module_of, hilbert_function,
                    krull_dim, ring_module, truncate_module, twist)
 from .groebner import MINUS_INF
 from .resolve import betti_stats, free_resolution
-from .ring import AlgebraError, ParseError, Ring, is_prime
+from .ring import AlgebraError, ParseError, Ring, is_prime, parse_polynomial
 from .sheafext import (global_ext, global_ext_sum, sheaf_cohomology,
                        sheaf_cohomology_sum, yoneda_extension)
 
@@ -76,6 +79,10 @@ class _Tokens:
                 col += len(value)
             pos = m.end()
         self.pos = 0
+        # the ring polynomial texts are checked against (None: unchecked),
+        # and the parse-time ring of each name bound so far (None: unknown)
+        self.ring = None
+        self.scope = {"ring": {}, "module": {}}
 
     def peek(self):
         if self.pos < len(self.items):
@@ -139,6 +146,8 @@ def parse_script(text: str) -> Script:
             name = toks.expect_kind("name")
             toks.expect("=")
             payload = (name, _parse_modexpr(toks))
+            toks.scope["module"][name] = _ring_of(toks.scope, "module",
+                                                  payload[1])
         elif word == "compute":
             payload = _parse_call(toks, toks.next(), _COMMANDS, "command")
         else:
@@ -164,16 +173,43 @@ def _parse_ring(toks):
         raise ScriptError("expected 'ZZ/p' or 'kk'", line, col)
     variables = toks.nonempty(
         toks.sequence(lambda t: t.expect_kind("name"), "[", "]"), "name")
+    try:
+        toks.ring = Ring(prime or DEFAULT_PRIME, variables)
+    except AlgebraError:
+        toks.ring = None    # reported when the statement runs
     quotient = []
     if toks.peek()[1] == "/":
         toks.next()
         quotient = toks.nonempty(toks.sequence(_parse_poly_text, "(", ")"),
                                  "a polynomial")
+    toks.scope["ring"][name] = toks.ring
     return (name, prime, variables, quotient)
 
 
+def _ring_of(scope, kind, value):
+    """The parse-time ring of a parsed ring or module argument, or None."""
+    if kind == "ring":
+        return scope["ring"].get(value)
+    if isinstance(value, str):
+        if value in scope["module"]:
+            return scope["module"][value]
+        return scope["ring"].get(value)
+    name, args = value
+    return _first_ring(scope, _CONSTRUCTORS[name][0], args)
+
+
+def _first_ring(scope, kinds, args):
+    """The parse-time ring of the first ring or module argument, or None."""
+    for kind, value in zip(kinds, args):
+        if kind in ("ring", "module"):
+            return _ring_of(scope, kind, value)
+    return None
+
+
 def _parse_poly_text(toks) -> str:
-    """Collect raw tokens of one polynomial up to ',' or a closing bracket."""
+    """Collect raw tokens of one polynomial up to ',' or a closing bracket,
+    and parse them against toks.ring when it is set."""
+    _, _, start_line, start_col = toks.peek()
     pieces = []
     depth = 0
     while True:
@@ -191,7 +227,15 @@ def _parse_poly_text(toks) -> str:
     if not pieces:
         kind, value, line, col = toks.peek()
         raise ScriptError("empty polynomial", line, col)
-    return "".join(pieces)
+    text = "".join(pieces)
+    if toks.ring is not None:
+        try:
+            parse_polynomial(toks.ring, text)
+        except ParseError as err:
+            raise ScriptError(str(err), start_line, start_col) from None
+        except (AlgebraError, OverflowError):
+            pass    # not a syntax error: reported when the statement runs
+    return text
 
 
 def _parse_int(toks) -> int:
@@ -238,16 +282,21 @@ def _parse_call(toks, head, table, what):
     optional = table[name][1] if table is _COMMANDS else 0
     slots = iter(enumerate(kinds, 1))
 
+    parsed = []
+
     def argument(toks):
         number, kind = next(slots, (0, None))
         if kind is None:
+            toks.ring = None
             return _parse_surplus(toks)
         desc, (field, first), parse, _ = _KINDS[kind]
         tok = toks.peek()
         if tok[field] != first:
             raise ScriptError(f"argument {number} of {name} must be {desc}, "
                               f"found {tok[1] or 'end of input'!r}", line, col)
-        return parse(toks)
+        toks.ring = _first_ring(toks.scope, kinds, parsed)
+        parsed.append(parse(toks))
+        return parsed[-1]
 
     args = toks.sequence(argument, "(", ")")
     lo, hi = len(kinds) - optional, len(kinds)

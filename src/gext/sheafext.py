@@ -193,7 +193,7 @@ def class_is_split(hom: HomModule, alpha: ModuleMap, coords) -> bool:
         return True
     hom_f0 = hom_of_free(hom.source.cover, hom.target)
     restr = induced_columns(alpha.matrix, hom.target, hom_f0)
-    gb = groebner_basis(restr + list(hom_f0.relations), ambient=hom_f0.cover)
+    gb = groebner_basis(restr, hom_f0.cover, rels=hom_f0.relations_gb())
     return gb.reduce(element).is_zero()
 
 
@@ -226,7 +226,7 @@ def yoneda_extension(source: GradedModule, target: GradedModule,
             data[(p + i, mo)] = c
         psi_cols.append(ModuleElement(dsum.cover, data))
     gens = [dsum.cover.basis_element(j) for j in range(dsum.cover.rank)]
-    rels = list(dsum.relations) + psi_cols
+    rels = groebner_basis(psi_cols, dsum.cover, rels=dsum.relations_gb())
     emod, gelts = subquotient(gens, rels, dsum.cover)
     coeffs = express_in_generators(
         gelts, dsum.cover,

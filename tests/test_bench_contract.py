@@ -74,3 +74,42 @@ def test_s_betti_cache_misses_are_visible_to_the_tracer():
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["3", "2"]
+
+
+BASIS_PROBE = """
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("bench_layers", sys.argv[1])
+layers = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(layers)
+recorder = layers.Recorder()
+layers.install(recorder)
+from gext import Ring, groebner_basis, minimal_generators, syzygies
+from gext.free import FreeModule, ModuleElement
+ring = Ring(32003, ("x", "y", "z"), quotient=["x^3 + y^3 - z^3"])
+fm = FreeModule(ring, (0, 1))
+def element(*terms):
+    return ModuleElement(fm, {(j, ring.ctx.encode(e)): 1 for j, e in terms})
+rels = [element((0, (2, 0, 0)), (1, (1, 0, 0))),
+        element((0, (0, 2, 0)), (1, (0, 1, 0))),
+        element((0, (1, 1, 0)))]
+gens = [element((0, (1, 0, 0))), element((1, (0, 0, 1)))]
+basis = groebner_basis(rels, fm)
+minimal_generators(gens, rels=basis, ambient=fm)
+syzygies(gens, rels=basis, ambient=fm)
+print(len(list(basis)), int(recorder.stats["groebner.syzygies.untracked_in"]),
+      int(recorder.stats["groebner.minimal_generators.nonzero_in"]))
+"""
+
+
+def test_relation_basis_is_counted_by_the_tracer():
+    """`_count_inputs` reads `rels` with `len(list(...))`, so a
+    GroebnerBasis passed as rels must iterate over its elements."""
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", BASIS_PROBE, str(LAYERS)],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert proc.returncode == 0, proc.stderr
+    size, untracked, nonzero = proc.stdout.split()
+    assert int(size) > 0
+    assert untracked == size
+    assert nonzero == "2"

@@ -211,6 +211,40 @@ def test_wrong_arity_is_parse_error(tmp_path, statement):
     assert len(proc.stderr.strip().splitlines()) == 1
 
 
+def test_malformed_polynomial_is_parse_error(tmp_path):
+    """A polynomial is parsed against its ring's variables before any
+    statement runs: exit code 1, the error at the polynomial, no record."""
+    f = tmp_path / "poly.gx"
+    text = ("ring R = ZZ/32003[x,y]; compute hilbert(R, 1); "
+            "module M = coker(R, [[x + q]], degrees=[0]);\n")
+    f.write_text(text)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-m", "gext.cli", "run", str(f)],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    column = text.index("x + q") + 1
+    assert proc.stderr.strip() == (f"parse error: line 1, column {column}: "
+                                   "unknown variable in 'q'")
+
+
+def test_polynomial_over_the_exponent_cap_fails_when_run(tmp_path):
+    """Parsing a polynomial at parse time reports only syntax: a valid
+    polynomial the monomial encoding cannot hold is still a computation
+    error when its statement runs, with no traceback."""
+    f = tmp_path / "cap.gx"
+    f.write_text("ring R = ZZ/32003[x,y];\n"
+                 "module M = coker(R, [[x^200]], degrees=[0]);\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-m", "gext.cli", "run", str(f)],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("computation error: statement 1:")
+    assert "Traceback" not in proc.stderr
+
+
 def test_exit_code_computation_error(tmp_path):
     f = tmp_path / "bad.gx"
     f.write_text("ring R = ZZ/32003[x];\ncompute dim(Q);\n")

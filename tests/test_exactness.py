@@ -1,0 +1,154 @@
+"""Exactness certificates, checked with the dense oracle in oracles.py.
+
+For a computed resolution F_{i+1} --d_i--> F_i: d_i . d_{i+1} = 0 exactly,
+coker d_0 has the Hilbert function of the module resolved, and in every
+degree d <= D, dim ker(d_i)_d = dim im(d_{i+1})_d.  The dimensions come
+from degreewise ranks over Z/p, not from the Groebner engine.
+"""
+
+import random
+
+import pytest
+
+from gext import (Ring, cokernel, free_module_of, free_resolution,
+                  groebner_basis, minimal_generators, ring_module, syzygies,
+                  truncate_module)
+from gext import homext
+from gext.free import FreeModule, GradedMatrix, ModuleElement
+
+from oracles import module_component_dim, monomial_exponents
+
+P = 32003
+
+
+def image_dim(matrix: GradedMatrix, d: int) -> int:
+    """dim_k of the degree-d part of the image of matrix."""
+    free = free_module_of(matrix.ring, matrix.target.twists)
+    return (module_component_dim(free, d)
+            - module_component_dim(cokernel(matrix), d))
+
+
+def assert_exact(res, module, top_degree):
+    diffs = res.differentials
+    for i in range(len(diffs) - 1):
+        assert diffs[i].compose(diffs[i + 1]).is_zero(), f"d_{i} d_{i + 1}"
+    ring = module.ring
+    for d in range(top_degree + 1):
+        f0 = free_module_of(ring, res.free_modules[0].twists)
+        im0 = image_dim(diffs[0], d) if diffs else 0
+        assert module_component_dim(f0, d) - im0 == \
+            module_component_dim(module, d), f"coker d_0 in degree {d}"
+        for i in range(len(diffs)):
+            src = free_module_of(ring, diffs[i].source.twists)
+            kernel = module_component_dim(src, d) - image_dim(diffs[i], d)
+            if i + 1 < len(diffs):
+                assert kernel == image_dim(diffs[i + 1], d), \
+                    f"ker d_{i} != im d_{i + 1} in degree {d}"
+            elif res.complete:
+                assert kernel == 0, f"last differential not injective ({d})"
+
+
+def random_element(ambient, degree, rng):
+    """Random homogeneous element of `ambient` in `degree` (possibly zero)."""
+    ring = ambient.ring
+    data = {}
+    for j, a in enumerate(ambient.twists):
+        for e in monomial_exponents(len(ring.variables), degree - a):
+            c = rng.randrange(P)
+            if c and rng.random() < 0.5:
+                data[(j, ring.ctx.encode(e))] = c
+    return ModuleElement(ambient, data).reduced()
+
+
+def random_module(ring, rng):
+    """coker of 2-4 random homogeneous columns on 1-2 generators."""
+    cover = FreeModule(ring, tuple(rng.choice([0, 0, 1])
+                                   for _ in range(rng.choice([1, 2]))))
+    cols = [random_element(cover, rng.choice([1, 1, 2, 2, 3]), rng)
+            for _ in range(rng.choice([2, 3, 4]))]
+    cols = [c for c in cols if not c.is_zero()]
+    src = FreeModule(ring, tuple(c.degree() for c in cols))
+    return cokernel(GradedMatrix(src, cover, cols, check=False))
+
+
+@pytest.mark.parametrize("quotient", [(), ("x^3 + y^3 - z^3",)])
+@pytest.mark.parametrize("seed", range(6))
+def test_resolution_of_random_module_is_exact(seed, quotient):
+    rng = random.Random(1200 + seed)
+    ring = Ring(P, ("x", "y", "z"), quotient=list(quotient))
+    module = random_module(ring, rng)
+    res = free_resolution(module, length_cap=3 if quotient else None)
+    assert_exact(res, module, 7)
+
+
+def _ext_resolutions(monkeypatch):
+    """Record every resolution ext_module builds."""
+    built = []
+
+    def recording(module, length_cap=None):
+        res = free_resolution(module, length_cap=length_cap)
+        built.append((module, res))
+        return res
+
+    monkeypatch.setattr(homext, "free_resolution", recording)
+    return built
+
+
+def test_ext_module_resolutions_are_exact(monkeypatch, quartic_cokernel,
+                                          del_pezzo_g, elliptic_ring):
+    built = _ext_resolutions(monkeypatch)
+    homext.ext_module(2, quartic_cokernel, quartic_cokernel)
+    homext.ext_module(1, del_pezzo_g, del_pezzo_g)
+    truncated = truncate_module(ring_module(elliptic_ring), 2)
+    homext.ext_module(1, truncated, ring_module(elliptic_ring))
+    assert len(built) == 3
+    for (module, res), top in zip(built, (5, 3, 5)):
+        assert res.differentials
+        assert_exact(res, module, top)
+
+
+@pytest.mark.parametrize("quotient", [(), ("x^3 + y^3 - z^3",)])
+@pytest.mark.parametrize("seed", range(4))
+def test_seeded_syzygies_span_the_projected_syzygies(seed, quotient):
+    """subquotient's relation columns, from `syzygies` run on a Groebner
+    basis of the relations, span the same module as the gens coordinates
+    of the syzygies of gens and relations together, in every degree <= 6,
+    and that module has the dimension the dense oracle gives the kernel of
+    R^k -> F / span(rels), e_i -> gmin_i."""
+    rng = random.Random(1300 + seed)
+    ring = Ring(P, ("x", "y", "z"), quotient=list(quotient))
+    fm = FreeModule(ring, (0, 1))
+    gens = [random_element(fm, rng.choice([1, 2, 2, 3]), rng)
+            for _ in range(4)]
+    rels = [random_element(fm, rng.choice([2, 3]), rng) for _ in range(3)]
+    gens = [g for g in gens if not g.is_zero()]
+    rels = [r for r in rels if not r.is_zero()]
+    basis = groebner_basis(rels, fm)
+    _, gmin = minimal_generators(gens, rels=basis, ambient=fm)
+    assert gmin
+    k = len(gmin)
+    seeded = syzygies(gmin, rels=basis, ambient=fm)
+    tracked = syzygies(gmin + rels, ambient=fm)
+    gfree = seeded.target
+    projected = [ModuleElement(gfree, {(i, m): c
+                                       for (i, m), c in col.data.items()
+                                       if i < k})
+                 for col in tracked.columns]
+    projected = [c for c in projected if not c.is_zero()]
+
+    a, b = span_in(gfree, seeded.columns), span_in(gfree, projected)
+    both = span_in(gfree, list(seeded.columns) + projected)
+    modulo_rels = span_in(fm, rels)
+    modulo_all = span_in(fm, rels + gmin)
+    for d in range(7):
+        kernel = (module_component_dim(free_module_of(ring, gfree.twists), d)
+                  - module_component_dim(cokernel(modulo_rels), d)
+                  + module_component_dim(cokernel(modulo_all), d))
+        assert image_dim(a, d) == image_dim(b, d) == image_dim(both, d) \
+            == kernel, d
+
+
+def span_in(ambient, cols):
+    """The matrix with the given columns, into ambient."""
+    src = FreeModule(ambient.ring, tuple(c.degree() for c in cols))
+    return GradedMatrix(src, ambient, cols, check=False)

@@ -1,11 +1,16 @@
 """Hom and Ext modules, and extraction of honest homomorphisms."""
 
+import random
+
 import pytest
 
 from gext import (AlgebraError, NotHomogeneous, Ring, cokernel, ext_module,
-                  free_module_of, hilbert_function, hom_module,
+                  free_module_of, groebner_basis, hilbert_function, hom_module,
                   homomorphism_from, prune, ring_module, truncate_module)
-from gext.free import GradedMatrix
+from gext.free import FreeModule, GradedMatrix, ModuleElement
+from gext.homext import hom_of_free
+
+from oracles import monomial_exponents
 
 P = 32003
 
@@ -122,3 +127,42 @@ def test_hom_composition_dimension_count(del_pezzo_g):
     """dim Hom(G, G)_0 >= 1 (identity exists)."""
     h = hom_module(del_pezzo_g, del_pezzo_g)
     assert hilbert_function(h.underlying, 0) >= 1
+
+
+def _random_element(ambient, degree, rng):
+    """Random homogeneous element of `ambient` in `degree` (possibly zero)."""
+    ring = ambient.ring
+    data = {}
+    for j, a in enumerate(ambient.twists):
+        for e in monomial_exponents(len(ring.variables), degree - a):
+            c = rng.randrange(P)
+            if c and rng.random() < 0.5:
+                data[(j, ring.ctx.encode(e))] = c
+    return ModuleElement(ambient, data).reduced()
+
+
+@pytest.mark.parametrize("quotient", [(), ("x^3 + y^3 - z^3",)])
+@pytest.mark.parametrize("seed", range(3))
+def test_hom_of_free_basis_is_block_copies(seed, quotient):
+    """The relation basis hom_of_free sets from block copies of N's is the
+    reduced Groebner basis a Buchberger run computes from Hom's relations:
+    the same lead terms and the same normal forms."""
+    rng = random.Random(700 + seed)
+    ring = Ring(P, ("x", "y", "z"), quotient=list(quotient))
+    ncover = FreeModule(ring, (0, rng.choice([0, 1])))
+    rels = [_random_element(ncover, rng.choice([2, 3]), rng)
+            for _ in range(3)]
+    rels = [r for r in rels if not r.is_zero()]
+    assert rels
+    N = cokernel(GradedMatrix(
+        FreeModule(ring, tuple(r.degree() for r in rels)), ncover, rels,
+        check=False))
+    F = FreeModule(ring, tuple(rng.choice([-1, 0, 1, 2])
+                               for _ in range(rng.randint(1, 3))))
+    hom = hom_of_free(F, N)
+    blocks = hom.relations_gb()
+    computed = groebner_basis(hom.relations, hom.cover)
+    assert sorted(blocks.lead_terms()) == sorted(computed.lead_terms())
+    for _ in range(6):
+        v = _random_element(hom.cover, rng.randint(1, 5), rng)
+        assert blocks.reduce(v).data == computed.reduce(v).data
