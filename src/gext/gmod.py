@@ -14,7 +14,8 @@ one it is given) and shares it between its two runs,
 A module caches on itself, on first use, the Groebner basis of its
 relations (`relations_gb`) and the S-free resolution of its restriction
 of scalars (`s_resolution`, read by `krull_dim` and Algorithm 3.1).  No
-cache is shared between modules.
+cache is shared between modules; `ring_module` returns one module per
+`Ring` object, so every use of R as a module shares that module's caches.
 """
 
 from __future__ import annotations
@@ -92,8 +93,11 @@ def free_module_of(ring: Ring, twists) -> GradedModule:
 
 
 def ring_module(ring: Ring) -> GradedModule:
-    """R as a module over itself."""
-    return free_module_of(ring, (0,))
+    """R as a module over itself: one object per ring, so its cached
+    relation basis and S-resolution are computed once."""
+    if ring._module is None:
+        ring._module = free_module_of(ring, (0,))
+    return ring._module
 
 
 def zero_module(ring: Ring) -> GradedModule:

@@ -25,16 +25,28 @@ no S-pair among fixed entries: they already form a Groebner basis, so by
 Buchberger's criterion those pairs reduce to zero.  Pairs are formed only
 between each new element and the fixed entries, and among new elements.
 
-Two criteria drop pairs.  The product criterion drops a pair with coprime
+Three criteria drop pairs; the F and chain criteria hold in tracked and
+untracked runs alike.  The product criterion drops a pair with coprime
 leads against a quotient divisor q e_comp: S(s, q e_comp) =
 q * tail(s) - tail(q) * s is a standard representation, as q * tail(s)
 reduces to zero by the quotient divisors of every component, and the
 syzygy it stands for, q * track(s), is zero over R = S/I, so this holds
 in tracked runs too.  Between two elements that each lie in one component
 it drops coprime pairs only when nothing is tracked, since their Koszul
-syzygy is needed.  The chain criterion, also for untracked runs only,
-skips a pair (s, t) when the lead of another entry, fixed or new, divides
-lcm(s, t) while both smaller pairs have a strictly smaller lcm.
+syzygy is needed.  The F criterion (Gebauer and Moeller):
+a new element queues at most one pair per distinct lcm, taking its
+partners in index order (quotient divisors, other fixed entries, earlier
+new elements), and a pair the product criterion drops still uses up its
+lcm.  If lcm(new, x1) = lcm(new, x2) = L with x1 first, the syzygy of
+(new, x2) is that of (new, x1) plus L / lcm(x1, x2) times that of
+(x1, x2), an older pair or one between fixed entries.  The chain
+criterion skips a pair (s, t) when the lead of another entry e, fixed or
+new, divides lcm(s, t) while lcm(s, e) and lcm(e, t) are both strictly
+smaller: the syzygy of (s, t) is a combination of those of (s, e) and
+(e, t), pairs of lower degree that were processed or dropped by a
+criterion before.  A pair between two fixed entries needs no processing:
+it reduces to zero by the fixed entries alone, and its syzygy projects
+to zero on the tracked coordinates.
 
 Determinism: pair selection by (degree of the lcm term, insertion
 sequence); all containers iterate in insertion order.
@@ -185,17 +197,6 @@ class ModuleComputation:
         heapq.heappush(self.events, (degree, kind, self._seq, payload))
         self._seq += 1
 
-    def _pair(self, comp, s, t, product):
-        """Queue the S-pair of entries s and t of component comp, unless
-        their leads are coprime and `product` says the product criterion
-        holds for them."""
-        ctx = self.ctx
-        lcm = ctx.lcm(s[0], t[0])
-        if product and lcm == ctx.mul(s[0], t[0]):
-            return
-        self._push(ctx.degree(lcm) + self.twists[comp], _KIND_PAIR,
-                   (s, t, lcm, comp))
-
     # -- basis growth -------------------------------------------------------
 
     def _insert(self, terms, track):
@@ -224,16 +225,27 @@ class ModuleComputation:
         entries = self._index[comp]
         nq = len(self.quot)
         nfixed = self._nfixed.get(comp, nq)
-        # pairs with the earlier new elements, then with the fixed entries
-        # (there the new element is s, as a fixed entry has no track); the
-        # product criterion holds against every quotient divisor, and
-        # between two single-component elements only when nothing is
-        # tracked (see the module docstring)
+        # one pair per distinct lcm (the F criterion), the partners taken
+        # in index order: quotient divisors, the other fixed entries, the
+        # earlier new elements.  A fixed partner is t, as it has no track.
+        # A pair the product criterion drops (coprime leads: the lcm has
+        # the degree of the product) still uses up its lcm.
+        ctx = self.ctx
+        degree = ctx.degree
         untracked = not self.track
-        for old in entries[nfixed:-1]:
-            self._pair(comp, old, new, untracked and old[3] and new[3])
-        for i, f in enumerate(entries[:nfixed]):
-            self._pair(comp, new, f, i < nq or (untracked and f[3] and new[3]))
+        used = set()
+        for i, old in enumerate(entries[:-1]):
+            lcm = ctx.lcm(lead, old[0])
+            if lcm in used:
+                continue
+            used.add(lcm)
+            d = degree(lcm)
+            if ((i < nq or (untracked and old[3] and new[3]))
+                    and d == degree(lead) + degree(old[0])):
+                continue
+            self._push(d + self.twists[comp], _KIND_PAIR,
+                       (new, old, lcm, comp) if i < nfixed
+                       else (old, new, lcm, comp))
 
     def _chain_skip(self, comp, s, t, lcm):
         ctx = self.ctx
@@ -260,7 +272,7 @@ class ModuleComputation:
 
     def _process_pair(self, payload):
         s, t, lcm, comp = payload
-        if not self.track and self._chain_skip(comp, s, t, lcm):
+        if self._chain_skip(comp, s, t, lcm):
             return
         ctx = self.ctx
         us = ctx.quotient(lcm, s[0])

@@ -7,7 +7,8 @@ and everything above byte n holds the total degree.  Two payoffs:
   * numeric comparison of packed values IS grevlex (degree field first,
     then the complemented exponents from the last variable down), and
   * divisibility is a masked subtraction: a | b iff no byte of the
-    exponent field of a - b borrows.
+    exponent field of a - b borrows, and the lcm is the byte-wise
+    minimum of the complemented exponents, selected by the same guards.
 
 Exponents are capped at 127 so the guard bit of each byte stays clean.
 """
@@ -74,9 +75,18 @@ class MonomialContext:
         return b - a + self.one
 
     def lcm(self, a: int, b: int) -> int:
-        ea = self.decode(a)
-        eb = self.decode(b)
-        return self.encode(tuple(map(max, ea, eb)))
+        """Word-parallel: the byte-wise minimum of the complemented
+        exponents, with the degree field recomputed from it."""
+        guards = self._guards
+        ca = a & self._expmask
+        cb = b & self._expmask
+        # a field keeps its guard bit iff its ca >= cb; spread each kept
+        # guard over the _CAP bits below it to select cb there
+        keep = ((ca | guards) - cb) & guards
+        r = ca ^ ((ca ^ cb) & (keep - (keep >> (_W - 1))))
+        # degree: n * _CAP less the fields of r, read one per byte
+        n = self.nvars
+        return ((_CAP * n - sum(r.to_bytes(n, "little"))) << self._degshift) | r
 
     def variable(self, j: int) -> int:
         return self.encode(tuple(1 if i == j else 0 for i in range(self.nvars)))

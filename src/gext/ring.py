@@ -74,6 +74,7 @@ class Ring:
         self.nvars = len(variables)
         self.ctx: MonomialContext = context(self.nvars)
         self._quotient_gb = None
+        self._module = None     # R as a module over itself: gmod.ring_module
         if quotient:
             base = Ring(p, variables)
             polys = []

@@ -11,6 +11,7 @@ from gext import (Ring, direct_sum, free_module_of, graded_component,
 from gext.free import FreeModule, GradedMatrix
 from gext.gmod import ModuleMap, cokernel, restrict_scalars
 from gext.groebner import MINUS_INF
+from gext.script import parse_script, run_script
 
 from conftest import QUARTIC_GENS
 from oracles import module_component_dim, monomial_exponents
@@ -194,7 +195,8 @@ def test_krull_dim_reuses_the_resolution_of_sheaf_cohomology(monkeypatch,
 def test_equal_modules_do_not_share_a_resolution(monkeypatch, elliptic_ring):
     """The S-resolution is cached per object: an equal but distinct module
     computes its own, so no result depends on what ran before."""
-    a, b = ring_module(elliptic_ring), ring_module(elliptic_ring)
+    a, b = (free_module_of(elliptic_ring, (0,)),
+            free_module_of(elliptic_ring, (0,)))
     assert a == b and a is not b
     calls = _count_resolutions(monkeypatch)
     assert krull_dim(a) == krull_dim(a) == 2
@@ -236,3 +238,33 @@ def test_kernel_into_module_with_relations(seed, quotient):
                 + module_component_dim(quotient_by_image, d))
         assert hilbert_function(ker, d) == want
         assert module_component_dim(ker, d) == want
+
+
+def test_ring_module_is_one_object_per_ring(elliptic_ring):
+    assert ring_module(elliptic_ring) is ring_module(elliptic_ring)
+    other = Ring(elliptic_ring.p, elliptic_ring.variables,
+                 quotient=elliptic_ring.quotient)
+    assert other == elliptic_ring
+    assert ring_module(other) is not ring_module(elliptic_ring)
+
+
+def test_script_resolves_its_ring_once(monkeypatch):
+    """Each sheafCohomology statement reads Krull dimension and Betti
+    numbers of R as a module (the source of Algorithm 3.3); R is resolved
+    for the first of them only."""
+    restricted = []
+
+    def recording(module):
+        restricted.append(module)
+        return restrict_scalars(module)
+
+    monkeypatch.setattr("gext.gmod.restrict_scalars", recording)
+    records = run_script(parse_script(
+        "ring R = ZZ/32003[x,y,z] / (x^3 + y^3 - z^3);\n"
+        "module L = free(R, degrees=[-1]);\n"
+        "compute sheafCohomology(0, L);\n"
+        "compute sheafCohomology(1, L);\n"
+        "compute sheafCohomology(1, R);\n"))
+    assert [r.payload for r in records] == [3, 0, 1]
+    assert len({id(m) for m in restricted}) == len(restricted)
+    assert [m.generator_degrees for m in restricted].count((0,)) == 1

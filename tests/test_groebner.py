@@ -9,8 +9,9 @@ import random
 
 import pytest
 
-from gext import (AlgebraError, Ring, cokernel, groebner_basis,
-                  minimal_generators, normal_form, parse_polynomial, syzygies)
+from gext import (AlgebraError, Ring, cokernel, free_module_of,
+                  groebner_basis, minimal_generators, normal_form,
+                  parse_polynomial, syzygies)
 from gext.free import FreeModule, GradedMatrix, ModuleElement
 from gext.homext import express_in_generators
 
@@ -61,6 +62,36 @@ def test_koszul_syzygy():
     # the Koszul relation y*e1 - x*e2 up to sign/scale
     assert col.degree() == 2
     assert apply_column(gens, col).is_zero()
+
+
+def matrix_image_dim(cols, ambient, d):
+    """dim_k of the degree-d part of the span of cols in ambient, by the
+    dense oracle."""
+    src = FreeModule(ambient.ring, tuple(c.degree() for c in cols))
+    free = free_module_of(ambient.ring, ambient.twists)
+    return (module_component_dim(free, d)
+            - module_component_dim(
+                cokernel(GradedMatrix(src, ambient, cols, check=False)), d))
+
+
+@pytest.mark.parametrize("texts", [
+    ["x*y", "x*z", "y*z"],   # all three lcms are x*y*z: the F criterion
+    ["x^2", "x*y", "y^2"],   # x*y divides lcm(x^2, y^2): the chain criterion
+])
+def test_criteria_drop_redundant_syzygies(texts):
+    """Each of these ideals has two minimal syzygies and three S-pairs;
+    one pair is dropped, so exactly the two minimal columns come out, and
+    they span the whole kernel of R^3 -> R, e_i -> gens_i."""
+    ring = Ring(P, ("x", "y", "z"))
+    fm, gens = ideal_elements(ring, texts)
+    syz = syzygies(gens, ambient=fm)
+    assert syz.source.rank == 2
+    for col in syz.columns:
+        assert apply_column(gens, col).is_zero()
+    for d in range(6):
+        kernel = (3 * len(monomial_exponents(3, d - 2))
+                  - matrix_image_dim(gens, fm, d))
+        assert matrix_image_dim(syz.columns, syz.target, d) == kernel, d
 
 
 def apply_column(gens, col):

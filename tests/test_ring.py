@@ -1,8 +1,11 @@
 """Core ring and polynomial arithmetic."""
 
+import random
+
 import pytest
 
 from gext import AlgebraError, ParseError, Ring, parse_polynomial
+from gext.monomial import context
 
 P = 32003
 
@@ -91,3 +94,23 @@ def test_grevlex_leading_monomial(p2_ring):
 def test_homogeneity_detection(p2_ring):
     assert parse_polynomial(p2_ring, "x^2+y*z").is_homogeneous()
     assert not parse_polynomial(p2_ring, "x^2+y").is_homogeneous()
+
+
+@pytest.mark.parametrize("nvars", range(1, 9))
+def test_lcm_matches_exponentwise_max(nvars):
+    """The word-parallel lcm against the exponent-wise maximum of the
+    decoded monomials, extreme exponents 0 and 127 included; equality of
+    the packed ints covers the degree field too."""
+    rng = random.Random(900 + nvars)
+    ctx = context(nvars)
+
+    def exponent():
+        return rng.choice([0, 127, rng.randrange(128)])
+
+    for _ in range(2000):
+        a = ctx.encode(exponent() for _ in range(nvars))
+        b = ctx.encode(exponent() for _ in range(nvars))
+        expected = ctx.encode(map(max, ctx.decode(a), ctx.decode(b)))
+        assert ctx.lcm(a, b) == ctx.lcm(b, a) == expected
+        assert ctx.degree(expected) == sum(map(max, ctx.decode(a),
+                                               ctx.decode(b)))
