@@ -2,7 +2,8 @@
 
 One engine drives everything above it: Groebner bases, normal forms,
 syzygies (via reduction tracking, Schreyer style), minimal generators
-(degree-synchronized insertion) and membership certificates.
+(degree-synchronized insertion, with S-pairs processed on demand) and
+membership certificates.
 
 A divisor is one entry [lead, tail, track, pure] of a `DivisorIndex`
 (component -> entries): a monic element with lead term (comp, lead), its
@@ -12,7 +13,10 @@ element; the engine keeps no other list of its basis.
 
 Every normal form is computed by one kernel, `normal_form_terms`, which
 reduces each term by the first entry of its component whose lead divides
-it.  Its callers are `ModuleComputation` (tracked or untracked, inside
+it.  It tests divisibility and forms products on the packed monomials
+inline, with the guard mask of `monomial`, rather than through
+`MonomialContext` calls; so do `_process_pair` and the chain criterion.
+Its callers are `ModuleComputation` (tracked or untracked, inside
 Buchberger), `GroebnerBasis.reduce` (hence `normal_form`), `_autoreduce`
 (tails of a finished basis) and, through `Ring.reduce_terms` and
 `ModuleElement.reduced`, the canonical forms of quotient-ring elements.
@@ -48,6 +52,17 @@ criterion before.  A pair between two fixed entries needs no processing:
 it reduces to zero by the fixed entries alone, and its syzygy projects
 to zero on the tracked coordinates.
 
+`minimal_generators` asks the engine for pairs only when it needs them.
+It reduces each generator, in degree order, against the basis so far; a
+zero remainder proves the generator redundant.  Only a nonzero remainder
+makes the engine process the pending pairs of degree <= d, the
+generator's degree, before it is reduced again and kept if still
+nonzero.  The basis grows in the same order as when every pair of degree
+<= d is processed before the generators of degree d, and the remainder,
+fully reduced against a basis complete through degree d, is unique; so
+the indices and reduced elements are the same, and pairs above the last
+generator that needs them are never processed.
+
 Determinism: pair selection by (degree of the lcm term, insertion
 sequence); all containers iterate in insertion order.
 """
@@ -57,6 +72,7 @@ from __future__ import annotations
 import heapq
 
 from .free import FreeModule, GradedMatrix, ModuleElement
+from .monomial import ExponentOverflow
 from .ring import AlgebraError, NotHomogeneous, RingMismatch, field_inverse
 
 INF = float("inf")
@@ -101,11 +117,11 @@ def normal_form_terms(ambient: FreeModule, index: DivisorIndex, terms,
     """
     ring = ambient.ring
     ctx = ring.ctx
-    divides, mul, degree = ctx.divides, ctx.mul, ctx.degree
+    guards, shift = ctx.guards, ctx.degshift
     p = ring.p
     twists = ambient.twists
     coeffs = dict(terms)
-    heap = [(-(degree(m) + twists[j]), j, -m) for (j, m) in coeffs]
+    heap = [(-((m >> shift) + twists[j]), j, -m) for (j, m) in coeffs]
     heapq.heapify(heap)
     out: dict = {}
     while heap:
@@ -115,26 +131,31 @@ def normal_form_terms(ambient: FreeModule, index: DivisorIndex, terms,
         if not c:
             continue
         for lead, tail, dtrack, _ in index[comp]:
-            if divides(lead, mono):
+            if not (lead - mono) & guards:
                 break
         else:
             out[(comp, mono)] = c
             continue
-        u = ctx.quotient(mono, lead)
+        u = mono - lead     # gm times mono / lead is gm + u
         for (gj, gm), gc in tail:
-            k = (gj, mul(gm, u))
+            m = gm + u
+            if m & guards:
+                raise ExponentOverflow("exponent overflow in product")
+            k = (gj, m)
             old = coeffs.get(k, 0)
             nc = (old - c * gc) % p
             if nc:
                 if not old:
-                    heapq.heappush(
-                        heap, (-(degree(k[1]) + twists[gj]), gj, -k[1]))
+                    heapq.heappush(heap, (-((m >> shift) + twists[gj]), gj, -m))
                 coeffs[k] = nc
             elif old:
                 del coeffs[k]
         if track is not None and dtrack:
             for (gi, gm), gc in dtrack.items():
-                k = (gi, mul(gm, u))
+                m = gm + u
+                if m & guards:
+                    raise ExponentOverflow("exponent overflow in product")
+                k = (gi, m)
                 nv = (track.get(k, 0) - c * gc) % p
                 if nv:
                     track[k] = nv
@@ -148,11 +169,23 @@ def normal_form_terms(ambient: FreeModule, index: DivisorIndex, terms,
 _KIND_PAIR, _KIND_GEN = 0, 1
 
 
+def _nonzero_generators(gens, ambient):
+    """(index, generator) for each nonzero generator, checked to be
+    homogeneous and to lie in ambient."""
+    for idx, g in enumerate(gens):
+        if g.ambient != ambient:
+            raise RingMismatch(f"generator {idx} in wrong ambient module")
+        if not g.is_homogeneous():
+            raise NotHomogeneous(f"generator {idx} is not homogeneous")
+        if not g.is_zero():
+            yield idx, g
+
+
 class ModuleComputation:
     """Degree-by-degree Buchberger over one ambient free module.
 
-    gens are tracked candidates (inserted in degree order, marked minimal
-    when they do not reduce to zero); rels is a Groebner basis of the
+    gens are inserted in degree order, each after the pairs of its degree
+    (tracked as e_i in a tracked run); rels is a Groebner basis of the
     relations, the submodule the computation works modulo (an iterable of
     relations is turned into one by `relation_basis`).  Its elements are
     fixed entries of `_index`, after the quotient divisors, with no track.
@@ -179,16 +212,8 @@ class ModuleComputation:
             self._nfixed[comp] = len(entries)
         self.events: list = []
         self._seq = 0
-        self.min_indices: list[int] = []
-        self.min_elements: list[ModuleElement] = []
         self.syzygy_tracks: list[dict] = []
-        for idx, g in enumerate(gens):
-            if g.ambient != ambient:
-                raise RingMismatch(f"generator {idx} in wrong ambient module")
-            if not g.is_homogeneous():
-                raise NotHomogeneous(f"generator {idx} is not homogeneous")
-            if g.is_zero():
-                continue
+        for idx, g in _nonzero_generators(gens, ambient):
             self._push(g.degree(), _KIND_GEN, (idx, g))
 
     # -- scheduling ---------------------------------------------------------
@@ -249,21 +274,31 @@ class ModuleComputation:
 
     def _chain_skip(self, comp, s, t, lcm):
         ctx = self.ctx
+        guards = ctx.guards
         ls, lt = s[0], t[0]
         for e in self._index[comp]:
             if e is s or e is t:
                 continue
             lead = e[0]
-            if ctx.divides(lead, lcm):
+            if not (lead - lcm) & guards:
                 if ctx.lcm(ls, lead) != lcm and ctx.lcm(lead, lt) != lcm:
                     return True
         return False
 
-    def _subtract(self, target, items, u):
-        """target -= u * items in place; items are ((index, mono), coeff)."""
-        mul, p = self.ctx.mul, self.p
+    def _multiples(self, items, u):
+        """items ((i, mono), coeff) times the monomial u + one, where u is
+        a difference of packed monomials such as lcm - lead."""
+        guards = self.ctx.guards
         for (i, m), c in items:
-            k = (i, mul(m, u))
+            m += u
+            if m & guards:
+                raise ExponentOverflow("exponent overflow in product")
+            yield (i, m), c
+
+    def _subtract(self, target, items, u):
+        """target -= (u + one) * items in place."""
+        p = self.p
+        for k, c in self._multiples(items, u):
             nv = (target.get(k, 0) - c) % p
             if nv:
                 target[k] = nv
@@ -274,16 +309,15 @@ class ModuleComputation:
         s, t, lcm, comp = payload
         if self._chain_skip(comp, s, t, lcm):
             return
-        ctx = self.ctx
-        us = ctx.quotient(lcm, s[0])
-        ut = ctx.quotient(lcm, t[0])
-        # the monic leads cancel: S = us * tail_s - ut * tail_t, and the
-        # tracks combine the same way (a fixed entry t has none)
-        terms = {(j, ctx.mul(m, us)): c for (j, m), c in s[1]}
+        # the monic leads cancel: S = (lcm / lead_s) tail_s -
+        # (lcm / lead_t) tail_t, and the tracks combine the same way (a
+        # fixed entry t has none)
+        us, ut = lcm - s[0], lcm - t[0]
+        terms = dict(self._multiples(s[1], us))
         self._subtract(terms, t[1], ut)
         track = None
         if self.track:
-            track = {(i, ctx.mul(m, us)): c for (i, m), c in s[2].items()}
+            track = dict(self._multiples(s[2].items(), us))
             if t[2]:
                 self._subtract(track, t[2].items(), ut)
         self._insert(terms, track)
@@ -299,11 +333,8 @@ class ModuleComputation:
                 self._process_pair(payload)
             else:
                 idx, g = payload
-                terms = self._insert(
+                self._insert(
                     g.data, {(idx, self.ctx.one): 1} if self.track else None)
-                if terms:
-                    self.min_indices.append(idx)
-                    self.min_elements.append(ModuleElement(self.ambient, terms))
 
     def express(self, v: ModuleElement):
         """Coefficients c with v = sum c_i gens_i modulo relations and the
@@ -476,17 +507,26 @@ def minimal_generators(gens, rels=(), ambient: FreeModule = None):
     into one once, here.  Returns (indices, reduced elements); processed in
     degree order, so the reduced elements differ from the originals by
     earlier generators and relations only.
+
+    Pairs are processed on demand (see the module docstring).
     """
     gens = list(gens)
     if ambient is None:
         if not gens:
             raise AlgebraError("need an ambient module for empty input")
         ambient = gens[0].ambient
-    degs = [g.degree() for g in gens if not g.is_zero()]
-    stop = max(degs) if degs else None
-    comp = ModuleComputation(ambient, gens, rels=rels)
-    comp.run(stop_degree=stop)
-    return comp.min_indices, comp.min_elements
+    comp = ModuleComputation(ambient, (), rels=rels)
+    indices, elements = [], []
+    for d, idx, g in sorted((g.degree(), idx, g) for idx, g
+                            in _nonzero_generators(gens, ambient)):
+        terms = normal_form_terms(ambient, comp._index, g.data, None)
+        if terms:
+            comp.run(stop_degree=d)
+            terms = comp._insert(terms, None)
+        if terms:
+            indices.append(idx)
+            elements.append(ModuleElement(ambient, terms))
+    return indices, elements
 
 
 def ideal_groebner(ring, polys):

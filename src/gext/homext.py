@@ -48,16 +48,12 @@ def induced_columns(phi: GradedMatrix, module: GradedModule,
     hom_tgt = hom_of_free(phi.source, N)."""
     nb = module.cover.rank
     cover = hom_tgt.cover
-    cols = []
-    for k in range(phi.target.rank):
-        entries = [phi.entry(k, l) for l in range(phi.source.rank)]
-        for i in range(nb):
-            data = {}
-            for l, f in enumerate(entries):
-                for m, c in f.terms.items():
-                    data[(l * nb + i, m)] = c
-            cols.append(ModuleElement(cover, data))
-    return cols
+    rows = [[] for _ in range(phi.target.rank)]   # k -> [(l * nb, m, c)]
+    for l, col in enumerate(phi.columns):
+        for (k, m), c in col.data.items():
+            rows[k].append((l * nb, m, c))
+    return [ModuleElement(cover, {(ln + i, m): c for ln, m, c in row})
+            for row in rows for i in range(nb)]
 
 
 class HomModule:
@@ -89,7 +85,7 @@ def hom_module(source: GradedModule, target: GradedModule) -> HomModule:
 
 
 def ext_module(m: int, source: GradedModule, target: GradedModule) -> ExtModule:
-    """Ext^m_R(M, N); the resolution of M is computed through degree m+1."""
+    """Ext^m_R(M, N); the resolution of M is computed through F_{m+1}."""
     if source.ring != target.ring:
         raise RingMismatch("Ext of modules over different rings")
     ring = source.ring

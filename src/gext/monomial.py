@@ -2,13 +2,17 @@
 
 A monomial in n+1 variables is stored as a single Python int.  The low
 bytes hold the *complemented* exponents 127 - e_j (variable j in byte j),
-and everything above byte n holds the total degree.  Two payoffs:
+and everything above byte n holds the total degree.  The payoffs:
 
   * numeric comparison of packed values IS grevlex (degree field first,
-    then the complemented exponents from the last variable down), and
-  * divisibility is a masked subtraction: a | b iff no byte of the
-    exponent field of a - b borrows, and the lcm is the byte-wise
-    minimum of the complemented exponents, selected by the same guards.
+    then the complemented exponents from the last variable down);
+  * divisibility is one subtraction: a | b iff no exponent byte of
+    a - b borrows, i.e. not (a - b) & guards (the exponent bytes of a
+    difference do not depend on the degree fields above them), and the
+    lcm is the byte-wise minimum of the complemented exponents, selected
+    by the same guards;
+  * a product is a + b - one, so (b / a) * c is c + (b - a), and it
+    overflows iff a guard bit of the result is set.
 
 Exponents are capped at 127 so the guard bit of each byte stays clean.
 """
@@ -28,16 +32,16 @@ class ExponentOverflow(OverflowError):
 class MonomialContext:
     """Encoding tables for a fixed number of variables."""
 
-    __slots__ = ("nvars", "one", "_expmask", "_guards", "_degshift")
+    __slots__ = ("nvars", "one", "_expmask", "guards", "degshift")
 
     def __init__(self, nvars: int):
         if nvars < 1:
             raise ValueError("need at least one variable")
         self.nvars = nvars
-        self._degshift = _W * nvars
+        self.degshift = _W * nvars
         self.one = sum(_CAP << (_W * j) for j in range(nvars))
-        self._expmask = (1 << self._degshift) - 1
-        self._guards = sum(0x80 << (_W * j) for j in range(nvars))
+        self._expmask = (1 << self.degshift) - 1
+        self.guards = sum(0x80 << (_W * j) for j in range(nvars))
 
     def encode(self, exponents) -> int:
         exponents = tuple(exponents)
@@ -52,23 +56,23 @@ class MonomialContext:
                 raise ExponentOverflow(f"exponent {e} exceeds {_CAP}")
             packed += (_CAP - e) << (_W * j)
             total += e
-        return (total << self._degshift) | packed
+        return (total << self.degshift) | packed
 
     def decode(self, m: int):
         return tuple(_CAP - ((m >> (_W * j)) & 0xFF) for j in range(self.nvars))
 
     def degree(self, m: int) -> int:
-        return m >> self._degshift
+        return m >> self.degshift
 
     def mul(self, a: int, b: int) -> int:
         r = a + b - self.one
-        if r & self._guards:
+        if r & self.guards:
             raise ExponentOverflow("exponent overflow in product")
         return r
 
     def divides(self, a: int, b: int) -> bool:
         """True iff monomial a divides monomial b."""
-        return not (((a & self._expmask) - (b & self._expmask)) & self._guards)
+        return not (a - b) & self.guards
 
     def quotient(self, b: int, a: int) -> int:
         """b / a, assuming a divides b."""
@@ -77,7 +81,7 @@ class MonomialContext:
     def lcm(self, a: int, b: int) -> int:
         """Word-parallel: the byte-wise minimum of the complemented
         exponents, with the degree field recomputed from it."""
-        guards = self._guards
+        guards = self.guards
         ca = a & self._expmask
         cb = b & self._expmask
         # a field keeps its guard bit iff its ca >= cb; spread each kept
@@ -86,7 +90,7 @@ class MonomialContext:
         r = ca ^ ((ca ^ cb) & (keep - (keep >> (_W - 1))))
         # degree: n * _CAP less the fields of r, read one per byte
         n = self.nvars
-        return ((_CAP * n - sum(r.to_bytes(n, "little"))) << self._degshift) | r
+        return ((_CAP * n - sum(r.to_bytes(n, "little"))) << self.degshift) | r
 
     def variable(self, j: int) -> int:
         return self.encode(tuple(1 if i == j else 0 for i in range(self.nvars)))

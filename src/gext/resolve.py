@@ -17,7 +17,13 @@ from .ring import AlgebraError
 
 
 class FreeResolution:
-    """Chain F_cap -> ... -> F_1 -> F_0 (-> M -> 0), minimal."""
+    """Chain F_cap -> ... -> F_1 -> F_0 (-> M -> 0), minimal.
+
+    `complete` means the resolution ended within the length cap: its last
+    differential is known to be injective.  A resolution that reaches the
+    cap stops there, without the syzygies of its last differential, so it
+    is not complete even when that differential happens to be injective.
+    """
 
     __slots__ = ("module", "free_modules", "differentials", "complete",
                  "length_cap")
@@ -56,20 +62,16 @@ def free_resolution(module: GradedModule, length_cap=None) -> FreeResolution:
     differentials = []
     cols = [c for c in pruned.presentation.columns]
     src = pruned.presentation.source
-    complete = False
-    while True:
-        if not cols:
-            complete = True
-            break
-        if length_cap is not None and len(differentials) >= length_cap:
-            break
+    while cols and (length_cap is None or len(differentials) < length_cap):
         differentials.append(
             GradedMatrix(src, free_modules[-1], cols, check=False))
         free_modules.append(src)
+        if len(differentials) == length_cap:
+            break   # the syzygies of the last differential are not needed
         syz = syzygies(cols, ambient=free_modules[-2])
         _, cols = minimal_generators(syz.columns, ambient=src)
         src = FreeModule(module.ring, tuple(c.degree() for c in cols))
-    return FreeResolution(pruned, free_modules, differentials, complete,
+    return FreeResolution(pruned, free_modules, differentials, not cols,
                           length_cap)
 
 

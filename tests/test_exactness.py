@@ -105,6 +105,16 @@ def test_ext_module_resolutions_are_exact(monkeypatch, quartic_cokernel,
     for (module, res), top in zip(built, (5, 3, 5)):
         assert res.differentials
         assert_exact(res, module, top)
+    # ext_module stops the quartic's resolution at its cap, 3 = pd, before
+    # the syzygies of d_2: the uncapped resolution has the same
+    # differentials and certifies that d_2 is injective
+    capped = built[0][1]
+    assert not capped.complete and len(capped.differentials) == 3
+    full = free_resolution(quartic_cokernel)
+    assert full.complete
+    assert [d.columns for d in full.differentials] == \
+        [d.columns for d in capped.differentials]
+    assert_exact(full, quartic_cokernel, 5)
 
 
 def sparse_element(ambient, degree, rng, nterms):

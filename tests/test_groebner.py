@@ -14,6 +14,7 @@ from gext import (AlgebraError, Ring, cokernel, free_module_of,
                   parse_polynomial, syzygies)
 from gext.free import FreeModule, GradedMatrix, ModuleElement
 from gext.homext import express_in_generators
+from gext.monomial import ExponentOverflow
 
 from oracles import (ideal_component_dim, ideal_contains,
                      module_component_dim, monomial_exponents,
@@ -111,6 +112,70 @@ def test_minimal_generators_drops_redundant():
     indices, elements = minimal_generators(gens, ambient=fm)
     assert sorted(indices) == [0, 1]
     assert len(elements) == 2
+
+
+def test_minimal_generators_reduce_again_after_the_pairs():
+    """g = x*f1 - y*f2 = y^2 z - x z^2 has a nonzero remainder against
+    f1, f2 alone, but is the S-pair of f1 and f2, so it reduces to zero
+    once the pairs of its degree are processed."""
+    ring = Ring(P, ("x", "y", "z"))
+    fm, gens = ideal_elements(ring, ["x*y - z^2", "x^2 - y*z",
+                                     "y^2*z - x*z^2"])
+    assert groebner_basis(gens[:2], fm).reduce(gens[2]).is_zero()
+    indices, elements = minimal_generators(gens, ambient=fm)
+    assert indices == [0, 1]
+    assert elements == gens[:2]
+
+
+@pytest.mark.parametrize("quotient", [(), ("x^3 + y^3 - z^3",)])
+@pytest.mark.parametrize("seed", range(4))
+def test_minimal_generators_keep_exactly_the_rank_growth(seed, quotient):
+    """Taken in (degree, index) order, a generator is kept exactly when it
+    raises the dense-oracle dimension of span(rels + earlier generators)
+    in its degree, and its reduced element differs from it by that span.
+    Half the generators are combinations of others, some of them in
+    degrees above every new generator."""
+    rng = random.Random(1500 + seed)
+    ring = Ring(P, ("x", "y", "z"), quotient=list(quotient))
+    fm = FreeModule(ring, (0, 1))
+    new = [random_module_element(fm, rng.choice([1, 2, 2]), rng)
+           for _ in range(3)]
+    new = [g for g in new if not g.is_zero()]
+    spans = [random_span_element(new, rng.choice([2, 3, 4]), rng)
+             for _ in range(3)]
+    gens = [g for g in new + spans if not g.is_zero()]
+    rng.shuffle(gens)
+    rels = [random_module_element(fm, 3, rng)]
+    assert new and not rels[0].is_zero()
+    indices, elements = minimal_generators(gens, rels=rels, ambient=fm)
+
+    earlier = list(rels)
+    expected = []
+    for i in sorted(range(len(gens)), key=lambda i: (gens[i].degree(), i)):
+        d = gens[i].degree()
+        if (matrix_image_dim(earlier + [gens[i]], fm, d)
+                > matrix_image_dim(earlier, fm, d)):
+            expected.append(i)
+        earlier.append(gens[i])
+    assert indices == expected
+    for i, el in zip(indices, elements):
+        before = rels + [g for j, g in enumerate(gens)
+                         if (g.degree(), j) < (gens[i].degree(), i)]
+        d = gens[i].degree()
+        assert el.degree() == d
+        diff = [el - gens[i]] if el != gens[i] else []
+        assert (matrix_image_dim(before + diff, fm, d)
+                == matrix_image_dim(before, fm, d))
+
+
+def test_reducer_product_over_the_exponent_cap_raises():
+    """x^100 y^100 reduced by x - y walks towards y^200: the product that
+    first needs y^128 must raise, not wrap into another monomial."""
+    ring = Ring(P, ("x", "y"))
+    fm, (g, v) = ideal_elements(ring, ["x - y", "x^100*y^100"])
+    gb = groebner_basis([g], ambient=fm)
+    with pytest.raises(ExponentOverflow):
+        gb.reduce(v)
 
 
 def test_normal_form_idempotent_and_linear():

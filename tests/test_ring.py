@@ -1,6 +1,7 @@
 """Core ring and polynomial arithmetic."""
 
 import random
+from operator import le
 
 import pytest
 
@@ -100,7 +101,8 @@ def test_homogeneity_detection(p2_ring):
 def test_lcm_matches_exponentwise_max(nvars):
     """The word-parallel lcm against the exponent-wise maximum of the
     decoded monomials, extreme exponents 0 and 127 included; equality of
-    the packed ints covers the degree field too."""
+    the packed ints covers the degree field too.  Divisibility, one
+    unmasked subtraction, against the exponent-wise comparison."""
     rng = random.Random(900 + nvars)
     ctx = context(nvars)
 
@@ -114,3 +116,6 @@ def test_lcm_matches_exponentwise_max(nvars):
         assert ctx.lcm(a, b) == ctx.lcm(b, a) == expected
         assert ctx.degree(expected) == sum(map(max, ctx.decode(a),
                                                ctx.decode(b)))
+        assert ctx.divides(a, expected) and ctx.divides(b, expected)
+        assert ctx.divides(a, b) == all(map(le, ctx.decode(a),
+                                            ctx.decode(b)))
