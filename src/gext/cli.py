@@ -98,11 +98,10 @@ def main():
               help="coefficient prime for rings declared with 'kk'")
 def run(script_file, as_json, prime):
     """Execute SCRIPT_FILE and print its compute results."""
-    with open(script_file) as fh:
-        text = fh.read()
     try:
-        script = parse_script(text)
-    except ParseError as err:
+        with open(script_file, encoding="utf-8") as fh:
+            script = parse_script(fh.read())
+    except (ParseError, UnicodeDecodeError) as err:
         click.echo(f"parse error: {err}", err=True)
         sys.exit(1)
     try:

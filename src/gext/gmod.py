@@ -5,11 +5,11 @@ basis vectors of the matrix target ("cover").  Subobjects are immediately
 re-presented as cokernels through `subquotient`, which computes minimal
 generators and minimal relations with the Groebner engine, so its output
 is a minimal presentation and callers do not `prune` it again.
-`subquotient` builds one Groebner basis of its relations (or takes the
-one it is given) and shares it between its two runs,
-`minimal_generators` and `syzygies`.  Both `subquotient` and
-`kernel_of_map` take their relation modules from
-`groebner.syzygies(gens, rels=...)`, which tracks only the generators.
+`subquotient` gets its minimal generators and their syzygies modulo its
+relations from one tracked engine run (`generators_and_syzygies`), and
+minimalizes those syzygies with `minimal_generators`; `kernel_of_map`
+takes its kernel from `syzygies(gens, rels=...)`.  Both track only the
+generators, never the relations.
 
 A module caches on itself, on first use, the Groebner basis of its
 relations (`relations_gb`) and the S-free resolution of its restriction
@@ -21,8 +21,8 @@ cache is shared between modules; `ring_module` returns one module per
 from __future__ import annotations
 
 from .free import FreeModule, GradedMatrix, ModuleElement
-from .groebner import (GroebnerBasis, groebner_basis, minimal_generators,
-                       relation_basis, syzygies)
+from .groebner import (GroebnerBasis, generators_and_syzygies, groebner_basis,
+                       minimal_generators, syzygies)
 from .ring import AlgebraError, Ring, RingMismatch
 
 
@@ -187,21 +187,16 @@ class ModuleMap:
 def subquotient(gens, rels, ambient: FreeModule):
     """Present (span(gens) + span(rels)) / span(rels) as a cokernel.
 
-    rels is a GroebnerBasis, or an iterable of relations turned into one;
-    both Groebner runs below read that one basis.  Returns (module,
-    generator_elements): generator_elements[k] is the element of `ambient`
-    representing the k-th generator of the module.  Both the generators
-    and the relation columns are minimalized.
+    rels is a GroebnerBasis, or an iterable of relations turned into one.
+    Returns (module, generator_elements): generator_elements[k] is the
+    element of `ambient` representing the k-th generator of the module.
+    Both the generators and the relation columns are minimalized.
     """
-    ring = ambient.ring
-    gens = list(gens)
-    rels = relation_basis(rels, ambient)
-    _, gmin = minimal_generators(gens, rels=rels, ambient=ambient)
+    gmin, syz = generators_and_syzygies(gens, rels=rels, ambient=ambient)
     if not gmin:
-        return zero_module(ring), []
-    syz = syzygies(gmin, rels=rels, ambient=ambient)
+        return zero_module(ambient.ring), []
     _, relmin = minimal_generators(syz.columns, ambient=syz.target)
-    src = FreeModule(ring, tuple(c.degree() for c in relmin))
+    src = FreeModule(ambient.ring, tuple(c.degree() for c in relmin))
     pres = GradedMatrix(src, syz.target, relmin, check=False)
     return GradedModule(pres), gmin
 

@@ -2,8 +2,7 @@
 
 One engine drives everything above it: Groebner bases, normal forms,
 syzygies (via reduction tracking, Schreyer style), minimal generators
-(degree-synchronized insertion, with S-pairs processed on demand) and
-membership certificates.
+and membership certificates.
 
 A divisor is one entry [lead, tail, track, pure] of a `DivisorIndex`
 (component -> entries): a monic element with lead term (comp, lead), its
@@ -52,16 +51,19 @@ criterion before.  A pair between two fixed entries needs no processing:
 it reduces to zero by the fixed entries alone, and its syzygy projects
 to zero on the tracked coordinates.
 
-`minimal_generators` asks the engine for pairs only when it needs them.
-It reduces each generator, in degree order, against the basis so far; a
-zero remainder proves the generator redundant.  Only a nonzero remainder
-makes the engine process the pending pairs of degree <= d, the
-generator's degree, before it is reduced again and kept if still
-nonzero.  The basis grows in the same order as when every pair of degree
-<= d is processed before the generators of degree d, and the remainder,
-fully reduced against a basis complete through degree d, is unique; so
-the indices and reduced elements are the same, and pairs above the last
-generator that needs them are never processed.
+The heap holds only S-pairs.  Generators enter by one of two intakes, in
+(degree, index) order, tracked when the run is.  The complete intake
+(`groebner_basis`, `syzygies`, `express_in_generators`) processes the
+pairs up to a generator's degree d, then inserts it, tracked as its
+index.  The minimal intake (`minimal_generators`,
+`generators_and_syzygies`) first reduces a generator against the basis
+so far: a zero remainder proves it redundant.  Only a nonzero remainder
+makes the engine process the pairs of degree <= d; reduced again, it is
+kept if still nonzero, the k-th kept element tracked as k.  A remainder
+fully reduced against a basis complete through degree d is unique, so the
+kept elements and the order in which the basis grows are those of the
+complete intake run on them, and pairs above the last kept generator
+wait until they are asked for.
 
 Determinism: pair selection by (degree of the lcm term, insertion
 sequence); all containers iterate in insertion order.
@@ -70,6 +72,7 @@ sequence); all containers iterate in insertion order.
 from __future__ import annotations
 
 import heapq
+import itertools
 
 from .free import FreeModule, GradedMatrix, ModuleElement
 from .monomial import ExponentOverflow
@@ -166,36 +169,43 @@ def normal_form_terms(ambient: FreeModule, index: DivisorIndex, terms,
 
 # -- the engine -----------------------------------------------------------------
 
-_KIND_PAIR, _KIND_GEN = 0, 1
-
-
-def _nonzero_generators(gens, ambient):
-    """(index, generator) for each nonzero generator, checked to be
-    homogeneous and to lie in ambient."""
+def _computation(gens, rels, ambient, track=False):
+    """gens as a list, and an engine run modulo rels over their ambient
+    module (the first one's when None); each generator is checked to lie
+    in it and to be homogeneous."""
+    gens = list(gens)
+    if ambient is None:
+        if not gens:
+            raise AlgebraError("need an ambient module for empty input")
+        ambient = gens[0].ambient
     for idx, g in enumerate(gens):
         if g.ambient != ambient:
             raise RingMismatch(f"generator {idx} in wrong ambient module")
         if not g.is_homogeneous():
             raise NotHomogeneous(f"generator {idx} is not homogeneous")
-        if not g.is_zero():
-            yield idx, g
+    return gens, ModuleComputation(ambient, rels=rels, track=track)
+
+
+def _by_degree(gens):
+    """(degree, index, generator) of the nonzero gens, in that order."""
+    return sorted((g.degree(), idx, g) for idx, g in enumerate(gens)
+                  if not g.is_zero())
 
 
 class ModuleComputation:
-    """Degree-by-degree Buchberger over one ambient free module.
+    """Degree-by-degree Buchberger over one ambient free module, modulo
+    rels: a Groebner basis of the relations (an iterable of them is turned
+    into one by `relation_basis`), whose elements are fixed entries of
+    `_index` after the quotient divisors, with no track.
 
-    gens are inserted in degree order, each after the pairs of its degree
-    (tracked as e_i in a tracked run); rels is a Groebner basis of the
-    relations, the submodule the computation works modulo (an iterable of
-    relations is turned into one by `relation_basis`).  Its elements are
-    fixed entries of `_index`, after the quotient divisors, with no track.
-
-    The basis is kept only in `_index`.  A pair event carries its two
-    entries: two new elements, or a new element and a fixed entry, both
-    handled by `_process_pair`.
+    Generators enter through `add_all` or `add_minimal`, the two intakes
+    of the module docstring.  The heap `events` holds only S-pairs: two
+    new elements, or a new element and a fixed entry.  In a tracked run
+    the track of each pair that reduces to zero is a syzygy, kept in
+    `syzygy_tracks`.
     """
 
-    def __init__(self, ambient: FreeModule, gens, rels=(), track=False):
+    def __init__(self, ambient: FreeModule, rels=(), track=False):
         self.ambient = ambient
         ring = ambient.ring
         self.ctx = ring.ctx
@@ -211,39 +221,54 @@ class ModuleComputation:
             self._index[comp] = list(entries)
             self._nfixed[comp] = len(entries)
         self.events: list = []
-        self._seq = 0
+        self._seq = itertools.count()
         self.syzygy_tracks: list[dict] = []
-        for idx, g in _nonzero_generators(gens, ambient):
-            self._push(g.degree(), _KIND_GEN, (idx, g))
 
-    # -- scheduling ---------------------------------------------------------
+    # -- the two intakes ------------------------------------------------------
 
-    def _push(self, degree, kind, payload):
-        heapq.heappush(self.events, (degree, kind, self._seq, payload))
-        self._seq += 1
+    def add_all(self, gens):
+        """The complete intake, then every remaining pair."""
+        one = self.ctx.one
+        for d, idx, g in _by_degree(gens):
+            self.run(d)
+            self._insert(g.data, {(idx, one): 1} if self.track else None)
+        self.run()
+
+    def add_minimal(self, gens):
+        """The minimal intake: (indices, reduced elements) of the kept
+        generators.  Pairs above the last one kept stay pending."""
+        ambient, index = self.ambient, self._index
+        indices, elements = [], []
+        for d, idx, g in _by_degree(gens):
+            terms = normal_form_terms(ambient, index, g.data, None)
+            if terms:
+                self.run(d)
+                terms = normal_form_terms(ambient, index, terms, None)
+            if terms:
+                self._add_basis(terms, {(len(indices), self.ctx.one): 1}
+                                if self.track else None)
+                indices.append(idx)
+                elements.append(ModuleElement(ambient, terms))
+        return indices, elements
 
     # -- basis growth -------------------------------------------------------
 
     def _insert(self, terms, track):
         """Reduce terms, updating track (a dict or None) in place.  A nonzero
-        normal form joins the basis; otherwise the track is a syzygy.
-        Returns the normal form."""
+        normal form joins the basis; otherwise the track is a syzygy."""
         terms = normal_form_terms(self.ambient, self._index, terms, track)
         if terms:
             self._add_basis(terms, track)
         elif track:
             self.syzygy_tracks.append(track)
-        return terms
 
     def _add_basis(self, terms, track):
+        """Add a normal form; its first term, the greatest, is the lead."""
         p = self.p
-        (comp, lead), lc = max(
-            terms.items(),
-            key=lambda kv: (self.ctx.degree(kv[0][1]) + self.twists[kv[0][0]],
-                            -kv[0][0], kv[0][1]))
+        items = iter(terms.items())
+        (comp, lead), lc = next(items)
         inv = field_inverse(lc, p)
-        tail = tuple((k, (v * inv) % p) for k, v in terms.items()
-                     if k != (comp, lead))
+        tail = tuple((k, (v * inv) % p) for k, v in items)
         if track is not None:
             track = {k: (v * inv) % p for k, v in track.items()}
         new = self._index.add(comp, lead, tail, track)
@@ -268,9 +293,10 @@ class ModuleComputation:
             if ((i < nq or (untracked and old[3] and new[3]))
                     and d == degree(lead) + degree(old[0])):
                 continue
-            self._push(d + self.twists[comp], _KIND_PAIR,
-                       (new, old, lcm, comp) if i < nfixed
-                       else (old, new, lcm, comp))
+            heapq.heappush(self.events, (
+                d + self.twists[comp], next(self._seq),
+                (new, old, lcm, comp) if i < nfixed
+                else (old, new, lcm, comp)))
 
     def _chain_skip(self, comp, s, t, lcm):
         ctx = self.ctx
@@ -305,8 +331,7 @@ class ModuleComputation:
             else:
                 target.pop(k, None)
 
-    def _process_pair(self, payload):
-        s, t, lcm, comp = payload
+    def _process_pair(self, s, t, lcm, comp):
         if self._chain_skip(comp, s, t, lcm):
             return
         # the monic leads cancel: S = (lcm / lead_s) tail_s -
@@ -322,28 +347,11 @@ class ModuleComputation:
                 self._subtract(track, t[2].items(), ut)
         self._insert(terms, track)
 
-    # -- main loop ------------------------------------------------------------
-
-    def run(self, stop_degree=None) -> None:
-        while self.events:
-            if stop_degree is not None and self.events[0][0] > stop_degree:
-                break
-            _, kind, _, payload = heapq.heappop(self.events)
-            if kind == _KIND_PAIR:
-                self._process_pair(payload)
-            else:
-                idx, g = payload
-                self._insert(
-                    g.data, {(idx, self.ctx.one): 1} if self.track else None)
-
-    def express(self, v: ModuleElement):
-        """Coefficients c with v = sum c_i gens_i modulo relations and the
-        quotient ideal, or None if v is not in the submodule."""
-        track = {}
-        if normal_form_terms(self.ambient, self._index, v.data, track):
-            return None
-        p = self.p
-        return {k: (p - c) % p for k, c in track.items()}
+    def run(self, stop_degree=INF) -> None:
+        """Process the pending pairs of degree <= stop_degree."""
+        events = self.events
+        while events and events[0][0] <= stop_degree:
+            self._process_pair(*heapq.heappop(events)[2])
 
 
 # -- public operations ------------------------------------------------------
@@ -418,13 +426,8 @@ def groebner_basis(gens, ambient: FreeModule = None, rels=()) -> GroebnerBasis:
 
     Over a quotient ring the ideal relations are adjoined implicitly.
     """
-    gens = list(gens)
-    if ambient is None:
-        if not gens:
-            raise AlgebraError("need an ambient module for empty input")
-        ambient = gens[0].ambient
-    comp = ModuleComputation(ambient, gens, rels=rels)
-    comp.run()
+    gens, comp = _computation(gens, rels, ambient)
+    comp.add_all(gens)
     return _autoreduce(comp)
 
 
@@ -474,30 +477,9 @@ def syzygies(gens, rels=(), ambient: FreeModule = None) -> GradedMatrix:
     gens (degree 0 for a zero generator).  Over the base polynomial ring
     with no rels, gens . result = 0 exactly.
     """
-    gens = list(gens)
-    if ambient is None:
-        if not gens:
-            raise AlgebraError("need an ambient module for empty input")
-        ambient = gens[0].ambient
-    degrees = []
-    for i, g in enumerate(gens):
-        if not g.is_homogeneous():
-            raise NotHomogeneous(f"generator {i} is not homogeneous")
-        degrees.append(g.degree() if not g.is_zero() else 0)
-    gmod = FreeModule(ambient.ring, degrees)
-    comp = ModuleComputation(ambient, gens, rels=rels, track=True)
-    comp.run()
-    cols = []
-    for tr in comp.syzygy_tracks:
-        el = ModuleElement(gmod, dict(tr))
-        if not el.is_zero():
-            cols.append(el)
-    # zero generators have trivial syzygy basis vectors
-    for i, g in enumerate(gens):
-        if g.is_zero():
-            cols.append(gmod.basis_element(i))
-    src = FreeModule(ambient.ring, tuple(c.degree() for c in cols))
-    return GradedMatrix(src, gmod, cols, check=False)
+    gens, comp = _computation(gens, rels, ambient, track=True)
+    comp.add_all(gens)
+    return _syzygy_matrix(comp, gens)
 
 
 def minimal_generators(gens, rels=(), ambient: FreeModule = None):
@@ -507,26 +489,50 @@ def minimal_generators(gens, rels=(), ambient: FreeModule = None):
     into one once, here.  Returns (indices, reduced elements); processed in
     degree order, so the reduced elements differ from the originals by
     earlier generators and relations only.
-
-    Pairs are processed on demand (see the module docstring).
     """
-    gens = list(gens)
-    if ambient is None:
-        if not gens:
-            raise AlgebraError("need an ambient module for empty input")
-        ambient = gens[0].ambient
-    comp = ModuleComputation(ambient, (), rels=rels)
-    indices, elements = [], []
-    for d, idx, g in sorted((g.degree(), idx, g) for idx, g
-                            in _nonzero_generators(gens, ambient)):
-        terms = normal_form_terms(ambient, comp._index, g.data, None)
-        if terms:
-            comp.run(stop_degree=d)
-            terms = comp._insert(terms, None)
-        if terms:
-            indices.append(idx)
-            elements.append(ModuleElement(ambient, terms))
-    return indices, elements
+    gens, comp = _computation(gens, rels, ambient)
+    return comp.add_minimal(gens)
+
+
+def generators_and_syzygies(gens, rels=(), ambient: FreeModule = None):
+    """(kept, syz): the reduced elements of minimal_generators(gens, rels)
+    and syzygies(kept, rels), column for column, from one tracked run."""
+    gens, comp = _computation(gens, rels, ambient, track=True)
+    _, kept = comp.add_minimal(gens)
+    comp.run()
+    return kept, _syzygy_matrix(comp, kept)
+
+
+def _syzygy_matrix(comp: ModuleComputation, gens) -> GradedMatrix:
+    """The syzygy tracks of a finished tracked run, then a basis vector
+    for each zero generator, as columns over the degrees of gens."""
+    ring = comp.ambient.ring
+    gmod = FreeModule(ring, tuple(0 if g.is_zero() else g.degree()
+                                  for g in gens))
+    cols = [ModuleElement(gmod, tr) for tr in comp.syzygy_tracks]
+    cols += [gmod.basis_element(i) for i, g in enumerate(gens) if g.is_zero()]
+    src = FreeModule(ring, tuple(c.degree() for c in cols))
+    return GradedMatrix(src, gmod, cols, check=False)
+
+
+def express_in_generators(gens, ambient: FreeModule, elements, rels=()):
+    """Coordinates of each element over gens, modulo span(rels) and the
+    quotient ideal; rels is a GroebnerBasis, or an iterable of relations
+    turned into one once.
+
+    Returns one coefficient dict {(gen index, monomial): coeff} per
+    element; raises if an element is not in the span.
+    """
+    gens, comp = _computation(gens, rels, ambient, track=True)
+    comp.add_all(gens)
+    p = comp.p
+    out = []
+    for v in elements:
+        track = {}
+        if normal_form_terms(comp.ambient, comp._index, v.data, track):
+            raise AlgebraError("element not in the span of the generators")
+        out.append({k: (p - c) % p for k, c in track.items()})
+    return out
 
 
 def ideal_groebner(ring, polys):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .free import FreeModule, GradedMatrix, ModuleElement
 from .gmod import GradedModule, ModuleMap, subquotient, zero_module
-from .groebner import ModuleComputation, groebner_basis, syzygies
+from .groebner import express_in_generators, groebner_basis, syzygies
 from .resolve import free_resolution
 from .ring import AlgebraError, NotHomogeneous, RingMismatch
 
@@ -157,21 +157,3 @@ def homomorphism_from(hom: HomModule, coords) -> ModuleMap:
     mat = GradedMatrix(src, hom.target.cover, cols, check=False)
     return ModuleMap(hom.source, hom.target, mat, degree=d)
 
-
-def express_in_generators(gens, ambient: FreeModule, elements, rels=()):
-    """Coordinates of each element over gens, modulo span(rels) and the
-    quotient ideal; rels is a GroebnerBasis, or an iterable of relations
-    turned into one once.
-
-    Returns one coefficient dict {(gen index, monomial): coeff} per
-    element; raises if an element is not in the span.
-    """
-    comp = ModuleComputation(ambient, gens, rels=rels, track=True)
-    comp.run()
-    out = []
-    for v in elements:
-        coeffs = comp.express(v)
-        if coeffs is None:
-            raise AlgebraError("element not in the span of the generators")
-        out.append(coeffs)
-    return out

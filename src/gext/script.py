@@ -78,6 +78,7 @@ class _Tokens:
             else:
                 col += len(value)
             pos = m.end()
+        self.end = (line, col)   # just past the last character
         self.pos = 0
         # the ring polynomial texts are checked against (None: unchecked),
         # and the parse-time ring of each name bound so far (None: unknown)
@@ -87,7 +88,7 @@ class _Tokens:
     def peek(self):
         if self.pos < len(self.items):
             return self.items[self.pos]
-        return ("eof", "", -1, -1)
+        return ("eof", "", *self.end)
 
     def next(self):
         tok = self.peek()

@@ -69,6 +69,21 @@ def test_parse_error_has_position():
     assert exc.value.col > 0
 
 
+@pytest.mark.parametrize("text, message", [
+    ("ring R = ZZ/7[x,y];\ncompute hilbert(R, 2)",
+     "line 2, column 22: expected ';', found 'end of input'"),
+    ("ring R = ZZ/7[x,y];\nmodule M = coker(R, [[x + y",
+     "line 2, column 28: unterminated polynomial"),
+    ("ring R = ZZ/7[x,y];\ncompute dim(R)\n",
+     "line 3, column 1: expected ';', found 'end of input'"),
+])
+def test_end_of_input_error_has_position(text, message):
+    """An error at the end of input points just past the last character."""
+    with pytest.raises(ScriptError) as exc:
+        parse_script(text)
+    assert str(exc.value) == message
+
+
 def test_nonprime_modulus_is_parse_error():
     with pytest.raises(ScriptError):
         parse_script("ring R = ZZ/4[x];")
@@ -227,6 +242,23 @@ def test_malformed_polynomial_is_parse_error(tmp_path):
     column = text.index("x + q") + 1
     assert proc.stderr.strip() == (f"parse error: line 1, column {column}: "
                                    "unknown variable in 'q'")
+
+
+def test_script_not_utf8_is_parse_error(tmp_path):
+    """A script that is not valid UTF-8 is a one-line parse error with
+    exit code 1, not a traceback."""
+    f = tmp_path / "latin1.gx"
+    f.write_bytes(b"# caf\xe9\nring R = ZZ/32003[x,y];\n"
+                  b"compute hilbert(R, 1);\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-m", "gext.cli", "run", str(f)],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("parse error:")
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
 
 
 def test_polynomial_over_the_exponent_cap_fails_when_run(tmp_path):

@@ -11,8 +11,10 @@ import pytest
 
 from gext import (AlgebraError, Ring, cokernel, free_module_of,
                   groebner_basis, minimal_generators, normal_form,
-                  parse_polynomial, syzygies)
+                  parse_polynomial, subquotient, syzygies)
 from gext.free import FreeModule, GradedMatrix, ModuleElement
+from gext.groebner import (ModuleComputation, generators_and_syzygies,
+                           normal_form_terms)
 from gext.homext import express_in_generators
 from gext.monomial import ExponentOverflow
 
@@ -369,6 +371,81 @@ def test_syzygies_modulo_relations(seed, quotient):
     gb_rels = groebner_basis(rels, ambient=fm)
     for col in direct.columns:
         assert gb_rels.contains(apply_column(gens, col))
+
+
+def terms_of(elements):
+    """Each element's terms, in their order."""
+    return [list(e.data.items()) for e in elements]
+
+
+@pytest.mark.parametrize("rels_as", ["none", "list", "basis"])
+@pytest.mark.parametrize("quotient", [(), ("x^3 + y^3 - z^3",)])
+@pytest.mark.parametrize("seed", range(4))
+def test_one_run_presentation_matches_the_two_runs(seed, quotient, rels_as):
+    """generators_and_syzygies, the one tracked run behind subquotient,
+    keeps the elements that minimal_generators(gens, rels) keeps and
+    returns the columns of syzygies(kept, rels), term for term and in the
+    same order; subquotient presents them with those columns minimalized.
+    The inputs are those of test_syzygies_modulo_relations, plus a
+    redundant and a zero generator."""
+    rng = random.Random(500 + seed)
+    ring = Ring(P, ("x", "y", "z"), quotient=list(quotient))
+    fm = FreeModule(ring, (0, 1))
+    gens = [random_module_element(fm, rng.choice([1, 2, 2, 3]), rng)
+            for _ in range(3)]
+    rels = [random_module_element(fm, rng.choice([2, 3]), rng)
+            for _ in range(2)]
+    gens = [g for g in gens if not g.is_zero()]
+    gens += [random_span_element(gens, 3, rng), fm.zero_element()]
+    rng.shuffle(gens)
+    rels = [r for r in rels if not r.is_zero()] if rels_as != "none" else []
+    if rels_as == "basis":
+        rels = groebner_basis(rels, ambient=fm)
+
+    _, kept = minimal_generators(gens, rels=rels, ambient=fm)
+    syz = syzygies(kept, rels=rels, ambient=fm)
+    one_kept, one_syz = generators_and_syzygies(gens, rels=rels, ambient=fm)
+    assert kept and len(kept) < len(gens)
+    assert terms_of(one_kept) == terms_of(kept)
+    assert (one_syz.source, one_syz.target) == (syz.source, syz.target)
+    assert terms_of(one_syz.columns) == terms_of(syz.columns)
+
+    module, gelts = subquotient(gens, rels, fm)
+    _, relmin = minimal_generators(syz.columns, ambient=syz.target)
+    assert terms_of(gelts) == terms_of(kept)
+    assert terms_of(module.relations) == terms_of(relmin)
+
+
+@pytest.mark.parametrize("quotient", [(), ("x^3 + y^3 - z^3",)])
+@pytest.mark.parametrize("seed", range(4))
+def test_normal_forms_descend_in_term_order(seed, quotient):
+    """normal_form_terms returns its terms in descending
+    FreeModule.term_key order, so the first term of a normal form is its
+    lead: each basis element the engine adds has a lead above every term
+    of its tail.  Four components with mixed twists, inhomogeneous
+    inputs."""
+    rng = random.Random(1700 + seed)
+    ring = Ring(P, ("x", "y", "z"), quotient=list(quotient))
+    fm = FreeModule(ring, (0, 2, -1, 1))
+    gens = [random_module_element(fm, rng.choice([1, 2, 3]), rng)
+            for _ in range(3)]
+    comp = ModuleComputation(fm, track=True)
+    comp.add_all(gens)
+    nq = len(ring.quotient_groebner())
+    assert any(entries[nq:] for entries in comp._index.values())
+    for c, entries in comp._index.items():
+        for lead, tail, _, _ in entries[nq:]:
+            assert all(fm.term_key(*k) < fm.term_key(c, lead) for k, _ in tail)
+    gb = groebner_basis(gens, ambient=fm)
+    for _ in range(6):
+        v = fm.zero_element()
+        for d in rng.sample(range(-1, 5), 3):
+            v = v + random_module_element(fm, d, rng)
+        for index in (gb._index, comp._index):
+            keys = [fm.term_key(*k)
+                    for k in normal_form_terms(fm, index, v.data, None)]
+            assert keys == sorted(keys, reverse=True)
+            assert len(set(keys)) == len(keys)
 
 
 def random_span_element(gens, degree, rng):
