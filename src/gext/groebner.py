@@ -399,10 +399,11 @@ class GroebnerBasis:
                                                  for (j, m), c in e.data.items()})
                          for e in self.elements]
             for comp, entries in self._index.items():
-                for lead, tail, _, _ in entries[nq:]:
-                    index.add(comp + off, lead,
-                              tuple(((j + off, m), c) for (j, m), c in tail),
-                              None)
+                block = index[comp + off]
+                for lead, tail, _, pure in entries[nq:]:
+                    block.append([lead, tuple(((j + off, m), c)
+                                              for (j, m), c in tail),
+                                  None, pure])
         return GroebnerBasis(ambient, elements, index)
 
 

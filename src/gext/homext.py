@@ -5,49 +5,55 @@ presentation F1 -> F0 -> M, using Hom(+_k R(-a_k), N) = +_k N(a_k); the
 grading is by degrees of maps, so the degree-d component is the space of
 degree-d homomorphisms.  Ext^m is kernel-modulo-image one step further
 along a minimal resolution of M.
+
+Both are computed by `_homology` at Hom(F, N).  One `syzygies` run gives
+the kernel of Hom(d_out, N) as columns over the cover of Hom(F, N), and
+`subquotient` presents their span modulo the known kernel K0: the
+relations of Hom(F, N) plus the image of Hom(d_in, N).
+
+Algorithm 3.1 reads Ext only in degrees >= e, so `ext_at_least` asks
+`_homology` for Ext_{>=low} itself rather than presenting all of Ext and
+truncating it.  The columns of degree < low are first raised to low
+(`_raise`), untracked and modulo K0 only: with Q_d the span in degree d of
+the columns modulo K0, Q_d = x_0 Q_{d-1} + ... + x_n Q_{d-1} + (columns
+of degree d), because R is generated in degree 1 and x_i K0_{d-1} lies in
+K0_d.  So a basis of Q_d (the `minimal_generators` of elements all of
+degree d) is carried from the lowest column degree up to low - 1, and the
+variables times that basis, with the columns of degree >= low, generate
+the kernel in degrees >= low modulo K0.  Truncation is exact degree by
+degree, (ker / K0)_{>=low} = ker_{>=low} / K0_{>=low}, so presenting
+that span modulo K0 gives Ext_{>=low}: the same module as truncating the
+full Ext, with other generator representatives.  With low = MINUS_INF
+(`hom_module`, `ext_module`) nothing is raised.
 """
 
 from __future__ import annotations
 
 from .free import FreeModule, GradedMatrix, ModuleElement
 from .gmod import GradedModule, ModuleMap, subquotient, zero_module
-from .groebner import express_in_generators, groebner_basis, syzygies
+from .groebner import (MINUS_INF, express_in_generators, groebner_basis,
+                       minimal_generators, syzygies)
 from .resolve import free_resolution
 from .ring import AlgebraError, NotHomogeneous, RingMismatch
 
 
-def hom_of_free(free: FreeModule, module: GradedModule) -> GradedModule:
-    """Hom(+_k R(-a_k), N) = +_k N(a_k), generators flattened as k*nb + i.
+def hom_of_free(free: FreeModule, module: GradedModule):
+    """Hom(+_k R(-a_k), N) = +_k N(a_k), generators flattened as k*nb + i,
+    as (its cover, the Groebner basis of its relations).
 
-    Its relations are block copies of N's, so its relation basis is set
-    to block copies of N's cached one (block k shifted by k*nb) rather
-    than computed again."""
-    ring = module.ring
-    nb = module.cover.rank
-    twists = []
-    for a in free.twists:
-        twists.extend(b - a for b in module.generator_degrees)
-    tgt = FreeModule(ring, tuple(twists))
-    cols = []
-    src_twists = []
-    for k, a in enumerate(free.twists):
-        for rel in module.relations:
-            cols.append(ModuleElement(
-                tgt, {(k * nb + i, m): c for (i, m), c in rel.data.items()}))
-            src_twists.append(rel.degree() - a)
-    src = FreeModule(ring, tuple(src_twists))
-    hom = GradedModule(GradedMatrix(src, tgt, cols, check=False))
-    hom._gb = module.relations_gb().block_copies(tgt, free.rank)
-    return hom
+    Its relations are block copies of N's, so that basis is block copies
+    of N's cached one (block k shifted by k*nb), not computed again."""
+    cover = FreeModule(module.ring, tuple(
+        b - a for a in free.twists for b in module.generator_degrees))
+    return cover, module.relations_gb().block_copies(cover, free.rank)
 
 
 def induced_columns(phi: GradedMatrix, module: GradedModule,
-                    hom_tgt: GradedModule):
+                    cover: FreeModule):
     """Columns of Hom(phi, N): Hom(target(phi), N) -> Hom(source(phi), N),
-    one per generator of hom_of_free(phi.target, N), landing in
-    hom_tgt = hom_of_free(phi.source, N)."""
+    one per generator of Hom(target(phi), N), landing in cover, the cover
+    of hom_of_free(phi.source, N)."""
     nb = module.cover.rank
-    cover = hom_tgt.cover
     rows = [[] for _ in range(phi.target.rank)]   # k -> [(l * nb, m, c)]
     for l, col in enumerate(phi.columns):
         for (k, m), c in col.data.items():
@@ -86,41 +92,72 @@ def hom_module(source: GradedModule, target: GradedModule) -> HomModule:
 
 def ext_module(m: int, source: GradedModule, target: GradedModule) -> ExtModule:
     """Ext^m_R(M, N); the resolution of M is computed through F_{m+1}."""
+    return ExtModule(ext_at_least(m, MINUS_INF, source, target), m, source,
+                     target)
+
+
+def ext_at_least(m: int, low, source: GradedModule,
+                 target: GradedModule) -> GradedModule:
+    """Ext^m_R(M, N)_{>=low}, presented in its degrees >= low only (all of
+    Ext^m when low is MINUS_INF)."""
     if source.ring != target.ring:
         raise RingMismatch("Ext of modules over different rings")
     ring = source.ring
     if m < 0:
-        return ExtModule(zero_module(ring), m, source, target)
+        return zero_module(ring)
     res = free_resolution(source, length_cap=m + 1)
-    if m >= len(res.free_modules):
-        return ExtModule(zero_module(ring), m, source, target)
-    f_m = res.free_modules[m]
-    if f_m.rank == 0:
-        return ExtModule(zero_module(ring), m, source, target)
+    if m >= len(res.free_modules) or res.free_modules[m].rank == 0:
+        return zero_module(ring)
     d_in = res.differentials[m - 1] if m >= 1 else None
     d_out = res.differentials[m] if m < len(res.differentials) else None
-    underlying, _ = _homology(f_m, d_in, d_out, target)
-    return ExtModule(underlying, m, source, target)
+    underlying, _ = _homology(res.free_modules[m], d_in, d_out, target, low)
+    return underlying
 
 
-def _homology(free: FreeModule, d_in, d_out, target: GradedModule):
+def _homology(free: FreeModule, d_in, d_out, target: GradedModule,
+              low=MINUS_INF):
     """At Hom(free, N): the kernel of Hom(d_out, N) modulo the image of
     Hom(d_in, N), where d_in leaves free and d_out enters it (None: a zero
-    map), as subquotient's (module, generator elements)."""
-    hom = hom_of_free(free, target)
-    cover = hom.cover
+    map), in degrees >= low, as subquotient's (module, generator elements).
+
+    The known kernel K0 (Hom(free, N)'s relation basis plus that image) is
+    the one relation basis.  Kernel columns below low are raised to low
+    modulo K0 first; that is exact because x_i K0_d lies in K0_{d+1} and R
+    is generated in degree 1 (module docstring), and only the raised span
+    is presented."""
+    cover, known = hom_of_free(free, target)
+    if d_in is not None:
+        known = groebner_basis(induced_columns(d_in, target, cover), cover,
+                               rels=known)
     if d_out is None or d_out.source.rank == 0:
         gens = [cover.basis_element(j) for j in range(cover.rank)]
     else:
-        hom_next = hom_of_free(d_out.source, target)
-        delta = induced_columns(d_out, target, hom_next)
+        next_cover, next_rels = hom_of_free(d_out.source, target)
+        delta = induced_columns(d_out, target, next_cover)
         gens = [ModuleElement(cover, c.data) for c in syzygies(
-            delta, rels=hom_next.relations_gb(), ambient=hom_next.cover).columns]
-    rels = hom.relations_gb()
-    if d_in is not None:
-        rels = groebner_basis(induced_columns(d_in, target, hom), cover,
-                              rels=rels)
-    return subquotient(gens, rels, cover)
+            delta, rels=next_rels, ambient=next_cover).columns]
+    return subquotient(_raise(gens, known, cover, low), known, cover)
+
+
+def _raise(gens, known, cover: FreeModule, low):
+    """Generators of span(gens)_{>=low} modulo known, from gens of any
+    degree: the ones of degree >= low, and the variables times a basis of
+    span(gens)_{low-1} modulo known, built up one degree at a time."""
+    by_degree = {}
+    for g in gens:
+        by_degree.setdefault(g.degree(), []).append(g)
+    if not by_degree or low <= min(by_degree):
+        return gens
+    ring = cover.ring
+    xs = [ring.ctx.variable(j) for j in range(ring.nvars)]
+    cur = []
+    for d in range(min(by_degree), low):
+        if cur or d in by_degree:
+            _, cur = minimal_generators(
+                [g.monomial_mul(x) for g in cur for x in xs]
+                + by_degree.get(d, []), rels=known, ambient=cover)
+    return ([g.monomial_mul(x) for g in cur for x in xs]
+            + [g for d, gs in by_degree.items() if d >= low for g in gs])
 
 
 def hom_element(hom: HomModule, coords):

@@ -1,13 +1,16 @@
-"""Truncation bounds and global Ext / sheaf cohomology algorithms.
+"""Truncation bounds, global Ext and sheaf cohomology (Algorithms 3.1-3.4),
+Yoneda extensions and the cotangent module.
 
 The key identity: for r at least the truncation bound, the graded pieces
-of Ext^m_R(M_{>=r}, N) in degrees >= e compute the global extension
-modules Ext^m(X; M~, N~(v)) for v >= e, where X = Proj(R).  Sheaf
-cohomology is the M = R case.  The bound uses Betti degree statistics of
-the restriction of scalars _S N, read with `krull_dim` from the
-S-resolution cached on N like `_gb` (`GradedModule.s_resolution`).  The
-modules returned come from `subquotient`, so they are already minimal
-and are not pruned again.
+of Ext^m_R(M_{>=r}, N) in degrees >= e are the global extension groups
+Ext^m(X; M~, N~(v)) for v >= e, where X = Proj(R).  Sheaf cohomology is
+the M = R case.  The bound reads the Betti degrees of the restriction of
+scalars _S N (`s_betti`) and its Krull dimension (`krull_dim`), both from
+the S-resolution cached on N (`GradedModule.s_resolution`).
+`global_ext_sum` asks `homext.ext_at_least` for Ext^m_R(M_{>=r}, N) in
+degrees >= e only, so no degree below e is presented.  Its result is
+the zero module (m < 0, or the dim-0 shortcut) or comes from
+`subquotient`, so it is already minimal and is not pruned again.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from .gmod import (GradedModule, ModuleMap, direct_sum, graded_component,
                    subquotient, submodule_equals, truncate_module,
                    zero_module)
 from .groebner import INF, MINUS_INF, groebner_basis
-from .homext import (HomModule, express_in_generators, ext_module, hom_element,
-                     hom_module, hom_of_free, homomorphism_from,
+from .homext import (HomModule, express_in_generators, ext_at_least,
+                     hom_element, hom_module, hom_of_free, homomorphism_from,
                      induced_columns)
 from .resolve import BettiTable, betti_stats, free_resolution
 from .ring import AlgebraError, Ring, RingMismatch
@@ -111,14 +114,20 @@ def corollary_bound(m: int, source: GradedModule, target: GradedModule):
 
 def global_ext_sum(m: int, e: int, source: GradedModule,
                    target: GradedModule) -> GradedModule:
-    """Algorithm 3.1: the graded module +_{v>=e} Ext^m(X; M~, N~(v))."""
+    """Algorithm 3.1: the graded module +_{v>=e} Ext^m(X; M~, N~(v)).
+
+    That is Ext^m_R(M_{>=r}, N)_{>=e}, computed in degrees >= e only: the
+    kernel columns of degree < e are raised to e modulo the known kernel
+    before anything is presented (see `homext`).  Raising is exact, as R
+    is generated in degree 1 and truncation at e commutes with taking
+    homology, so the result has the generator degrees and Hilbert function
+    of the full Ext^m truncated at e."""
     if source.ring != target.ring:
         raise RingMismatch("modules over different rings")
     if m < 0 or krull_dim(source) <= 0 or krull_dim(target) == MINUS_INF:
         return zero_module(source.ring)  # Remark dim0 (incl. zero modules)
     tb = truncation_bound(m, e, target)  # r = -inf when pd < n - ell
-    ext = ext_module(m, truncate_module(source, tb.r), target)
-    return truncate_module(ext.underlying, e)
+    return ext_at_least(m, e, truncate_module(source, tb.r), target)
 
 
 def global_ext(m: int, source: GradedModule, target: GradedModule):
@@ -191,9 +200,9 @@ def class_is_split(hom: HomModule, alpha: ModuleMap, coords) -> bool:
     element = hom_element(hom, coords)
     if element is None:
         return True
-    hom_f0 = hom_of_free(hom.source.cover, hom.target)
-    restr = induced_columns(alpha.matrix, hom.target, hom_f0)
-    gb = groebner_basis(restr, hom_f0.cover, rels=hom_f0.relations_gb())
+    cover, rels = hom_of_free(hom.source.cover, hom.target)
+    restr = induced_columns(alpha.matrix, hom.target, cover)
+    gb = groebner_basis(restr, cover, rels=rels)
     return gb.reduce(element).is_zero()
 
 

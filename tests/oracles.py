@@ -211,3 +211,18 @@ def projective_space_cotangent(n: int, q: int, d: int) -> int:
     if q == n:
         return (1 - d) * comb(-d - 1, n - 1) if d <= -n else 0
     return 1 if (q, d) == (1, 0) else 0
+
+
+def hilbert_polynomial(betti_entries: dict, n: int, v: int) -> int:
+    """P_N(v) from the Betti numbers {(i, a): b} of a free resolution of N
+    over S = k[x_0..x_n]: sum (-1)^i b binom(v - a + n, n), the binomial
+    taken as a polynomial in v, so it is right for every v."""
+    from math import factorial
+    total = 0
+    for (i, a), b in betti_entries.items():
+        t = v - a + n
+        prod = 1
+        for k in range(n):
+            prod *= t - k
+        total += (-1) ** i * b * (prod // factorial(n))
+    return total

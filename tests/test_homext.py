@@ -144,9 +144,10 @@ def _random_element(ambient, degree, rng):
 @pytest.mark.parametrize("quotient", [(), ("x^3 + y^3 - z^3",)])
 @pytest.mark.parametrize("seed", range(3))
 def test_hom_of_free_basis_is_block_copies(seed, quotient):
-    """The relation basis hom_of_free sets from block copies of N's is the
-    reduced Groebner basis a Buchberger run computes from Hom's relations:
-    the same lead terms and the same normal forms."""
+    """The relation basis hom_of_free builds from block copies of N's is
+    the reduced Groebner basis a Buchberger run computes from Hom's
+    relations, the block copies of N's relations: the same cover, the same
+    lead terms and the same normal forms."""
     rng = random.Random(700 + seed)
     ring = Ring(P, ("x", "y", "z"), quotient=list(quotient))
     ncover = FreeModule(ring, (0, rng.choice([0, 1])))
@@ -159,10 +160,15 @@ def test_hom_of_free_basis_is_block_copies(seed, quotient):
         check=False))
     F = FreeModule(ring, tuple(rng.choice([-1, 0, 1, 2])
                                for _ in range(rng.randint(1, 3))))
-    hom = hom_of_free(F, N)
-    blocks = hom.relations_gb()
-    computed = groebner_basis(hom.relations, hom.cover)
+    cover, blocks = hom_of_free(F, N)
+    assert cover == FreeModule(ring, tuple(b - a for a in F.twists
+                                           for b in ncover.twists))
+    nb = ncover.rank
+    block_rels = [ModuleElement(cover, {(k * nb + i, m): c
+                                        for (i, m), c in r.data.items()})
+                  for k in range(F.rank) for r in rels]
+    computed = groebner_basis(block_rels, cover)
     assert sorted(blocks.lead_terms()) == sorted(computed.lead_terms())
     for _ in range(6):
-        v = _random_element(hom.cover, rng.randint(1, 5), rng)
+        v = _random_element(cover, rng.randint(1, 5), rng)
         assert blocks.reduce(v).data == computed.reduce(v).data

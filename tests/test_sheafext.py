@@ -5,19 +5,23 @@ import random
 import pytest
 
 from gext import (AlgebraError, Ring, cokernel, cotangent_module,
-                  free_module_of, global_ext, global_ext_sum,
+                  ext_module, free_module_of, global_ext, global_ext_sum,
                   hilbert_function, krull_dim, prune, ring_module,
                   sheaf_cohomology, sheaf_cohomology_sum,
                   truncate_module, truncation_bound, twist, vanishing_bound,
                   yoneda_extension, zero_module)
-from gext.free import GradedMatrix
+from gext import homext
+from gext.free import FreeModule, GradedMatrix
+from gext.groebner import MINUS_INF
+from gext.resolve import betti_stats
 from gext.sheafext import (class_is_split, corollary_bound,
                            degree_zero_hom_coords, extension_setup,
                            nonsplit_extension_coords)
 
 from conftest import line_bundle
-from oracles import (monomial_exponents, projective_space_cotangent,
-                     projective_space_line_bundle)
+from oracles import (hilbert_polynomial, monomial_exponents,
+                     projective_space_cotangent, projective_space_line_bundle)
+from test_exactness import random_element
 
 P = 32003
 
@@ -180,6 +184,94 @@ def test_global_ext_sum_is_minimal(case, quartic_base, quartic_cokernel,
         assert _presentation_degrees(prune(E)[0]) == \
             _presentation_degrees(E), args
     assert nonzero >= 2
+
+
+def truncated_ext_oracle(m, e, source, target):
+    """Algorithm 3.1 as the composition it is defined by: Ext^m of the
+    truncated source, presented in full and then truncated at e.  Returns
+    (Ext^m_R(M_{>=r}, N), its truncation at e), or None where
+    global_ext_sum answers zero without computing Ext."""
+    if m < 0 or krull_dim(source) <= 0 or krull_dim(target) == MINUS_INF:
+        return None
+    r = truncation_bound(m, e, target).r
+    ext = ext_module(m, truncate_module(source, r), target).underlying
+    return ext, truncate_module(ext, e)
+
+
+def small_module(ring, rng):
+    """coker of one random column of degree 1 or 2 per generator, on one
+    or two generators of degree 0 or 1."""
+    cover = FreeModule(ring, tuple(rng.choice([0, 1])
+                                   for _ in range(rng.choice([1, 2]))))
+    cols = [random_element(cover, rng.choice([1, 2]), rng)
+            for _ in range(cover.rank)]
+    cols = [c for c in cols if not c.is_zero()]
+    src = FreeModule(ring, tuple(c.degree() for c in cols))
+    return cokernel(GradedMatrix(src, cover, cols, check=False))
+
+
+@pytest.mark.parametrize("quotient, kinds", [
+    ((), {"raised", "not raised", "zero above e"}),
+    (("x^3 + y^3 - z^3",), {"raised", "zero above e"})])
+def test_global_ext_sum_matches_truncated_ext(monkeypatch, quotient, kinds):
+    """global_ext_sum presents Ext only in degrees >= e, raising the kernel
+    columns below e: it has the generator degrees, relation degrees and
+    Hilbert function of the full Ext^m truncated at e.  The cases include
+    kernels raised to e, kernels with no column below e, and a nonzero
+    Ext whose part in degrees >= e is zero."""
+    raised = []
+    raise_ = homext._raise
+
+    def spy(gens, known, cover, low):
+        raised.append(any(g.degree() < low for g in gens))
+        return raise_(gens, known, cover, low)
+
+    monkeypatch.setattr(homext, "_raise", spy)
+    ring = Ring(P, ("x", "y", "z"), quotient=list(quotient))
+    seen = set()
+    for seed in (1, 2, 4, 5):
+        rng = random.Random(1500 + seed)
+        M, N = small_module(ring, rng), small_module(ring, rng)
+        for m in (0, 1, 2):
+            for e in (-1, 0, 2):
+                oracle = truncated_ext_oracle(m, e, M, N)
+                raised.clear()
+                got = global_ext_sum(m, e, M, N)
+                if oracle is None:
+                    assert got.is_zero()
+                    continue
+                ext, want = oracle
+                case = (seed, m, e)
+                assert _presentation_degrees(got) == \
+                    _presentation_degrees(want), case
+                for d in range(e - 1, e + 5):
+                    assert hilbert_function(got, d) == \
+                        hilbert_function(want, d), (case, d)
+                if not ext.is_zero() and want.is_zero():
+                    seen.add("zero above e")
+                if raised and not want.is_zero():
+                    seen.add("raised" if raised[0] else "not raised")
+    assert kinds <= seen
+
+
+def test_euler_characteristic_is_hilbert_polynomial(p2_ring, elliptic_ring):
+    """sum_q (-1)^q h^q(N~(v)) = P_N(v), with P_N read from the Betti
+    numbers of N over S, independently of Algorithm 3.1."""
+    conic = cokernel(GradedMatrix.from_entries(p2_ring, [["x*y - z^2"]],
+                                               (0,)))
+    point = cokernel(GradedMatrix.from_entries(p2_ring, [["x", "y"]], (0,)))
+    modules = [("O", ring_module(p2_ring)),
+               ("Omega", cotangent_module(p2_ring)[0]),
+               ("O_conic", conic), ("O_point", point),
+               ("O_cubic", ring_module(elliptic_ring))]
+    for name, N in modules:
+        n = N.ring.nvars - 1
+        betti = betti_stats(N.s_resolution()).entries
+        for v in range(-3, 3):
+            Nv = twist(N, v)
+            chi = sum((-1) ** q * sheaf_cohomology(q, Nv)[0]
+                      for q in range(n + 1))
+            assert chi == hilbert_polynomial(betti, n, v), (name, v)
 
 
 # -- Del Pezzo duality -------------------------------------------------------------
