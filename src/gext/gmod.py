@@ -302,25 +302,17 @@ def graded_component(module: GradedModule, d: int):
     cover = module.cover
     if cover.rank == 0:
         return 0, []
-    ring = module.ring
-    ctx = ring.ctx
+    ctx = module.ring.ctx
     gb = module.relations_gb()
-    qleads = [lead for lead, _ in ring.quotient_groebner()]
-    by_comp: dict[int, list] = {}
-    for (j, lead) in gb.lead_terms():
-        by_comp.setdefault(j, []).append(lead)
     basis = []
     for j, a in enumerate(module.generator_degrees):
         e = d - a
         if e < 0:
             continue
-        leads = by_comp.get(j, ())
+        leads = gb.divisor_leads(j)
         for m in ctx.monomials_of_degree(e):
-            if any(ctx.divides(q, m) for q in qleads):
-                continue
-            if any(ctx.divides(l, m) for l in leads):
-                continue
-            basis.append((j, m))
+            if not any(ctx.divides(lead, m) for lead in leads):
+                basis.append((j, m))
     return len(basis), basis
 
 

@@ -8,7 +8,9 @@ A divisor is one entry [lead, tail, track, pure] of a `DivisorIndex`
 (component -> entries): a monic element with lead term (comp, lead), its
 other terms, its track (None when nothing is tracked) and whether all its
 terms lie in component comp.  That entry is the only record of a basis
-element; the engine keeps no other list of its basis.
+element: neither the engine nor a finished `GroebnerBasis` keeps another
+list of its basis, and iterating over a `GroebnerBasis` builds its
+elements from their entries.
 
 Every normal form is computed by one kernel, `normal_form_terms`, which
 reduces each term by the first entry of its component whose lead divides
@@ -358,19 +360,34 @@ class ModuleComputation:
 
 class GroebnerBasis:
     """Auto-reduced, monic Groebner basis of a submodule of a free module,
-    with the divisor index `reduce` uses (built by `_autoreduce`).
-    Iterating over it yields its elements."""
+    held as the divisor index `reduce` uses (built by `_autoreduce`): its
+    elements are the entries past each component's quotient divisors.
+    Iterating over it builds them, component by component."""
 
-    def __init__(self, ambient: FreeModule, elements, index: DivisorIndex):
+    def __init__(self, ambient: FreeModule, index: DivisorIndex):
         self.ambient = ambient
-        self.elements = elements
         self._index = index
 
+    def _entries(self):
+        """(comp, entry) of each basis element, as a list: `reduce` may add
+        components to the index while an iteration is under way."""
+        nq = len(self._index.quot)
+        return [(comp, entry) for comp, entries in self._index.items()
+                for entry in entries[nq:]]
+
     def __iter__(self):
-        return iter(self.elements)
+        for comp, (lead, tail, _, _) in self._entries():
+            terms = dict(tail)
+            terms[(comp, lead)] = 1
+            yield ModuleElement(self.ambient, terms)
 
     def lead_terms(self):
-        return [e.lead_term()[0] for e in self.elements]
+        return [(comp, entry[0]) for comp, entry in self._entries()]
+
+    def divisor_leads(self, comp):
+        """The leads of component comp's divisors: the quotient divisors'
+        first, then the basis elements'."""
+        return [entry[0] for entry in self._index[comp]]
 
     def reduce(self, v: ModuleElement) -> ModuleElement:
         if v.ambient != self.ambient:
@@ -390,21 +407,15 @@ class GroebnerBasis:
         component, and the shift preserves the term order inside a block.
         """
         nb = self.ambient.rank
-        nq = len(self._index.quot)
+        entries = self._entries()
         index = DivisorIndex(self._index.quot)
-        elements = []
         for k in range(copies):
             off = k * nb
-            elements += [ModuleElement(ambient, {(j + off, m): c
-                                                 for (j, m), c in e.data.items()})
-                         for e in self.elements]
-            for comp, entries in self._index.items():
-                block = index[comp + off]
-                for lead, tail, _, pure in entries[nq:]:
-                    block.append([lead, tuple(((j + off, m), c)
-                                              for (j, m), c in tail),
-                                  None, pure])
-        return GroebnerBasis(ambient, elements, index)
+            for comp, (lead, tail, _, pure) in entries:
+                index[comp + off].append(
+                    [lead, tuple(((j + off, m), c) for (j, m), c in tail),
+                     None, pure])
+        return GroebnerBasis(ambient, index)
 
 
 def relation_basis(rels, ambient: FreeModule) -> GroebnerBasis:
@@ -416,7 +427,7 @@ def relation_basis(rels, ambient: FreeModule) -> GroebnerBasis:
         return rels
     rels = list(rels)
     if not rels:
-        return GroebnerBasis(ambient, [],
+        return GroebnerBasis(ambient,
                              DivisorIndex(ambient.ring.quotient_groebner()))
     return groebner_basis(rels, ambient=ambient)
 
@@ -433,7 +444,8 @@ def groebner_basis(gens, ambient: FreeModule = None, rels=()) -> GroebnerBasis:
 
 
 def _autoreduce(comp: ModuleComputation) -> GroebnerBasis:
-    """Keep basis elements with minimal leads, tail-reduce, sort."""
+    """Keep basis entries with minimal leads, in (degree, comp, lead)
+    order, and tail-reduce them in place."""
     ctx = comp.ctx
     nq = len(comp.quot)
     basis = sorted(
@@ -447,15 +459,14 @@ def _autoreduce(comp: ModuleComputation) -> GroebnerBasis:
     kept = []
     for c, (lead, tail, _, _) in basis:
         if not any(ctx.divides(e[0], lead) for e in index[c][nq:]):
-            kept.append((c, index.add(c, lead, tail, None)))
-    elements = []
-    for c, entry in kept:
-        terms = normal_form_terms(comp.ambient, index, entry[1], None)
-        # later reductions use the reduced tail
-        entry[1] = tuple(terms.items())
-        terms[(c, entry[0])] = 1
-        elements.append(ModuleElement(comp.ambient, terms))
-    return GroebnerBasis(comp.ambient, elements, index)
+            kept.append(index.add(c, lead, tail, None))
+    for entry in kept:
+        # later reductions use the reduced tail.  `pure` stays as read off
+        # the unreduced one: the two differ by multiples of basis elements
+        # below the lead, so the product criterion still holds.
+        entry[1] = tuple(normal_form_terms(comp.ambient, index, entry[1],
+                                           None).items())
+    return GroebnerBasis(comp.ambient, index)
 
 
 def normal_form(v: ModuleElement, gb: GroebnerBasis) -> ModuleElement:
@@ -549,8 +560,5 @@ def ideal_groebner(ring, polys):
             raise NotHomogeneous("ideal generators must be homogeneous")
         gens.append(ModuleElement(fm, {(0, m): c for m, c in f.terms.items()}))
     gb = groebner_basis(gens, ambient=fm)
-    out = []
-    for e in gb.elements:
-        terms = sorted(((m, c) for (j, m), c in e.data.items()), reverse=True)
-        out.append((terms[0][0], terms))
-    return tuple(out)
+    return tuple((lead, [(lead, 1)] + [(m, c) for (_, m), c in tail])
+                 for lead, tail, _, _ in gb._index[0])

@@ -167,9 +167,12 @@ def _parse_ring(toks):
     prime = None
     if value == "ZZ":
         toks.expect("/")
+        line, col = toks.peek()[2:]
         prime = int(toks.expect_kind("num"))
-        if not is_prime(prime):
-            raise ScriptError(f"{prime} is not prime", line, col)
+        # the range first: trial division of a huge modulus never ends
+        if not (2 <= prime < 2**31 and is_prime(prime)):
+            raise ScriptError(f"{prime} is not a prime in [2, 2^31)",
+                              line, col)
     elif value != "kk":
         raise ScriptError("expected 'ZZ/p' or 'kk'", line, col)
     variables = toks.nonempty(

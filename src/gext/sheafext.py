@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from .free import FreeModule, GradedMatrix, ModuleElement
 from .gmod import (GradedModule, ModuleMap, direct_sum, graded_component,
-                   image_of, kernel_of_map, krull_dim, prune, ring_module,
+                   image_of, kernel_of_map, krull_dim, ring_module,
                    subquotient, submodule_equals, truncate_module,
                    zero_module)
-from .groebner import INF, MINUS_INF, groebner_basis
+from .groebner import INF, MINUS_INF, groebner_basis, syzygies
 from .homext import (HomModule, express_in_generators, ext_at_least,
                      hom_element, hom_module, hom_of_free, homomorphism_from,
                      induced_columns)
@@ -267,19 +267,20 @@ def yoneda_extension(source: GradedModule, target: GradedModule,
 
 def cotangent_module(ring: Ring):
     """(Omega, OmegaDual) from the conormal sequence: Omega is the kernel
-    of the Euler map modulo the Jacobian columns of the quotient
-    generators; OmegaDual = Hom(Omega, R)."""
+    of the Euler map R(-1)^n -> R modulo the Jacobian columns of the
+    quotient generators, each of which lies in that kernel.  So Omega is
+    one `subquotient`: the kernel columns, from `syzygies` of the
+    variables modulo R's relations, over the Jacobian columns as
+    relations.  OmegaDual = Hom(Omega, R)."""
     nv = ring.nvars
-    euler_free = GradedModule(GradedMatrix.zero(
-        FreeModule(ring, ()), FreeModule(ring, (1,) * nv)))
     rmod = ring_module(ring)
-    euler = ModuleMap(
-        euler_free, rmod,
-        GradedMatrix.from_entries(ring, [[ring.variable(j) for j in range(nv)]],
-                                  (0,), source_twists=(1,) * nv))
-    kmod, incl = kernel_of_map(euler)
+    euler = GradedMatrix.from_entries(
+        ring, [[ring.variable(j) for j in range(nv)]], (0,),
+        source_twists=(1,) * nv)
+    kernel = syzygies(euler.columns, rels=rmod.relations_gb(),
+                      ambient=rmod.cover)
+    fcover = kernel.target
     jac = []
-    fcover = euler_free.cover
     for f in ring.quotient:
         base_f = ring.base.polynomial(f)
         data = {}
@@ -290,16 +291,6 @@ def cotangent_module(ring: Ring):
         vec = ModuleElement(fcover, data).reduced()
         if not vec.is_zero():
             jac.append(vec)
-    cols = list(kmod.presentation.columns)
-    twists = list(kmod.presentation.source.twists)
-    if jac:
-        coeffs = express_in_generators(list(incl.matrix.columns), fcover, jac)
-        for c, vec in zip(coeffs, jac):
-            el = ModuleElement(kmod.cover, dict(c))
-            cols.append(el)
-            twists.append(vec.degree())
-    pres = GradedMatrix(FreeModule(ring, tuple(twists)), kmod.cover, cols,
-                        check=False)
-    omega, _ = prune(GradedModule(pres))
+    omega, _ = subquotient(kernel.columns, jac, fcover)
     omega_dual = hom_module(omega, rmod).underlying
     return omega, omega_dual

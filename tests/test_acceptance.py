@@ -185,7 +185,7 @@ def _property_groebner_random():
                 for f in polys]
         gb = groebner_basis(gens, ambient=fm)
         ctx = ring.ctx
-        els = gb.elements
+        els = list(gb)
         for i in range(len(els)):
             for j in range(i + 1, len(els)):
                 (_, mi), ci_c = els[i].lead_term()

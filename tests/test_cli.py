@@ -89,6 +89,22 @@ def test_nonprime_modulus_is_parse_error():
         parse_script("ring R = ZZ/4[x];")
 
 
+@pytest.mark.parametrize("modulus", ["1000000000000000003", "2147483659",
+                                     "1", "-7"])
+def test_modulus_out_of_range_is_parse_error(tmp_path, modulus):
+    """A modulus outside [2, 2^31) is a parse error at the modulus, found
+    without trial division: a huge prime must not hang the parser."""
+    f = tmp_path / "modulus.gx"
+    f.write_text(f"ring R = ZZ/{modulus}[x,y];\ncompute dim(R);\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-m", "gext.cli", "run", str(f)],
+                          capture_output=True, text=True, timeout=20,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 1
+    assert proc.stderr == (f"parse error: line 1, column 13: {modulus} is "
+                           "not a prime in [2, 2^31)\n")
+
+
 @pytest.mark.parametrize("text", [
     "ring R = ZZ/7[];",
     "ring R = ZZ/7[x];\nmodule M = coker(R, [], degrees=[]);",

@@ -36,7 +36,7 @@ def ideal_elements(ring, texts):
 
 def leads_of(ring, gb):
     out = []
-    for e in gb.elements:
+    for e in gb:
         (_, m), _ = e.lead_term()
         out.append(tuple(ring.ctx.decode(m)))
     return sorted(out)
@@ -227,7 +227,7 @@ def test_random_ideal_spairs_and_membership(seed):
     ctx = ring.ctx
 
     # (a) all S-pairs reduce to zero
-    els = gb.elements
+    els = list(gb)
     for i in range(len(els)):
         for j in range(i + 1, len(els)):
             (ci, mi), ci_c = els[i].lead_term()
@@ -581,7 +581,7 @@ def test_groebner_basis_matches_sympy(seed):
         [ModuleElement(fm, {(0, m): c for m, c in f.terms.items()})
          for f in polys], ambient=fm)
     got = {frozenset((ring.ctx.decode(m), c) for (_, m), c in e.data.items())
-           for e in gb.elements}
+           for e in gb}
     want = set()
     for g in sympy.groebner([sympy_poly(sympy, syms, f) for f in polys],
                             *syms, modulus=P, order="grevlex").polys:

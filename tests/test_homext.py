@@ -147,7 +147,8 @@ def test_hom_of_free_basis_is_block_copies(seed, quotient):
     """The relation basis hom_of_free builds from block copies of N's is
     the reduced Groebner basis a Buchberger run computes from Hom's
     relations, the block copies of N's relations: the same cover, the same
-    lead terms and the same normal forms."""
+    lead terms and the same normal forms.  Its elements are N's basis
+    elements shifted block by block."""
     rng = random.Random(700 + seed)
     ring = Ring(P, ("x", "y", "z"), quotient=list(quotient))
     ncover = FreeModule(ring, (0, rng.choice([0, 1])))
@@ -168,6 +169,9 @@ def test_hom_of_free_basis_is_block_copies(seed, quotient):
                                         for (i, m), c in r.data.items()})
                   for k in range(F.rank) for r in rels]
     computed = groebner_basis(block_rels, cover)
+    assert list(blocks) == [
+        ModuleElement(cover, {(k * nb + i, m): c for (i, m), c in e.data.items()})
+        for k in range(F.rank) for e in N.relations_gb()]
     assert sorted(blocks.lead_terms()) == sorted(computed.lead_terms())
     for _ in range(6):
         v = _random_element(cover, rng.randint(1, 5), rng)
