@@ -2,7 +2,8 @@
 
 ``gext run FILE`` prints the text rendering of every compute statement;
 ``--json`` emits a single JSON document instead.  Exit codes: 0 on
-success, 1 on a parse error, 2 on a computation error.
+success, 1 on an input error (a parse error, or a ``--prime`` that is not
+a prime in [2, 2^31)), 2 on a computation error.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import click
 from .gmod import GradedModule, hilbert_function
 from .script import (DEFAULT_PRIME, ComputationError, ResultRecord,
                      parse_script, run_script)
-from .ring import ParseError
+from .ring import ParseError, is_modulus
 
 HILBERT_WINDOW = 8  # degrees reported in JSON module payloads
 
@@ -98,6 +99,10 @@ def main():
               help="coefficient prime for rings declared with 'kk'")
 def run(script_file, as_json, prime):
     """Execute SCRIPT_FILE and print its compute results."""
+    if not is_modulus(prime):
+        click.echo(f"input error: --prime {prime} is not a prime in "
+                   "[2, 2^31)", err=True)
+        sys.exit(1)
     try:
         with open(script_file, encoding="utf-8") as fh:
             script = parse_script(fh.read())

@@ -149,8 +149,7 @@ class ModuleElement:
             return self
         from .groebner import DivisorIndex, normal_form_terms
         return ModuleElement(self.ambient, normal_form_terms(
-            self.ambient, DivisorIndex(ring.quotient_groebner()), self.data,
-            None))
+            self.ambient, DivisorIndex(ring), self.data, None))
 
     def __eq__(self, other):
         return (isinstance(other, ModuleElement) and self.ambient == other.ambient

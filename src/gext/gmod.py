@@ -4,7 +4,11 @@ A GradedModule is the cokernel of a GradedMatrix; its generators are the
 basis vectors of the matrix target ("cover").  Subobjects are immediately
 re-presented as cokernels through `subquotient`, which computes minimal
 generators and minimal relations with the Groebner engine, so its output
-is a minimal presentation and callers do not `prune` it again.
+is a minimal presentation.  It marks the module it returns as minimally
+presented (a private slot that `__eq__` and `__hash__` ignore), and
+`prune` returns a marked module as it is, with the identity map: so
+`free_resolution`, which prunes first, resolves a `subquotient` result
+directly.
 `subquotient` gets its minimal generators and their syzygies modulo its
 relations from one tracked engine run (`generators_and_syzygies`), and
 minimalizes those syzygies with `minimal_generators`; `kernel_of_map`
@@ -29,12 +33,13 @@ from .ring import AlgebraError, Ring, RingMismatch
 class GradedModule:
     """Cokernel of a presentation matrix between graded free modules."""
 
-    __slots__ = ("presentation", "_gb", "_s_res")
+    __slots__ = ("presentation", "_gb", "_s_res", "_minimal")
 
     def __init__(self, presentation: GradedMatrix):
         self.presentation = presentation
         self._gb = None
         self._s_res = None
+        self._minimal = False   # set by subquotient: minimally presented
 
     @property
     def ring(self) -> Ring:
@@ -194,11 +199,14 @@ def subquotient(gens, rels, ambient: FreeModule):
     """
     gmin, syz = generators_and_syzygies(gens, rels=rels, ambient=ambient)
     if not gmin:
-        return zero_module(ambient.ring), []
-    _, relmin = minimal_generators(syz.columns, ambient=syz.target)
-    src = FreeModule(ambient.ring, tuple(c.degree() for c in relmin))
-    pres = GradedMatrix(src, syz.target, relmin, check=False)
-    return GradedModule(pres), gmin
+        module = zero_module(ambient.ring)
+    else:
+        _, relmin = minimal_generators(syz.columns, ambient=syz.target)
+        src = FreeModule(ambient.ring, tuple(c.degree() for c in relmin))
+        module = GradedModule(GradedMatrix(src, syz.target, relmin,
+                                           check=False))
+    module._minimal = True
+    return module, gmin
 
 
 def _inclusion(sub: GradedModule, gelts, module: GradedModule) -> ModuleMap:
@@ -212,7 +220,11 @@ def _inclusion(sub: GradedModule, gelts, module: GradedModule) -> ModuleMap:
 # -- operations ------------------------------------------------------------------
 
 def prune(module: GradedModule):
-    """Minimal presentation plus the isomorphism back to `module`."""
+    """Minimal presentation plus the isomorphism back to `module`; a module
+    `subquotient` returned is one already, so it comes back as it is, with
+    the identity."""
+    if module._minimal:
+        return module, ModuleMap.identity(module)
     cover = module.cover
     gens = [cover.basis_element(j) for j in range(cover.rank)]
     pruned, gelts = subquotient(gens, module.relations_gb(), cover)

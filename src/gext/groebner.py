@@ -19,16 +19,22 @@ inline, with the guard mask of `monomial`, rather than through
 `MonomialContext` calls; so do `_process_pair` and the chain criterion.
 Its callers are `ModuleComputation` (tracked or untracked, inside
 Buchberger), `GroebnerBasis.reduce` (hence `normal_form`), `_autoreduce`
-(tails of a finished basis) and, through `Ring.reduce_terms` and
+(tails of the elements a run added) and, through `Ring.reduce_terms` and
 `ModuleElement.reduced`, the canonical forms of quotient-ring elements.
 
 Each component's entries begin with *fixed* divisors, which carry no
-track: first the quotient divisors GB(I) e_comp of R = S/I, then the
-elements of the Groebner basis of the relations (the ambient submodule
-the computation works modulo), entered once, up front.  The engine forms
-no S-pair among fixed entries: they already form a Groebner basis, so by
-Buchberger's criterion those pairs reduce to zero.  Pairs are formed only
-between each new element and the fixed entries, and among new elements.
+track: first the quotient divisors GB(I) e_comp of R = S/I, built once
+per ring and shared by every index, then the elements of the Groebner
+basis of the relations (the ambient submodule the computation works
+modulo), entered once, up front.  The engine forms no S-pair among fixed
+entries: they already form a Groebner basis, so by Buchberger's
+criterion those pairs reduce to zero.  Pairs are formed only between
+each new element and the fixed entries, and among new elements.  The
+finished basis does not redo the fixed entries either: `_autoreduce`
+passes the relation entries through as they came, dropping only those
+whose lead a new lead divides, and sorts and tail-reduces the new
+elements alone.  Those tails are the only entries ever changed after
+they are built, so fixed entries are shared between indexes.
 
 Three criteria drop pairs; the F and chain criteria hold in tracked and
 untracked runs alike.  The product criterion drops a pair with coprime
@@ -90,18 +96,21 @@ class DivisorIndex(dict):
     """comp -> divisor entries [lead, tail, track, pure] for
     `normal_form_terms`: the quotient divisors GB(I) e_comp first (filled in
     on first lookup, with no track), then the divisors appended with `add`,
-    in insertion order."""
+    in insertion order.
 
-    __slots__ = ("quot",)
+    The quotient divisors of a component are built once per ring
+    (`Ring.quotient_divisors`); each index copies that list and shares its
+    entries, which nothing mutates."""
 
-    def __init__(self, quot):
+    __slots__ = ("ring", "nq")
+
+    def __init__(self, ring):
         super().__init__()
-        self.quot = quot    # ((lead, terms sorted descending), ...)
+        self.ring = ring
+        self.nq = len(ring.quotient_groebner())   # quotient divisors per comp
 
     def __missing__(self, comp):
-        entries = self[comp] = [
-            [lead, tuple(((comp, m), c) for m, c in qterms[1:]), None, True]
-            for lead, qterms in self.quot]
+        entries = self[comp] = list(self.ring.quotient_divisors(comp))
         return entries
 
     def add(self, comp, lead, tail, track):
@@ -214,8 +223,7 @@ class ModuleComputation:
         self.p = ring.p
         self.twists = ambient.twists
         self.track = track
-        self.quot = ring.quotient_groebner()
-        self._index = DivisorIndex(self.quot)
+        self._index = DivisorIndex(ring)
         # comp -> number of fixed entries (quotient divisors, then the
         # relation basis); components not listed have only the former
         self._nfixed: dict = {}
@@ -275,7 +283,7 @@ class ModuleComputation:
             track = {k: (v * inv) % p for k, v in track.items()}
         new = self._index.add(comp, lead, tail, track)
         entries = self._index[comp]
-        nq = len(self.quot)
+        nq = self._index.nq
         nfixed = self._nfixed.get(comp, nq)
         # one pair per distinct lcm (the F criterion), the partners taken
         # in index order: quotient divisors, the other fixed entries, the
@@ -359,10 +367,12 @@ class ModuleComputation:
 # -- public operations ------------------------------------------------------
 
 class GroebnerBasis:
-    """Auto-reduced, monic Groebner basis of a submodule of a free module,
-    held as the divisor index `reduce` uses (built by `_autoreduce`): its
-    elements are the entries past each component's quotient divisors.
-    Iterating over it builds them, component by component."""
+    """Minimal, monic Groebner basis of a submodule of a free module, held
+    as the divisor index `reduce` uses (built by `_autoreduce`): its
+    elements are the entries past each component's quotient divisors, the
+    relation basis the run was given first, as it came, then the elements
+    the run added, tail-reduced.  Iterating over it builds them, component
+    by component."""
 
     def __init__(self, ambient: FreeModule, index: DivisorIndex):
         self.ambient = ambient
@@ -371,7 +381,7 @@ class GroebnerBasis:
     def _entries(self):
         """(comp, entry) of each basis element, as a list: `reduce` may add
         components to the index while an iteration is under way."""
-        nq = len(self._index.quot)
+        nq = self._index.nq
         return [(comp, entry) for comp, entries in self._index.items()
                 for entry in entries[nq:]]
 
@@ -408,7 +418,7 @@ class GroebnerBasis:
         """
         nb = self.ambient.rank
         entries = self._entries()
-        index = DivisorIndex(self._index.quot)
+        index = DivisorIndex(ambient.ring)
         for k in range(copies):
             off = k * nb
             for comp, (lead, tail, _, pure) in entries:
@@ -427,8 +437,7 @@ def relation_basis(rels, ambient: FreeModule) -> GroebnerBasis:
         return rels
     rels = list(rels)
     if not rels:
-        return GroebnerBasis(ambient,
-                             DivisorIndex(ambient.ring.quotient_groebner()))
+        return GroebnerBasis(ambient, DivisorIndex(ambient.ring))
     return groebner_basis(rels, ambient=ambient)
 
 
@@ -444,23 +453,29 @@ def groebner_basis(gens, ambient: FreeModule = None, rels=()) -> GroebnerBasis:
 
 
 def _autoreduce(comp: ModuleComputation) -> GroebnerBasis:
-    """Keep basis entries with minimal leads, in (degree, comp, lead)
-    order, and tail-reduce them in place."""
+    """The finished basis of a run, on a new index.  In each component: the
+    fixed relation entries as the run was given them, less those whose lead
+    the lead of a new element divides, then the new elements in (degree,
+    lead) order, tail-reduced.
+
+    No new lead divides another lead of the run: each new element is a
+    normal form modulo every entry before it, and they come in
+    nondecreasing degree, so only the fixed entries need the test."""
     ctx = comp.ctx
-    nq = len(comp.quot)
-    basis = sorted(
-        ((c, e) for c, entries in comp._index.items() for e in entries[nq:]),
-        key=lambda ce: (ctx.degree(ce[1][0]) + comp.twists[ce[0]], ce[0],
-                        -ce[1][0]))
+    nq = comp._index.nq
+    index = DivisorIndex(comp.ambient.ring)
+    added = []
+    for c, entries in comp._index.items():
+        nfixed = comp._nfixed.get(c, nq)
+        new = sorted(entries[nfixed:], key=lambda e: (ctx.degree(e[0]), -e[0]))
+        leads = [e[0] for e in new]
+        index[c].extend(e for e in entries[nq:nfixed]
+                        if not any(ctx.divides(lead, e[0]) for lead in leads))
+        added += [index.add(c, lead, tail, None) for lead, tail, _, _ in new]
     # One index for all tails: b never divides its own tail, whose terms lie
     # below b's lead and only shrink under reduction, while a multiple of a
     # lead is never smaller than it in a degree-compatible order.
-    index = DivisorIndex(comp.quot)
-    kept = []
-    for c, (lead, tail, _, _) in basis:
-        if not any(ctx.divides(e[0], lead) for e in index[c][nq:]):
-            kept.append(index.add(c, lead, tail, None))
-    for entry in kept:
+    for entry in added:
         # later reductions use the reduced tail.  `pure` stays as read off
         # the unreduced one: the two differ by multiples of basis elements
         # below the lead, so the product criterion still holds.

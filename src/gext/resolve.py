@@ -1,7 +1,9 @@
 """Minimal graded free resolutions and Betti statistics.
 
-Built by iterated syzygy computation: prune the module, take minimal
-generators of the syzygies of each differential's columns, repeat.
+Built by iterated syzygy computation: prune the module (a module that
+`subquotient` returned is minimally presented already and is resolved as
+it is, with its own relation columns), take minimal generators of the
+syzygies of each differential's columns, repeat.
 Because every column set is a minimal generating set, the syzygy
 generators have no unit entries and the resolution is minimal by
 construction.  Over a quotient ring resolutions can be infinite, so a

@@ -47,6 +47,12 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def is_modulus(p: int) -> bool:
+    """p is a prime in [2, 2^31), the coefficient primes a `Ring` takes.
+    The range is checked first: trial division of a huge p never ends."""
+    return 2 <= p < 2**31 and is_prime(p)
+
+
 def field_inverse(c: int, p: int) -> int:
     c %= p
     if c == 0:
@@ -61,7 +67,7 @@ class Ring:
     """Z/p[variables], or its quotient by homogeneous `quotient` polynomials."""
 
     def __init__(self, p: int, variables, quotient=()):
-        if not (2 <= p < 2**31) or not is_prime(p):
+        if not is_modulus(p):
             raise AlgebraError(f"{p} is not a prime in [2, 2^31)")
         variables = tuple(variables)
         if len(set(variables)) != len(variables):
@@ -74,6 +80,7 @@ class Ring:
         self.nvars = len(variables)
         self.ctx: MonomialContext = context(self.nvars)
         self._quotient_gb = None
+        self._quotient_divisors: dict = {}     # comp -> divisor entries
         self._module = None     # R as a module over itself: gmod.ring_module
         if quotient:
             base = Ring(p, variables)
@@ -162,6 +169,21 @@ class Ring:
                 self._quotient_gb = ideal_groebner(self.base, self.quotient)
         return self._quotient_gb
 
+    def quotient_divisors(self, comp: int) -> list:
+        """The divisor entries [lead, tail, None, True] of GB(I) e_comp
+        that begin component comp of every `groebner.DivisorIndex`.
+
+        Built once per component and shared: an index copies the list and
+        never mutates its entries.
+        """
+        entries = self._quotient_divisors.get(comp)
+        if entries is None:
+            entries = self._quotient_divisors[comp] = [
+                [lead, tuple(((comp, m), c) for m, c in qterms[1:]), None,
+                 True]
+                for lead, qterms in self.quotient_groebner()]
+        return entries
+
     def reduce_terms(self, terms: dict) -> dict:
         """Reduce a term dict modulo the quotient ideal (no-op over S)."""
         gb = self.quotient_groebner()
@@ -169,7 +191,7 @@ class Ring:
             return terms
         from .free import FreeModule
         from .groebner import DivisorIndex, normal_form_terms
-        out = normal_form_terms(FreeModule(self, (0,)), DivisorIndex(gb),
+        out = normal_form_terms(FreeModule(self, (0,)), DivisorIndex(self),
                                 {(0, m): c for m, c in terms.items()}, None)
         return {m: c for (_, m), c in out.items()}
 

@@ -31,7 +31,7 @@ from .gmod import (GradedModule, direct_sum, free_module_of, hilbert_function,
                    krull_dim, ring_module, truncate_module, twist)
 from .groebner import MINUS_INF
 from .resolve import betti_stats, free_resolution
-from .ring import AlgebraError, ParseError, Ring, is_prime, parse_polynomial
+from .ring import AlgebraError, ParseError, Ring, is_modulus, parse_polynomial
 from .sheafext import (global_ext, global_ext_sum, sheaf_cohomology,
                        sheaf_cohomology_sum, yoneda_extension)
 
@@ -169,8 +169,7 @@ def _parse_ring(toks):
         toks.expect("/")
         line, col = toks.peek()[2:]
         prime = int(toks.expect_kind("num"))
-        # the range first: trial division of a huge modulus never ends
-        if not (2 <= prime < 2**31 and is_prime(prime)):
+        if not is_modulus(prime):
             raise ScriptError(f"{prime} is not a prime in [2, 2^31)",
                               line, col)
     elif value != "kk":

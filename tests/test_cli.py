@@ -316,6 +316,25 @@ def test_prime_override_only_for_kk(tmp_path):
     assert result.exit_code == 0
 
 
+@pytest.mark.parametrize("prime", ["4", "1000000000000000003"])
+@pytest.mark.parametrize("ring", ["ZZ/7[x]", "kk[x]"])
+def test_invalid_prime_option_is_input_error(tmp_path, ring, prime):
+    """--prime is checked when the command line is read, range first, so a
+    huge value fails at once: an input error naming --prime, exit 1, even
+    when the script declares no kk ring."""
+    f = tmp_path / "s.gx"
+    f.write_text(f"ring R = {ring};\ncompute hilbert(R, 1);\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "gext.cli", "run", "--json", "--prime", prime,
+         str(f)], capture_output=True, text=True, timeout=20,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (f"input error: --prime {prime} is not a prime in "
+                           "[2, 2^31)\n")
+
+
 def test_module_payload_shapes(elliptic_ring):
     from gext import ring_module, truncate_module
     m = truncate_module(ring_module(elliptic_ring), 1)

@@ -10,11 +10,13 @@ import random
 
 import pytest
 
-from gext import (Ring, cokernel, free_module_of, free_resolution,
-                  groebner_basis, hilbert_function, minimal_generators,
-                  ring_module, syzygies, truncate_module)
+from gext import (Ring, betti_stats, cokernel, free_module_of,
+                  free_resolution, groebner_basis, hilbert_function,
+                  minimal_generators, prune, ring_module, syzygies,
+                  truncate_module)
 from gext import homext
 from gext.free import FreeModule, GradedMatrix, ModuleElement
+from gext.gmod import GradedModule
 
 from oracles import module_component_dim, monomial_exponents
 
@@ -79,6 +81,38 @@ def test_resolution_of_random_module_is_exact(seed, quotient):
     ring = Ring(P, ("x", "y", "z"), quotient=list(quotient))
     module = random_module(ring, rng)
     res = free_resolution(module, length_cap=3 if quotient else None)
+    assert_exact(res, module, 7)
+
+
+@pytest.mark.parametrize("quotient", [(), ("x^3 + y^3 - z^3",)])
+@pytest.mark.parametrize("seed", range(6))
+def test_resolution_of_a_subquotient_result_is_not_pruned_again(seed,
+                                                                quotient):
+    """A module subquotient returns is marked minimally presented, so prune
+    returns it as it is and free_resolution resolves it directly.  Its
+    resolution has the Betti table and differential degrees of the same
+    presentation without the mark, which free_resolution prunes first, and
+    it is exact.  The inputs are those of
+    test_resolution_of_random_module_is_exact."""
+    rng = random.Random(1200 + seed)
+    ring = Ring(P, ("x", "y", "z"), quotient=list(quotient))
+    module = random_module(ring, rng)
+    marked, _ = prune(module)
+    same, iso = prune(marked)
+    assert same is marked
+    assert (iso.source, iso.target, iso.degree) == (marked, marked, 0)
+    assert iso.matrix.columns == GradedMatrix.identity(marked.cover).columns
+
+    cap = 3 if quotient else None
+    res = free_resolution(marked, length_cap=cap)
+    unmarked = free_resolution(GradedModule(marked.presentation),
+                               length_cap=cap)
+    assert res.module is marked
+    assert betti_stats(res).entries == betti_stats(unmarked).entries
+    assert [(d.source.twists, d.target.twists) for d in res.differentials] \
+        == [(d.source.twists, d.target.twists)
+            for d in unmarked.differentials]
+    assert res.complete == unmarked.complete
     assert_exact(res, module, 7)
 
 

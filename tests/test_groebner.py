@@ -460,6 +460,51 @@ def random_span_element(gens, degree, rng):
 
 
 @pytest.mark.parametrize("quotient", [(), ("x^3 + y^3 - z^3",)])
+def test_fixed_relations_pass_through(quotient):
+    """groebner_basis(gens, rels=gb) keeps gb's entries as they came: each
+    has its lead and tail unchanged unless the lead of a new element
+    divides its lead, and then it is dropped.  No lead divides another in
+    its component, and membership agrees with a basis of gens and gb's
+    elements computed from scratch.  Rank 3, four relations and one
+    generator of degree 2-3, so that some fixed leads are divisible by a
+    new one and some are not; six seeds."""
+    ring = Ring(P, ("x", "y", "z"), quotient=list(quotient))
+    ctx = ring.ctx
+    fm = FreeModule(ring, (0, 1, 0))
+    kept = dropped = members = 0
+    for seed in range(6):
+        rng = random.Random(2600 + seed)
+        rels = [random_module_element(fm, rng.choice([2, 3]), rng)
+                for _ in range(4)]
+        gens = [random_module_element(fm, rng.choice([2, 3]), rng)]
+        fixed = groebner_basis(rels, ambient=fm)
+        gb = groebner_basis(gens, ambient=fm, rels=fixed)
+        fixed_entries = [(c, e[0], e[1]) for c, e in fixed._entries()]
+        entries = [(c, e[0], e[1]) for c, e in gb._entries()]
+        new_leads = [(c, lead) for c, lead, tail in entries
+                     if (c, lead, tail) not in fixed_entries]
+        for c, lead, tail in fixed_entries:
+            if (c, lead, tail) in entries:
+                kept += 1
+            else:
+                dropped += 1
+                assert any(j == c and m != lead and ctx.divides(m, lead)
+                           for j, m in new_leads)
+        for i, (c, a, _) in enumerate(entries):
+            assert not any(j == c and k != i and ctx.divides(b, a)
+                           for k, (j, b, _) in enumerate(entries))
+
+        scratch = groebner_basis(gens + list(fixed), ambient=fm)
+        for _ in range(8):
+            d = rng.choice([2, 3, 4])
+            inside = random_span_element(gens + list(fixed), d, rng)
+            for v in (inside, inside + random_module_element(fm, d, rng)):
+                members += gb.contains(v)
+                assert gb.contains(v) == scratch.contains(v)
+    assert kept and dropped and 0 < members < 6 * 16
+
+
+@pytest.mark.parametrize("quotient", [(), ("x^3 + y^3 - z^3",)])
 @pytest.mark.parametrize("seed", range(4))
 def test_normal_form_higher_rank(seed, quotient):
     """normal_form on modules of rank 2 and 3, over S and over S/I: no term

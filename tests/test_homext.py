@@ -176,3 +176,19 @@ def test_hom_of_free_basis_is_block_copies(seed, quotient):
     for _ in range(6):
         v = _random_element(cover, rng.randint(1, 5), rng)
         assert blocks.reduce(v).data == computed.reduce(v).data
+
+
+def test_shared_quotient_divisors_stay_pristine(quartic_ring):
+    """Every divisor index copies its components' quotient divisors from
+    the lists cached on the ring and shares their entries, so no engine run
+    may change them: after Ext computations over the rational quartic,
+    each cached list equals a fresh build from quotient_groebner()."""
+    R = ring_module(quartic_ring)
+    for r in (1, 2):
+        ext_module(1, truncate_module(R, r), R)
+    cached = quartic_ring._quotient_divisors
+    assert len(cached) > 1
+    for comp, entries in cached.items():
+        assert entries == [
+            [lead, tuple(((comp, m), c) for m, c in terms[1:]), None, True]
+            for lead, terms in quartic_ring.quotient_groebner()]
