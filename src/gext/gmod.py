@@ -12,14 +12,16 @@ directly.
 `subquotient` gets its minimal generators and their syzygies modulo its
 relations from one tracked engine run (`generators_and_syzygies`), and
 minimalizes those syzygies with `minimal_generators`; `kernel_of_map`
-takes its kernel from `syzygies(gens, rels=...)`.  Both track only the
-generators, never the relations.
+takes its kernel from `syzygies(gens, rels=...)`, given the source's
+relations as known syzygies, as it presents the kernel modulo them.
+Both track only the generators, never the relations.
 
 A module caches on itself, on first use, the Groebner basis of its
 relations (`relations_gb`) and the S-free resolution of its restriction
-of scalars (`s_resolution`, read by `krull_dim` and Algorithm 3.1).  No
-cache is shared between modules; `ring_module` returns one module per
-`Ring` object, so every use of R as a module shares that module's caches.
+of scalars (`s_resolution`, read by `krull_dim` and Algorithm 3.1),
+whose relation basis is the module's own read over S.  No cache is
+shared between modules; `ring_module` returns one module per `Ring`
+object, so every use of R as a module shares that module's caches.
 """
 
 from __future__ import annotations
@@ -278,7 +280,7 @@ def direct_sum(a: GradedModule, b: GradedModule) -> GradedModule:
 def kernel_of_map(f: ModuleMap):
     """(K, inclusion K -> source(f))."""
     syz = syzygies(f.matrix.columns, rels=f.target.relations_gb(),
-                   ambient=f.target.cover)
+                   ambient=f.target.cover, known=f.source.relations_gb())
     scover = f.source.cover
     pre = [ModuleElement(scover, c.data) for c in syz.columns]
     kernel, gelts = subquotient(pre, f.source.relations_gb(), scover)
@@ -333,7 +335,10 @@ def hilbert_function(module: GradedModule, d: int) -> int:
 
 
 def restrict_scalars(module: GradedModule) -> GradedModule:
-    """View a module over R = S/I as a module over S."""
+    """View a module over R = S/I as a module over S.
+
+    Its relation basis is the module's own basis read over S
+    (`GroebnerBasis.over_base`), so no Buchberger run builds it again."""
     ring = module.ring
     if not ring.is_quotient:
         return module
@@ -348,7 +353,9 @@ def restrict_scalars(module: GradedModule) -> GradedModule:
                 tgt, {(j, m): c for m, c in f.terms.items()}))
             src_twists.append(a + d)
     src = FreeModule(base, tuple(src_twists))
-    return GradedModule(GradedMatrix(src, tgt, cols, check=False))
+    restricted = GradedModule(GradedMatrix(src, tgt, cols, check=False))
+    restricted._gb = module.relations_gb().over_base(tgt)
+    return restricted
 
 
 def krull_dim(module: GradedModule):

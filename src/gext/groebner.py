@@ -36,45 +36,94 @@ whose lead a new lead divides, and sorts and tail-reduces the new
 elements alone.  Those tails are the only entries ever changed after
 they are built, so fixed entries are shared between indexes.
 
-Three criteria drop pairs; the F and chain criteria hold in tracked and
-untracked runs alike.  The product criterion drops a pair with coprime
-leads against a quotient divisor q e_comp: S(s, q e_comp) =
-q * tail(s) - tail(q) * s is a standard representation, as q * tail(s)
-reduces to zero by the quotient divisors of every component, and the
-syzygy it stands for, q * track(s), is zero over R = S/I, so this holds
-in tracked runs too.  Between two elements that each lie in one component
-it drops coprime pairs only when nothing is tracked, since their Koszul
-syzygy is needed.  The F criterion (Gebauer and Moeller):
-a new element queues at most one pair per distinct lcm, taking its
-partners in index order (quotient divisors, other fixed entries, earlier
-new elements), and a pair the product criterion drops still uses up its
-lcm.  If lcm(new, x1) = lcm(new, x2) = L with x1 first, the syzygy of
-(new, x2) is that of (new, x1) plus L / lcm(x1, x2) times that of
-(x1, x2), an older pair or one between fixed entries.  The chain
-criterion skips a pair (s, t) when the lead of another entry e, fixed or
-new, divides lcm(s, t) while lcm(s, e) and lcm(e, t) are both strictly
-smaller: the syzygy of (s, t) is a combination of those of (s, e) and
-(e, t), pairs of lower degree that were processed or dropped by a
-criterion before.  A pair between two fixed entries needs no processing:
-it reduces to zero by the fixed entries alone, and its syzygy projects
-to zero on the tracked coordinates.
+Schreyer leads.  Number the entries in insertion order, fixed entries
+first, and give entry b the unit e_b of a free module E; E -> F sends e_b
+to b, and its kernel Syz(G) holds the syzygies of the final basis G.  The
+Schreyer order on E compares m e_a and m' e_b by the terms m lead(a) and
+m' lead(b), the newer entry winning a tie.  A pair of entries h and n, n
+the newer, with L = lcm(lead h, lead n), stands for the syzygy of leads
+p(h, n) = (L / lead n) e_n - (L / lead h) e_h, whose Schreyer lead is
+(L / lead n) e_n: the multiplier of n is read off L.  Pairs are taken
+by degree (of L, with its twist); within one, by n, then by L, which is
+the Schreyer order on each e_n.
+
+Three criteria drop pairs, in tracked and untracked runs alike.  The
+product criterion drops a pair with coprime leads against a quotient
+divisor q e_comp: S(s, q e_comp) = q * tail(s) - tail(q) * s is a standard
+representation, as q * tail(s) reduces to zero by the quotient divisors of
+every component, and the syzygy it stands for, q * track(s), is zero over
+R = S/I, so this holds in tracked runs too.  Between two elements that
+each lie in one component it drops coprime pairs only when nothing is
+tracked, since their Koszul syzygy is needed.  The chain criterion skips
+a pair (s, t) when the lead of another entry e, fixed or new, divides
+L = lcm(s, t) while lcm(s, e) and lcm(e, t) are both strictly smaller:
+p(s, t) = (L / lcm(s, e)) p(s, e) + (L / lcm(e, t)) p(e, t), pairs of
+lower degree.  The Schreyer-lead criterion (Moeller, Mora and Traverso):
+every pair taken, whether the chain criterion then skips it or it is
+reduced, and every pair the product criterion drops, records its L on
+n; a pair is skipped unreduced when its L is a multiple of one already
+recorded on n, that is when its Schreyer lead is a multiple of a
+recorded one; a new entry whose lead the lead of an earlier new entry
+divides queues that pair alone, as every other pair of it has a multiple
+of its Schreyer lead, 1 e_n.  A known syzygy records its Schreyer lead
+too (below).  One pair per lcm, the F criterion of Gebauer and Moeller,
+is the case of equal multiples.  A pair between two fixed entries needs
+no processing: it reduces to zero by the fixed entries alone, and its
+syzygy projects to zero on the tracked coordinates.
+
+Why this is enough.  (1) Buchberger's criterion in Moeller's form: G is a
+Groebner basis if some generating set of the syzygies of its leads lifts,
+each element s (homogeneous, of image term T) to a syzygy of G that is s
+plus terms of image below T; the lifts then generate Syz(G) (Moeller
+1988; for the pairs, Schreyer's theorem, Eisenbud Thm 15.10), and a lift
+has the Schreyer lead of s.  (2) The p(h, n) generate the syzygies of the
+leads.  A reduced pair lifts, through its reduction to zero or to a new
+element; so do a product pair (its Koszul syzygy), a pair of fixed
+entries (they form a Groebner basis) and the top part of a known syzygy
+(to the syzygy itself).  (3) Each skipped p lies in the span of lifting
+ones, by induction along the well-order on the pairs by (L, n), pairs
+taken before pairs skipped and then in the order they were taken.  The
+chain criterion writes p by pairs of smaller L.  When the skipping
+record on n came from p' = p(h', n) or from the top part of a known
+syzygy, with lead dividing that of p(h, n), then p(h, n) less the
+matching multiple of it has no e_n term and all its terms of image L:
+a syzygy of the leads of entries older than n, so a combination of pairs
+of such entries with lcm dividing L, all earlier in the order; p' itself
+was taken or dropped by the product criterion, so it lifts or is in turn
+a combination of earlier pairs.  (4) The tracks map e_b to the track of
+b, zero for a fixed entry.  On a lift this gives the syzygy a reduced
+pair emitted, or zero when it made a new element; zero for a product
+pair (over R) and for fixed pairs; the known syzygy itself for a known
+one.  Every syzygy c of the generators modulo the fixed entries is such
+an image, of sum c_j (generator j written by the entries), plus columns
+the intake emitted.  So the emitted columns, with the known syzygies,
+generate the syzygies modulo the relations.
 
 The heap holds only S-pairs.  Generators enter by one of two intakes, in
 (degree, index) order, tracked when the run is.  The complete intake
 (`groebner_basis`, `syzygies`, `express_in_generators`) processes the
 pairs up to a generator's degree d, then inserts it, tracked as its
-index.  The minimal intake (`minimal_generators`,
-`generators_and_syzygies`) first reduces a generator against the basis
-so far: a zero remainder proves it redundant.  Only a nonzero remainder
-makes the engine process the pairs of degree <= d; reduced again, it is
-kept if still nonzero, the k-th kept element tracked as k.  A remainder
-fully reduced against a basis complete through degree d is unique, so the
-kept elements and the order in which the basis grows are those of the
-complete intake run on them, and pairs above the last kept generator
-wait until they are asked for.
+index, reduced modulo the basis so far.  A generator g_j that a known
+syzygy involves (`syzygies(..., known=...)`) is reduced modulo the fixed
+entries only, and enters (if nonzero) as b_j = g_j / c modulo the fixed
+entries, tracked as e_j / c.  A known syzygy sum c_j e_j then lifts to
+sum c_j c e_{b_j} less a standard representation by the fixed entries of
+what that leaves; the latter has terms of image at most the greatest
+mu lead(b_j) of a term mu e_j, on older entries, so the Schreyer lead is
+the term mu e_j that maximises (mu lead(b_j), entry number), recorded on
+b_j once the last generator of the syzygy is in.  The minimal intake
+(`minimal_generators`, `generators_and_syzygies`) first reduces a
+generator against the basis so far: a zero remainder proves it
+redundant.  Only a nonzero remainder makes the engine process the pairs
+of degree <= d; reduced again, it is kept if still nonzero, the k-th kept
+element tracked as k.  A remainder fully reduced against a basis complete
+through degree d is unique, so the kept elements and the order in which
+the basis grows are those of the complete intake run on them, and pairs
+above the last kept generator wait until they are asked for.
 
-Determinism: pair selection by (degree of the lcm term, insertion
-sequence); all containers iterate in insertion order.
+Determinism: pair selection by (degree of the lcm term, newer entry,
+lcm term, insertion sequence); all containers iterate in insertion
+order.
 """
 
 from __future__ import annotations
@@ -224,25 +273,83 @@ class ModuleComputation:
         self.twists = ambient.twists
         self.track = track
         self._index = DivisorIndex(ring)
+        # the fixed entries alone, for generators a known syzygy involves
+        self._fixed = relation_basis(rels, ambient)._index
         # comp -> number of fixed entries (quotient divisors, then the
         # relation basis); components not listed have only the former
         self._nfixed: dict = {}
-        for comp, entries in relation_basis(rels, ambient)._index.items():
+        for comp, entries in self._fixed.items():
             self._index[comp] = list(entries)
             self._nfixed[comp] = len(entries)
         self.events: list = []
         self._seq = itertools.count()
+        # per new element, in insertion order: the Schreyer leads recorded
+        # on it, as the terms lcm of their pairs (module docstring)
+        self._leads: list[list] = []
         self.syzygy_tracks: list[dict] = []
 
     # -- the two intakes ------------------------------------------------------
 
-    def add_all(self, gens):
-        """The complete intake, then every remaining pair."""
+    def add_all(self, gens, known=()):
+        """The complete intake, then every remaining pair.
+
+        `known` holds syzygies of gens, elements of the gens' free module
+        (tracked runs only).  A generator that one of them involves enters
+        reduced modulo the fixed entries only, so its track is its unit
+        vector; every other generator is reduced modulo the basis so far.
+        Each known syzygy records its Schreyer lead once its last
+        generator is in."""
+        order = _by_degree(gens)
+        pending: dict = {}   # position of its last generator -> its support
+        if known:
+            position = {idx: pos for pos, (_, idx, _) in enumerate(order)}
+            for syz in known:
+                support = [jm for jm in syz.data if jm[0] in position]
+                if support:
+                    last = max(position[j] for j, _ in support)
+                    pending.setdefault(last, []).append(support)
+        supported = {j for supports in pending.values()
+                     for support in supports for j, _ in support}
         one = self.ctx.one
-        for d, idx, g in _by_degree(gens):
+        slots = {}           # gen index -> (entry number, comp, lead)
+        for pos, (d, idx, g) in enumerate(order):
             self.run(d)
-            self._insert(g.data, {(idx, one): 1} if self.track else None)
+            track = {(idx, one): 1} if self.track else None
+            if idx not in supported:
+                self._insert(g.data, track)
+                continue
+            terms = normal_form_terms(self.ambient, self._fixed, g.data, None)
+            if terms:
+                n = self._add_basis(terms, track)
+                slots[idx] = (n,) + next(iter(terms))
+            else:
+                self.syzygy_tracks.append(track)
+            for support in pending.get(pos, ()):   # idx is its last generator
+                self._record_known(support, slots)
         self.run()
+
+    def _record_known(self, support, slots):
+        """Record the Schreyer lead of a known syzygy with the given support
+        ((j, mu) of its terms): the mu e_j that maximises (mu * lead(b_j),
+        entry number of b_j), b_j the entry of generator j.  A generator
+        that is zero modulo the fixed entries has no entry and no part in
+        it."""
+        ctx = self.ctx
+        one, guards, shift = ctx.one, ctx.guards, ctx.degshift
+        best = None
+        for j, mu in support:
+            slot = slots.get(j)
+            if slot is None:
+                continue
+            n, comp, lead = slot
+            m = mu + lead - one
+            if m & guards:
+                raise ExponentOverflow("exponent overflow in product")
+            key = ((m >> shift) + self.twists[comp], -comp, m, n)
+            if best is None or key > best:
+                best = key
+        if best is not None:
+            self._leads[best[3]].append(best[2])
 
     def add_minimal(self, gens):
         """The minimal intake: (indices, reduced elements) of the kept
@@ -273,7 +380,8 @@ class ModuleComputation:
             self.syzygy_tracks.append(track)
 
     def _add_basis(self, terms, track):
-        """Add a normal form; its first term, the greatest, is the lead."""
+        """Add a normal form, its first term, the greatest, the lead, and
+        queue its pairs; returns its entry number."""
         p = self.p
         items = iter(terms.items())
         (comp, lead), lc = next(items)
@@ -282,31 +390,41 @@ class ModuleComputation:
         if track is not None:
             track = {k: (v * inv) % p for k, v in track.items()}
         new = self._index.add(comp, lead, tail, track)
+        n = len(self._leads)
+        leads = []
+        self._leads.append(leads)
         entries = self._index[comp]
         nq = self._index.nq
         nfixed = self._nfixed.get(comp, nq)
-        # one pair per distinct lcm (the F criterion), the partners taken
-        # in index order: quotient divisors, the other fixed entries, the
-        # earlier new elements.  A fixed partner is t, as it has no track.
-        # A pair the product criterion drops (coprime leads: the lcm has
-        # the degree of the product) still uses up its lcm.
+        # A fixed partner is t, as it has no track.  A pair the product
+        # criterion drops (coprime leads: the lcm has the degree of the
+        # product) records its Schreyer lead now.  When the lead of an
+        # earlier new entry divides this lead (a generator that entered
+        # modulo the fixed entries only), their pair has multiplier 1 and
+        # every other pair's Schreyer lead is a multiple of its lead: it is
+        # queued alone.
         ctx = self.ctx
         degree = ctx.degree
+        guards = ctx.guards
+        twist = self.twists[comp]
         untracked = not self.track
-        used = set()
-        for i, old in enumerate(entries[:-1]):
+        partners = enumerate(entries[:-1])
+        for i in range(nfixed, len(entries) - 1):
+            if not (entries[i][0] - lead) & guards:
+                partners = [(i, entries[i])]
+                break
+        for i, old in partners:
             lcm = ctx.lcm(lead, old[0])
-            if lcm in used:
-                continue
-            used.add(lcm)
             d = degree(lcm)
             if ((i < nq or (untracked and old[3] and new[3]))
                     and d == degree(lead) + degree(old[0])):
+                leads.append(lcm)
                 continue
             heapq.heappush(self.events, (
-                d + self.twists[comp], next(self._seq),
-                (new, old, lcm, comp) if i < nfixed
-                else (old, new, lcm, comp)))
+                d + twist, n, lcm, next(self._seq),
+                (new, old, lcm, comp, n) if i < nfixed
+                else (old, new, lcm, comp, n)))
+        return n
 
     def _chain_skip(self, comp, s, t, lcm):
         ctx = self.ctx
@@ -341,7 +459,13 @@ class ModuleComputation:
             else:
                 target.pop(k, None)
 
-    def _process_pair(self, s, t, lcm, comp):
+    def _process_pair(self, s, t, lcm, comp, n):
+        guards = self.ctx.guards
+        leads = self._leads[n]
+        for recorded in leads:
+            if not (recorded - lcm) & guards:
+                return
+        leads.append(lcm)
         if self._chain_skip(comp, s, t, lcm):
             return
         # the monic leads cancel: S = (lcm / lead_s) tail_s -
@@ -358,10 +482,11 @@ class ModuleComputation:
         self._insert(terms, track)
 
     def run(self, stop_degree=INF) -> None:
-        """Process the pending pairs of degree <= stop_degree."""
+        """Process the pending pairs of degree <= stop_degree; within a
+        degree by newer entry, then by lcm."""
         events = self.events
         while events and events[0][0] <= stop_degree:
-            self._process_pair(*heapq.heappop(events)[2])
+            self._process_pair(*heapq.heappop(events)[4])
 
 
 # -- public operations ------------------------------------------------------
@@ -427,6 +552,30 @@ class GroebnerBasis:
                      None, pure])
         return GroebnerBasis(ambient, index)
 
+    def over_base(self, ambient: FreeModule) -> "GroebnerBasis":
+        """This basis of a submodule N of a free module over R = S/I, read
+        in `ambient`, the free module over S with the same twists: the
+        basis of N's preimage, N + I*F.  In each component, the quotient
+        divisors GB(I) e_comp whose lead no element's lead divides, then
+        this basis's elements, their entries shared.
+
+        Valid without a Buchberger run: the run that built this basis
+        disposed of every pair among its elements and the quotient
+        divisors, which are its fixed entries, by the criteria that make
+        them a Groebner basis over S (module docstring).  A dropped
+        quotient divisor has a lead that an element's lead divides, and
+        no element's lead is divisible by a quotient lead."""
+        ctx = self.ambient.ring.ctx
+        nq = self._index.nq
+        index = DivisorIndex(ambient.ring)
+        for comp in range(self.ambient.rank):
+            entries = self._index[comp]
+            own = entries[nq:]
+            index[comp] = [q for q in entries[:nq]
+                           if not any(ctx.divides(e[0], q[0]) for e in own)]
+            index[comp] += own
+        return GroebnerBasis(ambient, index)
+
 
 def relation_basis(rels, ambient: FreeModule) -> GroebnerBasis:
     """rels as a Groebner basis in `ambient`: a GroebnerBasis is returned
@@ -488,8 +637,10 @@ def normal_form(v: ModuleElement, gb: GroebnerBasis) -> ModuleElement:
     return gb.reduce(v)
 
 
-def syzygies(gens, rels=(), ambient: FreeModule = None) -> GradedMatrix:
-    """Columns generate {c : sum c_i gens_i in span(rels) + I*F}.
+def syzygies(gens, rels=(), ambient: FreeModule = None,
+             known=()) -> GradedMatrix:
+    """Columns that, together with `known`, generate
+    {c : sum c_i gens_i in span(rels) + I*F}.
 
     This is the one "syzygies modulo relations" primitive.  rels is a
     GroebnerBasis of the relations, or an iterable of them turned into one
@@ -500,12 +651,19 @@ def syzygies(gens, rels=(), ambient: FreeModule = None) -> GradedMatrix:
     that wants a kernel modulo relations passes them as rels rather than
     tracking them in gens and discarding their coordinates.
 
+    `known` holds syzygies of gens modulo rels already in hand: a
+    GroebnerBasis, or an iterable of elements of the gens' free module.
+    The engine skips every pair whose syzygy the Schreyer lead of a known
+    one accounts for (module docstring), so a caller that works modulo
+    span(known) anyway gets fewer columns; with known=() the columns alone
+    generate.
+
     The result is a GradedMatrix into the free module on the degrees of
     gens (degree 0 for a zero generator).  Over the base polynomial ring
     with no rels, gens . result = 0 exactly.
     """
     gens, comp = _computation(gens, rels, ambient, track=True)
-    comp.add_all(gens)
+    comp.add_all(gens, known)
     return _syzygy_matrix(comp, gens)
 
 

@@ -9,7 +9,12 @@ along a minimal resolution of M.
 Both are computed by `_homology` at Hom(F, N).  One `syzygies` run gives
 the kernel of Hom(d_out, N) as columns over the cover of Hom(F, N), and
 `subquotient` presents their span modulo the known kernel K0: the
-relations of Hom(F, N) plus the image of Hom(d_in, N).
+relations of Hom(F, N) plus the image of Hom(d_in, N).  Every element of
+K0's basis lies in that kernel (N's relations map to relations, and
+d_out d_in = 0), so the `syzygies` run is given the basis as known
+syzygies: it skips the pairs whose syzygies K0 accounts for, and its
+columns generate the kernel together with K0, which is all that the
+presentation modulo K0 reads.
 
 Algorithm 3.1 reads Ext only in degrees >= e, so `ext_at_least` asks
 `_homology` for Ext_{>=low} itself rather than presenting all of Ext and
@@ -121,10 +126,10 @@ def _homology(free: FreeModule, d_in, d_out, target: GradedModule,
     map), in degrees >= low, as subquotient's (module, generator elements).
 
     The known kernel K0 (Hom(free, N)'s relation basis plus that image) is
-    the one relation basis.  Kernel columns below low are raised to low
-    modulo K0 first; that is exact because x_i K0_d lies in K0_{d+1} and R
-    is generated in degree 1 (module docstring), and only the raised span
-    is presented."""
+    the one relation basis, and the kernel run's known syzygies.  Kernel
+    columns below low are raised to low modulo K0 first; that is exact
+    because x_i K0_d lies in K0_{d+1} and R is generated in degree 1
+    (module docstring), and only the raised span is presented."""
     cover, known = hom_of_free(free, target)
     if d_in is not None:
         known = groebner_basis(induced_columns(d_in, target, cover), cover,
@@ -135,7 +140,7 @@ def _homology(free: FreeModule, d_in, d_out, target: GradedModule,
         next_cover, next_rels = hom_of_free(d_out.source, target)
         delta = induced_columns(d_out, target, next_cover)
         gens = [ModuleElement(cover, c.data) for c in syzygies(
-            delta, rels=next_rels, ambient=next_cover).columns]
+            delta, rels=next_rels, ambient=next_cover, known=known).columns]
     return subquotient(_raise(gens, known, cover, low), known, cover)
 
 

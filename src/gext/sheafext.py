@@ -197,20 +197,32 @@ def _mono_poly(ring, mono):
 def class_is_split(hom: HomModule, alpha: ModuleMap, coords) -> bool:
     """True iff the selected theta: K -> N extends to P along alpha, i.e.
     its class in Ext^1(M', N) vanishes."""
-    element = hom_element(hom, coords)
-    if element is None:
-        return True
+    return _splits(hom, _restriction_basis(hom, alpha), coords)
+
+
+def _restriction_basis(hom: HomModule, alpha: ModuleMap):
+    """The Groebner basis, in the cover of Hom(K, N), of the restrictions
+    along alpha of the maps P -> N, modulo Hom(K, N)'s relations."""
     cover, rels = hom_of_free(hom.source.cover, hom.target)
     restr = induced_columns(alpha.matrix, hom.target, cover)
-    gb = groebner_basis(restr, cover, rels=rels)
-    return gb.reduce(element).is_zero()
+    return groebner_basis(restr, cover, rels=rels)
+
+
+def _splits(hom: HomModule, basis, coords) -> bool:
+    """class_is_split against a `_restriction_basis` built once."""
+    element = hom_element(hom, coords)
+    return element is None or basis.reduce(element).is_zero()
 
 
 def nonsplit_extension_coords(source: GradedModule, target: GradedModule):
     """Coords of a degree-0 theta with nonzero Ext^1 class, or None."""
     _, _, _, alpha, morphisms = extension_setup(source, target)
-    for coords in degree_zero_hom_coords(morphisms):
-        if not class_is_split(morphisms, alpha, coords):
+    candidates = degree_zero_hom_coords(morphisms)
+    if not candidates:
+        return None
+    basis = _restriction_basis(morphisms, alpha)
+    for coords in candidates:
+        if not _splits(morphisms, basis, coords):
             return coords
     return None
 

@@ -9,12 +9,15 @@ from gext import (Ring, direct_sum, free_module_of, graded_component,
                   prune, ring_module, sheaf_cohomology, submodule_equals,
                   truncate_module, twist, zero_module)
 from gext.free import FreeModule, GradedMatrix
-from gext.gmod import ModuleMap, cokernel, restrict_scalars
-from gext.groebner import MINUS_INF
+from gext.gmod import GradedModule, ModuleMap, cokernel, restrict_scalars
+from gext.groebner import MINUS_INF, groebner_basis
+from gext.resolve import betti_stats, free_resolution
 from gext.script import parse_script, run_script
+from gext.sheafext import cotangent_module
 
 from conftest import QUARTIC_GENS
 from oracles import module_component_dim, monomial_exponents
+from test_groebner import random_homogeneous, random_span_element
 
 P = 32003
 
@@ -146,6 +149,43 @@ def test_restrict_scalars_hilbert(elliptic_ring):
     assert not s_mod.ring.is_quotient
     for d in range(6):
         assert hilbert_function(s_mod, d) == hilbert_function(Rm, d)
+
+
+@pytest.mark.parametrize("ring_name", ["quartic_ring", "elliptic_ring"])
+def test_restricted_basis_is_the_module_basis_over_s(monkeypatch, request,
+                                                    ring_name):
+    """restrict_scalars reads N's relation basis over R as the basis over
+    S of N's relations plus I*F, with no Buchberger run: its leads and
+    membership agree with a basis computed from scratch from the restricted
+    presentation, and so do the Betti tables of the two S-resolutions.
+    N is R itself, Omega of the curve, and a seeded cokernel of rank 2."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("a Buchberger run for the restricted basis")
+
+    ring = request.getfixturevalue(ring_name)
+    rng = random.Random(3100)
+    form = lambda d: random_homogeneous(ring, d, rng)  # noqa: E731
+    seeded = cokernel(GradedMatrix.from_entries(ring, [[form(1)], [form(1)]],
+                                                (0, 0)))
+    for module in (ring_module(ring), cotangent_module(ring)[0], seeded):
+        module.relations_gb()
+        with monkeypatch.context() as patch:
+            patch.setattr("gext.gmod.groebner_basis", no_run)
+            s_mod = restrict_scalars(module)
+            basis = s_mod.relations_gb()
+        fresh = groebner_basis(s_mod.relations, ambient=s_mod.cover)
+        assert sorted(basis.lead_terms()) == sorted(fresh.lead_terms())
+        for d in range(5):
+            inside = random_span_element(list(s_mod.relations), d, rng)
+            noise = random_span_element(
+                [s_mod.cover.basis_element(j) for j in range(s_mod.cover.rank)],
+                d, rng)
+            for v in (inside, inside + noise):
+                assert basis.contains(v) == fresh.contains(v)
+                assert basis.contains(inside)
+        scratch = GradedModule(s_mod.presentation)   # no basis given
+        assert (betti_stats(free_resolution(s_mod)).entries
+                == betti_stats(free_resolution(scratch)).entries)
 
 
 def test_krull_dim_known_values(quartic_base, quartic_cokernel,

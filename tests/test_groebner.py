@@ -78,7 +78,7 @@ def matrix_image_dim(cols, ambient, d):
 
 
 @pytest.mark.parametrize("texts", [
-    ["x*y", "x*z", "y*z"],   # all three lcms are x*y*z: the F criterion
+    ["x*y", "x*z", "y*z"],   # two pairs on y*z share the lcm x*y*z
     ["x^2", "x*y", "y^2"],   # x*y divides lcm(x^2, y^2): the chain criterion
 ])
 def test_criteria_drop_redundant_syzygies(texts):
@@ -371,6 +371,71 @@ def test_syzygies_modulo_relations(seed, quotient):
     gb_rels = groebner_basis(rels, ambient=fm)
     for col in direct.columns:
         assert gb_rels.contains(apply_column(gens, col))
+
+
+@pytest.mark.parametrize("known_as", ["list", "basis"])
+@pytest.mark.parametrize("quotient", [(), ("x^3 + y^3 - z^3",)])
+@pytest.mark.parametrize("seed", range(6))
+def test_known_syzygies_complete_the_columns(seed, quotient, known_as):
+    """syzygies(gens, rels, known=K), K syzygies of gens modulo rels (here
+    seeded R-combinations of the columns of the run with known=()), emits
+    columns that generate the syzygy module together with K: the span of
+    columns and K equals the span of the plain run's columns, and those
+    alone generate the projection onto the gens coordinates of
+    syzygies(gens + rels).  K is passed as a list and as a Groebner
+    basis.  The inputs are those of test_syzygies_modulo_relations."""
+    rng = random.Random(500 + seed)
+    ring = Ring(P, ("x", "y", "z"), quotient=list(quotient))
+    fm = FreeModule(ring, (0, 1))
+    gens = [random_module_element(fm, rng.choice([1, 2, 2, 3]), rng)
+            for _ in range(3)]
+    rels = [random_module_element(fm, rng.choice([2, 3]), rng)
+            for _ in range(2)]
+    gens = [g for g in gens if not g.is_zero()]
+    rels = [r for r in rels if not r.is_zero()]
+
+    plain = syzygies(gens, rels=rels, ambient=fm)
+    gfree = plain.target
+    tracked = syzygies(gens + rels, ambient=fm)
+    projected = [ModuleElement(gfree, {(i, m): c for (i, m), c in col.data.items()
+                                       if i < len(gens)})
+                 for col in tracked.columns]
+    gb_plain = groebner_basis(plain.columns, ambient=gfree)
+    assert all(gb_plain.contains(c) for c in projected)
+
+    rng = random.Random(4200 + seed)
+    columns = list(plain.columns)
+    known = [random_span_element(columns, d, rng) for d in (3, 4, 4, 5)]
+    known += [c.poly_mul(ring.constant(rng.randrange(1, P)))
+              for c in rng.sample(columns, len(columns) // 2)]
+    known = [k for k in known if not k.is_zero()]
+    if known_as == "basis":
+        known = groebner_basis(known, ambient=gfree)
+    seeded = syzygies(gens, rels=rels, ambient=fm, known=known)
+    assert seeded.target == gfree
+    gb_rels = groebner_basis(rels, ambient=fm)
+    for col in seeded.columns:
+        assert gb_rels.contains(apply_column(gens, col))
+    gb_seeded = groebner_basis(list(seeded.columns) + list(known),
+                               ambient=gfree)
+    assert all(gb_seeded.contains(c) for c in plain.columns)
+    assert all(gb_plain.contains(c) for c in seeded.columns)
+
+
+def test_known_syzygy_skips_its_pair():
+    """The syzygies of x, y, z are generated by the three Koszul columns;
+    given y e_1 - x e_2 as known, the pair (x, y), whose Schreyer lead
+    x e_2 it has, is not reduced, and only the other two come out."""
+    ring = Ring(P, ("x", "y", "z"))
+    fm, gens = ideal_elements(ring, ["x", "y", "z"])
+    plain = syzygies(gens, ambient=fm)
+    assert plain.source.rank == 3
+    known = ModuleElement(plain.target, {(0, ring.ctx.variable(1)): 1,
+                                         (1, ring.ctx.variable(0)): P - 1})
+    seeded = syzygies(gens, ambient=fm, known=[known])
+    assert seeded.source.rank == 2
+    gb = groebner_basis(list(seeded.columns) + [known], ambient=plain.target)
+    assert all(gb.contains(c) for c in plain.columns)
 
 
 def terms_of(elements):

@@ -7,8 +7,11 @@ import pytest
 from gext import (AlgebraError, NotHomogeneous, Ring, cokernel, ext_module,
                   free_module_of, groebner_basis, hilbert_function, hom_module,
                   homomorphism_from, prune, ring_module, truncate_module)
+from gext import homext
 from gext.free import FreeModule, GradedMatrix, ModuleElement
-from gext.homext import hom_of_free
+from gext.groebner import syzygies
+from gext.homext import ext_at_least, hom_of_free
+from gext.sheafext import cotangent_module, truncation_bound
 
 from oracles import monomial_exponents
 
@@ -192,3 +195,35 @@ def test_shared_quotient_divisors_stay_pristine(quartic_ring):
         assert entries == [
             [lead, tuple(((comp, m), c) for m, c in terms[1:]), None, True]
             for lead, terms in quartic_ring.quotient_groebner()]
+
+
+def test_known_kernel_shrinks_the_hom_kernel_run(monkeypatch, quartic_ring):
+    """On the rational quartic's Omega side, ext_at_least(1, 0, R_{>=r},
+    Omega), the kernel run of _homology is given the known kernel K0 (the
+    relations of Hom(F_1, Omega) plus the image of Hom(d_1, Omega)) as
+    known syzygies.  It emits strictly fewer columns than the same run
+    with known=(), and the two sets of columns span the same module
+    modulo K0."""
+    runs = []
+
+    def spy(gens, **kwargs):
+        runs.append((list(gens), kwargs))
+        return syzygies(gens, **kwargs)
+
+    R = ring_module(quartic_ring)
+    omega = cotangent_module(quartic_ring)[0]
+    source = truncate_module(R, truncation_bound(1, 0, omega).r)
+    monkeypatch.setattr(homext, "syzygies", spy)
+    assert not ext_at_least(1, 0, source, omega).is_zero()
+    (gens, kwargs), = runs
+    known = kwargs["known"]
+    cover = known.ambient
+    seeded = syzygies(gens, **kwargs).columns
+    plain = syzygies(gens, **dict(kwargs, known=())).columns
+    assert len(seeded) < len(plain)
+    seeded = [ModuleElement(cover, c.data) for c in seeded]
+    plain = [ModuleElement(cover, c.data) for c in plain]
+    with_seeded = groebner_basis(seeded, cover, rels=known)
+    with_plain = groebner_basis(plain, cover, rels=known)
+    assert all(with_seeded.contains(c) for c in plain)
+    assert all(with_plain.contains(c) for c in seeded)

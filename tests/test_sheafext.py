@@ -12,7 +12,7 @@ from gext import (AlgebraError, Ring, cokernel, cotangent_module,
                   yoneda_extension, zero_module)
 from gext import homext
 from gext.free import FreeModule, GradedMatrix
-from gext.groebner import MINUS_INF
+from gext.groebner import MINUS_INF, groebner_basis
 from gext.resolve import betti_stats
 from gext.sheafext import (class_is_split, corollary_bound,
                            degree_zero_hom_coords, extension_setup,
@@ -413,6 +413,28 @@ def test_class_split_detection(elliptic_ring):
     nonsplit = nonsplit_extension_coords(Rm, Rm)
     assert not class_is_split(morphisms, alpha, nonsplit)
     assert class_is_split(morphisms, alpha, [0] * len(morphisms.anchors))
+
+
+def test_nonsplit_coords_build_one_restriction_basis(monkeypatch,
+                                                    elliptic_ring):
+    """nonsplit_extension_coords returns the first degree-0 coordinate
+    vector that class_is_split finds nonsplit, and builds the basis of
+    restrictions along alpha once for all the candidates."""
+    Rm = ring_module(elliptic_ring)
+    _, _, _, alpha, morphisms = extension_setup(Rm, Rm)
+    candidates = degree_zero_hom_coords(morphisms)
+    assert len(candidates) > 1
+    want = next(c for c in candidates
+                if not class_is_split(morphisms, alpha, c))
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return groebner_basis(*args, **kwargs)
+
+    monkeypatch.setattr("gext.sheafext.groebner_basis", counting)
+    assert nonsplit_extension_coords(Rm, Rm) == want
+    assert len(built) == 1
 
 
 def test_yoneda_rejects_nonzero_degree(elliptic_ring):
