@@ -78,7 +78,7 @@ def record_payload(rec: ResultRecord) -> dict:
         table = rec.payload
         out["betti"] = {f"{i},{a}": b for (i, a), b in
                         sorted(table.entries.items())}
-        out["pd"] = table.pd if table.entries else None
+        out["pd"] = table.pd if table.complete and table.entries else None
     elif rec.kind == "extension":
         result = rec.payload
         out["module"] = module_payload(result.module)

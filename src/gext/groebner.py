@@ -4,19 +4,18 @@ One engine drives everything above it: Groebner bases, normal forms,
 syzygies (via reduction tracking, Schreyer style), minimal generators
 and membership certificates.
 
-A divisor is one entry [lead, tail, track, pure] of a `DivisorIndex`
+A divisor is one entry [lead, tail, track] of a `DivisorIndex`
 (component -> entries): a monic element with lead term (comp, lead), its
-other terms, its track (None when nothing is tracked) and whether all its
-terms lie in component comp.  That entry is the only record of a basis
-element: neither the engine nor a finished `GroebnerBasis` keeps another
-list of its basis, and iterating over a `GroebnerBasis` builds its
-elements from their entries.
+other terms and its track (None when nothing is tracked).  That entry is
+the only record of a basis element: neither the engine nor a finished
+`GroebnerBasis` keeps another list of its basis, and iterating over a
+`GroebnerBasis` builds its elements from their entries.
 
 Every normal form is computed by one kernel, `normal_form_terms`, which
 reduces each term by the first entry of its component whose lead divides
 it.  It tests divisibility and forms products on the packed monomials
 inline, with the guard mask of `monomial`, rather than through
-`MonomialContext` calls; so do `_process_pair` and the chain criterion.
+`MonomialContext` calls; so does `_process_pair`.
 Its callers are `ModuleComputation` (tracked or untracked, inside
 Buchberger), `GroebnerBasis.reduce` (hence `normal_form`), `_autoreduce`
 (tails of the elements a run added) and, through `Ring.reduce_terms` and
@@ -47,29 +46,23 @@ p(h, n) = (L / lead n) e_n - (L / lead h) e_h, whose Schreyer lead is
 by degree (of L, with its twist); within one, by n, then by L, which is
 the Schreyer order on each e_n.
 
-Three criteria drop pairs, in tracked and untracked runs alike.  The
+Two criteria drop pairs, in tracked and untracked runs alike.  The
 product criterion drops a pair with coprime leads against a quotient
 divisor q e_comp: S(s, q e_comp) = q * tail(s) - tail(q) * s is a standard
 representation, as q * tail(s) reduces to zero by the quotient divisors of
 every component, and the syzygy it stands for, q * track(s), is zero over
-R = S/I, so this holds in tracked runs too.  Between two elements that
-each lie in one component it drops coprime pairs only when nothing is
-tracked, since their Koszul syzygy is needed.  The chain criterion skips
-a pair (s, t) when the lead of another entry e, fixed or new, divides
-L = lcm(s, t) while lcm(s, e) and lcm(e, t) are both strictly smaller:
-p(s, t) = (L / lcm(s, e)) p(s, e) + (L / lcm(e, t)) p(e, t), pairs of
-lower degree.  The Schreyer-lead criterion (Moeller, Mora and Traverso):
-every pair taken, whether the chain criterion then skips it or it is
-reduced, and every pair the product criterion drops, records its L on
-n; a pair is skipped unreduced when its L is a multiple of one already
-recorded on n, that is when its Schreyer lead is a multiple of a
-recorded one; a new entry whose lead the lead of an earlier new entry
-divides queues that pair alone, as every other pair of it has a multiple
-of its Schreyer lead, 1 e_n.  A known syzygy records its Schreyer lead
-too (below).  One pair per lcm, the F criterion of Gebauer and Moeller,
-is the case of equal multiples.  A pair between two fixed entries needs
-no processing: it reduces to zero by the fixed entries alone, and its
-syzygy projects to zero on the tracked coordinates.
+R = S/I, so this holds in tracked runs too.  The Schreyer-lead criterion
+(Moeller, Mora and Traverso): every pair reduced, and every pair the
+product criterion drops, records its L on n; a pair is skipped unreduced
+when its L is a multiple of one already recorded on n, that is when its
+Schreyer lead is a multiple of a recorded one; a new entry whose lead
+the lead of an earlier new entry divides queues that pair alone, as
+every other pair of it has a multiple of its Schreyer lead, 1 e_n.  A
+known syzygy records its Schreyer lead too (below).  One pair per lcm,
+the F criterion of Gebauer and Moeller, is the case of equal multiples.
+A pair between two fixed entries needs no processing: it reduces to zero
+by the fixed entries alone, and its syzygy projects to zero on the
+tracked coordinates.
 
 Why this is enough.  (1) Buchberger's criterion in Moeller's form: G is a
 Groebner basis if some generating set of the syzygies of its leads lifts,
@@ -82,15 +75,13 @@ element; so do a product pair (its Koszul syzygy), a pair of fixed
 entries (they form a Groebner basis) and the top part of a known syzygy
 (to the syzygy itself).  (3) Each skipped p lies in the span of lifting
 ones, by induction along the well-order on the pairs by (L, n), pairs
-taken before pairs skipped and then in the order they were taken.  The
-chain criterion writes p by pairs of smaller L.  When the skipping
-record on n came from p' = p(h', n) or from the top part of a known
-syzygy, with lead dividing that of p(h, n), then p(h, n) less the
+taken before pairs skipped and then in the order they were taken.  When
+the skipping record on n came from p' = p(h', n) or from the top part of
+a known syzygy, with lead dividing that of p(h, n), then p(h, n) less the
 matching multiple of it has no e_n term and all its terms of image L:
 a syzygy of the leads of entries older than n, so a combination of pairs
 of such entries with lcm dividing L, all earlier in the order; p' itself
-was taken or dropped by the product criterion, so it lifts or is in turn
-a combination of earlier pairs.  (4) The tracks map e_b to the track of
+was reduced or dropped by the product criterion, so it lifts.  (4) The tracks map e_b to the track of
 b, zero for a fixed entry.  On a lift this gives the syzygy a reduced
 pair emitted, or zero when it made a new element; zero for a product
 pair (over R) and for fixed pairs; the known syzygy itself for a known
@@ -142,7 +133,7 @@ MINUS_INF = float("-inf")
 # -- the normal-form kernel ---------------------------------------------------
 
 class DivisorIndex(dict):
-    """comp -> divisor entries [lead, tail, track, pure] for
+    """comp -> divisor entries [lead, tail, track] for
     `normal_form_terms`: the quotient divisors GB(I) e_comp first (filled in
     on first lookup, with no track), then the divisors appended with `add`,
     in insertion order.
@@ -165,7 +156,7 @@ class DivisorIndex(dict):
     def add(self, comp, lead, tail, track):
         """Append the monic divisor (comp, lead) + tail, where tail is a
         tuple of ((comp, mono), coeff); returns its entry."""
-        entry = [lead, tail, track, all(j == comp for (j, _), _ in tail)]
+        entry = [lead, tail, track]
         self[comp].append(entry)
         return entry
 
@@ -193,7 +184,7 @@ def normal_form_terms(ambient: FreeModule, index: DivisorIndex, terms,
         c = coeffs.pop((comp, mono), 0)
         if not c:
             continue
-        for lead, tail, dtrack, _ in index[comp]:
+        for lead, tail, dtrack in index[comp]:
             if not (lead - mono) & guards:
                 break
         else:
@@ -275,12 +266,8 @@ class ModuleComputation:
         self._index = DivisorIndex(ring)
         # the fixed entries alone, for generators a known syzygy involves
         self._fixed = relation_basis(rels, ambient)._index
-        # comp -> number of fixed entries (quotient divisors, then the
-        # relation basis); components not listed have only the former
-        self._nfixed: dict = {}
         for comp, entries in self._fixed.items():
             self._index[comp] = list(entries)
-            self._nfixed[comp] = len(entries)
         self.events: list = []
         self._seq = itertools.count()
         # per new element, in insertion order: the Schreyer leads recorded
@@ -395,19 +382,18 @@ class ModuleComputation:
         self._leads.append(leads)
         entries = self._index[comp]
         nq = self._index.nq
-        nfixed = self._nfixed.get(comp, nq)
+        nfixed = len(self._fixed[comp])
         # A fixed partner is t, as it has no track.  A pair the product
-        # criterion drops (coprime leads: the lcm has the degree of the
-        # product) records its Schreyer lead now.  When the lead of an
-        # earlier new entry divides this lead (a generator that entered
-        # modulo the fixed entries only), their pair has multiplier 1 and
-        # every other pair's Schreyer lead is a multiple of its lead: it is
-        # queued alone.
+        # criterion drops (a quotient divisor with a coprime lead: the lcm
+        # has the degree of the product) records its Schreyer lead now.
+        # When the lead of an earlier new entry divides this lead (a
+        # generator that entered modulo the fixed entries only), their pair
+        # has multiplier 1 and every other pair's Schreyer lead is a
+        # multiple of its lead: it is queued alone.
         ctx = self.ctx
         degree = ctx.degree
         guards = ctx.guards
         twist = self.twists[comp]
-        untracked = not self.track
         partners = enumerate(entries[:-1])
         for i in range(nfixed, len(entries) - 1):
             if not (entries[i][0] - lead) & guards:
@@ -416,28 +402,13 @@ class ModuleComputation:
         for i, old in partners:
             lcm = ctx.lcm(lead, old[0])
             d = degree(lcm)
-            if ((i < nq or (untracked and old[3] and new[3]))
-                    and d == degree(lead) + degree(old[0])):
+            if i < nq and d == degree(lead) + degree(old[0]):
                 leads.append(lcm)
                 continue
             heapq.heappush(self.events, (
                 d + twist, n, lcm, next(self._seq),
-                (new, old, lcm, comp, n) if i < nfixed
-                else (old, new, lcm, comp, n)))
+                (new, old, lcm, n) if i < nfixed else (old, new, lcm, n)))
         return n
-
-    def _chain_skip(self, comp, s, t, lcm):
-        ctx = self.ctx
-        guards = ctx.guards
-        ls, lt = s[0], t[0]
-        for e in self._index[comp]:
-            if e is s or e is t:
-                continue
-            lead = e[0]
-            if not (lead - lcm) & guards:
-                if ctx.lcm(ls, lead) != lcm and ctx.lcm(lead, lt) != lcm:
-                    return True
-        return False
 
     def _multiples(self, items, u):
         """items ((i, mono), coeff) times the monomial u + one, where u is
@@ -459,15 +430,13 @@ class ModuleComputation:
             else:
                 target.pop(k, None)
 
-    def _process_pair(self, s, t, lcm, comp, n):
+    def _process_pair(self, s, t, lcm, n):
         guards = self.ctx.guards
         leads = self._leads[n]
         for recorded in leads:
             if not (recorded - lcm) & guards:
                 return
         leads.append(lcm)
-        if self._chain_skip(comp, s, t, lcm):
-            return
         # the monic leads cancel: S = (lcm / lead_s) tail_s -
         # (lcm / lead_t) tail_t, and the tracks combine the same way (a
         # fixed entry t has none)
@@ -511,7 +480,7 @@ class GroebnerBasis:
                 for entry in entries[nq:]]
 
     def __iter__(self):
-        for comp, (lead, tail, _, _) in self._entries():
+        for comp, (lead, tail, _) in self._entries():
             terms = dict(tail)
             terms[(comp, lead)] = 1
             yield ModuleElement(self.ambient, terms)
@@ -546,10 +515,10 @@ class GroebnerBasis:
         index = DivisorIndex(ambient.ring)
         for k in range(copies):
             off = k * nb
-            for comp, (lead, tail, _, pure) in entries:
+            for comp, (lead, tail, _) in entries:
                 index[comp + off].append(
                     [lead, tuple(((j + off, m), c) for (j, m), c in tail),
-                     None, pure])
+                     None])
         return GroebnerBasis(ambient, index)
 
     def over_base(self, ambient: FreeModule) -> "GroebnerBasis":
@@ -615,19 +584,17 @@ def _autoreduce(comp: ModuleComputation) -> GroebnerBasis:
     index = DivisorIndex(comp.ambient.ring)
     added = []
     for c, entries in comp._index.items():
-        nfixed = comp._nfixed.get(c, nq)
+        nfixed = len(comp._fixed[c])
         new = sorted(entries[nfixed:], key=lambda e: (ctx.degree(e[0]), -e[0]))
         leads = [e[0] for e in new]
         index[c].extend(e for e in entries[nq:nfixed]
                         if not any(ctx.divides(lead, e[0]) for lead in leads))
-        added += [index.add(c, lead, tail, None) for lead, tail, _, _ in new]
+        added += [index.add(c, lead, tail, None) for lead, tail, _ in new]
     # One index for all tails: b never divides its own tail, whose terms lie
     # below b's lead and only shrink under reduction, while a multiple of a
     # lead is never smaller than it in a degree-compatible order.
     for entry in added:
-        # later reductions use the reduced tail.  `pure` stays as read off
-        # the unreduced one: the two differ by multiples of basis elements
-        # below the lead, so the product criterion still holds.
+        # later reductions use the reduced tail
         entry[1] = tuple(normal_form_terms(comp.ambient, index, entry[1],
                                            None).items())
     return GroebnerBasis(comp.ambient, index)
@@ -734,4 +701,4 @@ def ideal_groebner(ring, polys):
         gens.append(ModuleElement(fm, {(0, m): c for m, c in f.terms.items()}))
     gb = groebner_basis(gens, ambient=fm)
     return tuple((lead, [(lead, 1)] + [(m, c) for (_, m), c in tail])
-                 for lead, tail, _, _ in gb._index[0])
+                 for lead, tail, _ in gb._index[0])

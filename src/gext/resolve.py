@@ -78,9 +78,12 @@ def free_resolution(module: GradedModule, length_cap=None) -> FreeResolution:
 
 
 class BettiTable:
-    """Multiplicities of Betti degrees with the max/min conventions."""
+    """Multiplicities of Betti degrees with the max/min conventions.
+
+    `complete` is the resolution's: a capped table has no pd."""
 
     def __init__(self, resolution: FreeResolution):
+        self.complete = resolution.complete
         self.entries: dict = {}
         for i in range(len(resolution.free_modules)):
             for a in resolution.twists(i):

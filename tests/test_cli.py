@@ -171,6 +171,26 @@ def test_cli_json_schema(tmp_path):
     assert doc["prime"] == 32003
 
 
+@pytest.mark.parametrize("ring, call, pd", [
+    ("ZZ/32003[x,y,z] / (x^3 + y^3 - z^3)", "betti(K, 3)", None),
+    ("ZZ/32003[x,y,z] / (x^3 + y^3 - z^3)", "betti(K, 8)", None),
+    ("ZZ/32003[x,y,z]", "betti(K, 2)", None),
+    ("ZZ/32003[x,y,z]", "betti(K)", 3),
+])
+def test_json_pd_only_for_complete_resolutions(tmp_path, ring, call, pd):
+    """The residue field K = R/(x, y, z): infinite resolution over the
+    cubic, projective dimension 3 over S; a capped resolution gives no pd."""
+    f = tmp_path / "s.gx"
+    f.write_text(f"ring R = {ring};\n"
+                 "module K = coker(R, [[x, y, z]], degrees=[0]);\n"
+                 f"compute {call};\n")
+    result = run_cli(["run", str(f), "--json"])
+    assert result.exit_code == 0
+    doc = json.loads(result.output)
+    jsonschema.validate(doc, schema())
+    assert doc["results"][0]["pd"] == pd
+
+
 def test_json_hilbert_agrees_with_library(tmp_path):
     f = tmp_path / "s.gx"
     f.write_text("""\

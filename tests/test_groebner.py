@@ -79,7 +79,7 @@ def matrix_image_dim(cols, ambient, d):
 
 @pytest.mark.parametrize("texts", [
     ["x*y", "x*z", "y*z"],   # two pairs on y*z share the lcm x*y*z
-    ["x^2", "x*y", "y^2"],   # x*y divides lcm(x^2, y^2): the chain criterion
+    ["x^2", "x*y", "y^2"],   # (x^2, y^2): x^2 on y^2, x recorded by (x*y, y^2)
 ])
 def test_criteria_drop_redundant_syzygies(texts):
     """Each of these ideals has two minimal syzygies and three S-pairs;
@@ -95,6 +95,16 @@ def test_criteria_drop_redundant_syzygies(texts):
         kernel = (3 * len(monomial_exponents(3, d - 2))
                   - matrix_image_dim(gens, fm, d))
         assert matrix_image_dim(syz.columns, syz.target, d) == kernel, d
+
+
+def s_pair(a, b):
+    """The S-pair of two module elements with the same lead component."""
+    ctx = a.ambient.ring.ctx
+    (_, ma), ca = a.lead_term()
+    (_, mb), cb = b.lead_term()
+    lcm = ctx.lcm(ma, mb)
+    return (a.monomial_mul(ctx.quotient(lcm, ma), cb)
+            + b.monomial_mul(ctx.quotient(lcm, mb), P - ca))
 
 
 def apply_column(gens, col):
@@ -224,19 +234,12 @@ def test_random_ideal_spairs_and_membership(seed):
     gens = [ModuleElement(fm, {(0, m): c for m, c in f.terms.items()})
             for f in polys]
     gb = groebner_basis(gens, ambient=fm)
-    ctx = ring.ctx
 
     # (a) all S-pairs reduce to zero
     els = list(gb)
     for i in range(len(els)):
         for j in range(i + 1, len(els)):
-            (ci, mi), ci_c = els[i].lead_term()
-            (cj, mj), cj_c = els[j].lead_term()
-            if ci != cj:
-                continue
-            lcm = ctx.lcm(mi, mj)
-            spair = (els[i].monomial_mul(ctx.quotient(lcm, mi), cj_c)
-                     + els[j].monomial_mul(ctx.quotient(lcm, mj), P - ci_c))
+            spair = s_pair(els[i], els[j])
             assert gb.contains(spair), f"S-pair ({i},{j}) does not reduce"
 
     # (b) degreewise dimension of the ideal matches the linear oracle
@@ -499,7 +502,7 @@ def test_normal_forms_descend_in_term_order(seed, quotient):
     nq = len(ring.quotient_groebner())
     assert any(entries[nq:] for entries in comp._index.values())
     for c, entries in comp._index.items():
-        for lead, tail, _, _ in entries[nq:]:
+        for lead, tail, _ in entries[nq:]:
             assert all(fm.term_key(*k) < fm.term_key(c, lead) for k, _ in tail)
     gb = groebner_basis(gens, ambient=fm)
     for _ in range(6):
@@ -575,7 +578,10 @@ def test_normal_form_higher_rank(seed, quotient):
     """normal_form on modules of rank 2 and 3, over S and over S/I: no term
     of the result is divisible by a lead of its own component or by a
     quotient lead, it is zero exactly when the dense oracle puts v in the
-    span, and it is additive.  Over S/I, the canonical form of a ring
+    span, and it is additive.  The basis is closed under Buchberger's
+    criterion: every S-pair of two elements with the same lead component,
+    and of an element and a quotient divisor q e_comp of its lead
+    component, reduces to zero.  Over S/I, the canonical form of a ring
     element is its normal form against an empty basis of R^1."""
     rng = random.Random(900 + seed)
     ring = Ring(P, ("x", "y", "z"), quotient=list(quotient))
@@ -587,6 +593,14 @@ def test_normal_form_higher_rank(seed, quotient):
     gens = [g for g in gens if not g.is_zero()]
     assert gens
     gb = groebner_basis(gens, ambient=fm)
+    els = list(gb)
+    for i, a in enumerate(els):
+        (comp, _), _ = a.lead_term()
+        partners = [b for b in els[i + 1:] if b.lead_term()[0][0] == comp]
+        partners += [ModuleElement(fm, {(comp, m): c for m, c in qterms})
+                     for _, qterms in ring.quotient_groebner()]
+        for b in partners:
+            assert gb.contains(s_pair(a, b))
     leads = gb.lead_terms()
     qleads = [lead for lead, _ in ring.quotient_groebner()]
     degs = [g.degree() for g in gens]

@@ -193,7 +193,7 @@ def test_shared_quotient_divisors_stay_pristine(quartic_ring):
     assert len(cached) > 1
     for comp, entries in cached.items():
         assert entries == [
-            [lead, tuple(((comp, m), c) for m, c in terms[1:]), None, True]
+            [lead, tuple(((comp, m), c) for m, c in terms[1:]), None]
             for lead, terms in quartic_ring.quotient_groebner()]
 
 
