@@ -7,7 +7,8 @@ generators and minimal relations with the Groebner engine, so its output
 is a minimal presentation.  It marks the module it returns as minimally
 presented (a private slot that `__eq__` and `__hash__` ignore), and
 `prune` returns a marked module as it is, with the identity map: so
-`free_resolution`, which prunes first, resolves a `subquotient` result
+`free_resolution`, which prunes first and then re-presents the image of
+each differential with `subquotient`, resolves a `subquotient` result
 directly.
 `subquotient` gets its minimal generators and their syzygies modulo its
 relations from one tracked engine run (`generators_and_syzygies`), and

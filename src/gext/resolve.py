@@ -1,20 +1,20 @@
 """Minimal graded free resolutions and Betti statistics.
 
-Built by iterated syzygy computation: prune the module (a module that
+Built by iterated `subquotient`: prune the module (a module that
 `subquotient` returned is minimally presented already and is resolved as
-it is, with its own relation columns), take minimal generators of the
-syzygies of each differential's columns, repeat.
-Because every column set is a minimal generating set, the syzygy
-generators have no unit entries and the resolution is minimal by
-construction.  Over a quotient ring resolutions can be infinite, so a
-length cap is mandatory there.
+it is, with its own relation columns), then present the image of each
+differential's columns; that presentation is the next differential.  The
+columns are minimal and reduced, so the image's generators are the
+columns themselves, and its relations are minimal generators of their
+syzygies: no unit entries, so the resolution is minimal by construction.
+Over a quotient ring resolutions can be infinite, so a length cap is
+mandatory there.
 """
 
 from __future__ import annotations
 
-from .free import FreeModule, GradedMatrix
-from .gmod import GradedModule, prune
-from .groebner import INF, MINUS_INF, minimal_generators, syzygies
+from .gmod import GradedModule, prune, subquotient
+from .groebner import INF, MINUS_INF
 from .ring import AlgebraError
 
 
@@ -62,19 +62,16 @@ def free_resolution(module: GradedModule, length_cap=None) -> FreeResolution:
     pruned, _ = prune(module)
     free_modules = [pruned.cover]
     differentials = []
-    cols = [c for c in pruned.presentation.columns]
-    src = pruned.presentation.source
-    while cols and (length_cap is None or len(differentials) < length_cap):
-        differentials.append(
-            GradedMatrix(src, free_modules[-1], cols, check=False))
-        free_modules.append(src)
+    step = pruned
+    while step.relations and (length_cap is None
+                              or len(differentials) < length_cap):
+        differentials.append(step.presentation)
+        free_modules.append(step.presentation.source)
         if len(differentials) == length_cap:
             break   # the syzygies of the last differential are not needed
-        syz = syzygies(cols, ambient=free_modules[-2])
-        _, cols = minimal_generators(syz.columns, ambient=src)
-        src = FreeModule(module.ring, tuple(c.degree() for c in cols))
-    return FreeResolution(pruned, free_modules, differentials, not cols,
-                          length_cap)
+        step, _ = subquotient(step.relations, (), step.cover)
+    return FreeResolution(pruned, free_modules, differentials,
+                          not step.relations, length_cap)
 
 
 class BettiTable:

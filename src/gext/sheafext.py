@@ -16,16 +16,16 @@ the zero module (m < 0, or the dim-0 shortcut) or comes from
 from __future__ import annotations
 
 from .free import FreeModule, GradedMatrix, ModuleElement
-from .gmod import (GradedModule, ModuleMap, direct_sum, graded_component,
-                   image_of, kernel_of_map, krull_dim, ring_module,
-                   subquotient, submodule_equals, truncate_module,
-                   zero_module)
+from .gmod import (GradedModule, ModuleMap, direct_sum, free_module_of,
+                   graded_component, image_of, kernel_of_map, krull_dim,
+                   ring_module, subquotient, submodule_equals,
+                   truncate_module, zero_module)
 from .groebner import INF, MINUS_INF, groebner_basis, syzygies
 from .homext import (HomModule, express_in_generators, ext_at_least,
                      hom_element, hom_module, hom_of_free, homomorphism_from,
                      induced_columns)
 from .resolve import BettiTable, betti_stats, free_resolution
-from .ring import AlgebraError, Ring, RingMismatch
+from .ring import AlgebraError, Polynomial, Ring, RingMismatch
 
 
 def s_betti(module: GradedModule) -> BettiTable:
@@ -166,11 +166,9 @@ def extension_setup(source: GradedModule, target: GradedModule):
     ring = source.ring
     tb = truncation_bound(1, 0, target)
     m_tr = truncate_module(source, tb.r)
-    p_free = GradedModule(GradedMatrix.zero(FreeModule(ring, ()), m_tr.cover))
-    mu = ModuleMap(
-        GradedModule(GradedMatrix.zero(FreeModule(ring, ()),
-                                       m_tr.presentation.source)),
-        p_free, m_tr.presentation, check=False)
+    p_free = free_module_of(ring, m_tr.generator_degrees)
+    mu = ModuleMap(free_module_of(ring, m_tr.presentation.source.twists),
+                   p_free, m_tr.presentation, check=False)
     kmod, alpha = image_of(mu)
     morphisms = hom_module(kmod, target)
     return m_tr, p_free, kmod, alpha, morphisms
@@ -184,14 +182,9 @@ def degree_zero_hom_coords(hom: HomModule):
     out = []
     for (t, mono) in basis:
         coords = [ring.zero()] * len(hom.anchors)
-        coords[t] = _mono_poly(ring, mono)
+        coords[t] = Polynomial(ring, {mono: 1})
         out.append(coords)
     return out
-
-
-def _mono_poly(ring, mono):
-    from .ring import Polynomial
-    return Polynomial(ring, {mono: 1})
 
 
 def class_is_split(hom: HomModule, alpha: ModuleMap, coords) -> bool:

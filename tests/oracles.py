@@ -2,12 +2,17 @@
 
 Everything here works on exponent tuples and dense coefficient matrices,
 deliberately avoiding the Groebner engine so the two implementations can
-check each other.
+check each other.  The one exception is `ext_dim`, which takes its free
+resolution from `free_resolution` and certifies it with `assert_exact`
+before it reads any Ext dimension off it.
 """
 
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import numpy as np
+
+from gext import cokernel, free_module_of, free_resolution
 
 
 def monomial_exponents(nvars: int, d: int):
@@ -138,47 +143,35 @@ def quotient_hilbert(polys, nvars: int, d: int, p: int) -> int:
     return total - ideal_component_dim(polys, nvars, d, p)
 
 
-def module_component_dim(module, d: int) -> int:
-    """dim of degree-d component of a GradedModule, by dense linear algebra.
+def component_space(module, d: int):
+    """The degree-d part of module's cover and its relations, densely.
 
-    Ambient basis: (generator j, monomial of degree d - a_j); the relation
-    span includes all monomial multiples of the presentation columns and,
-    over a quotient ring, of f * e_j for quotient generators f.
+    Returns (index, rows): index maps (generator j, exponent tuple of
+    degree d - a_j) to a column; rows span the monomial multiples of the
+    presentation columns and, over a quotient ring, of f * e_j for
+    quotient generators f.
     """
     ring = module.ring
     nvars = len(ring.variables)
     p = ring.p
     degs = module.generator_degrees
-    blocks = []
-    offset = 0
-    offsets = []
-    for a in degs:
-        monos = monomial_exponents(nvars, d - a)
-        offsets.append((offset, {e: i for i, e in enumerate(monos)}))
-        offset += len(monos)
-        blocks.append(monos)
-    total = offset
-    if total == 0:
-        return 0
-
-    def element_row(data):
-        # data: {(component, exponent tuple): coeff}
-        row = [0] * total
-        for (j, e), c in data.items():
-            base, index = offsets[j]
-            row[base + index[e]] = c
-        return row
+    index = {}
+    for j, a in enumerate(degs):
+        for e in monomial_exponents(nvars, d - a):
+            index[(j, e)] = len(index)
+    if not index:
+        return index, []
 
     ctx = ring.ctx
     rows = []
 
     def add_multiples(col_data, col_degree):
         for mult in monomial_exponents(nvars, d - col_degree):
-            shifted = {}
+            row = [0] * len(index)
             for (j, m), c in col_data.items():
-                e = _exp_mul(tuple(ctx.decode(m)), mult)
-                shifted[(j, e)] = (shifted.get((j, e), 0) + c) % p
-            rows.append(element_row(shifted))
+                k = index[(j, _exp_mul(tuple(ctx.decode(m)), mult))]
+                row[k] = (row[k] + c) % p
+            rows.append(row)
 
     for col in module.relations:
         if col.is_zero():
@@ -190,7 +183,110 @@ def module_component_dim(module, d: int) -> int:
             for j, a in enumerate(degs):
                 data = {(j, m): c for m, c in f.terms.items()}
                 add_multiples(data, fdeg + a)
-    return total - rank_mod_p(rows, p)
+    return index, rows
+
+
+def module_component_dim(module, d: int) -> int:
+    """dim of degree-d component of a GradedModule, by dense linear algebra
+    on `component_space`."""
+    index, rows = component_space(module, d)
+    if not index:
+        return 0
+    return len(index) - rank_mod_p(rows, module.ring.p)
+
+
+def image_dim(matrix, d: int) -> int:
+    """dim_k of the degree-d part of the image of a GradedMatrix."""
+    free = free_module_of(matrix.ring, matrix.target.twists)
+    return (module_component_dim(free, d)
+            - module_component_dim(cokernel(matrix), d))
+
+
+def assert_exact(res, module, top_degree):
+    """Certify a computed resolution F_{i+1} --d_i--> F_i of module: d_i .
+    d_{i+1} = 0 exactly, coker d_0 has the Hilbert function of the module,
+    and in every degree d <= top_degree, dim ker(d_i)_d = dim im(d_{i+1})_d
+    (and ker d_last = 0 when the resolution is complete)."""
+    diffs = res.differentials
+    for i in range(len(diffs) - 1):
+        assert diffs[i].compose(diffs[i + 1]).is_zero(), f"d_{i} d_{i + 1}"
+    ring = module.ring
+    for d in range(top_degree + 1):
+        f0 = free_module_of(ring, res.free_modules[0].twists)
+        im0 = image_dim(diffs[0], d) if diffs else 0
+        assert module_component_dim(f0, d) - im0 == \
+            module_component_dim(module, d), f"coker d_0 in degree {d}"
+        for i in range(len(diffs)):
+            src = free_module_of(ring, diffs[i].source.twists)
+            kernel = module_component_dim(src, d) - image_dim(diffs[i], d)
+            if i + 1 < len(diffs):
+                assert kernel == image_dim(diffs[i + 1], d), \
+                    f"ker d_{i} != im d_{i + 1} in degree {d}"
+            elif res.complete:
+                assert kernel == 0, f"last differential not injective ({d})"
+
+
+@lru_cache(maxsize=16)
+def certified_resolution(module, length_cap):
+    """free_resolution(module, length_cap), certified by `assert_exact`
+    through one degree past its largest Betti degree."""
+    res = free_resolution(module, length_cap=length_cap)
+    top = max((a for f in res.free_modules for a in f.twists), default=0)
+    assert_exact(res, module, top + 1)
+    return res
+
+
+def _hom_rank(matrix, target, d: int) -> int:
+    """Rank of Hom(matrix, N)_d: Hom(F, N)_d -> Hom(G, N)_d, phi ->
+    phi . matrix, for matrix: G -> F, with Hom(F, N)_d the sum over the
+    twists a of F of N_{d+a}, each lifted to the cover of N.  A lifted
+    basis vector x^e n_g in the block of generator j of F goes to the sum
+    over columns i of matrix[j, i] x^e n_g in block i of G; the rank is
+    that of those images modulo the relations of the blocks of G."""
+    p = target.ring.p
+    decode = target.ring.ctx.decode
+    spaces = [component_space(target, d + b) for b in matrix.source.twists]
+    width = sum(len(index) for index, _ in spaces)
+    if not width:
+        return 0
+    blocks, rel_rows, offset = [], [], 0
+    for index, rows in spaces:
+        blocks.append((offset, index))
+        rel_rows += [[0] * offset + r + [0] * (width - offset - len(r))
+                     for r in rows]
+        offset += len(index)
+    # per row j of matrix: {column i: [(exponents, coefficient)]}
+    entries = [{} for _ in matrix.target.twists]
+    for i, col in enumerate(matrix.columns):
+        for (j, m), c in col.data.items():
+            entries[j].setdefault(i, []).append((tuple(decode(m)), c))
+    image = []
+    for j, a in enumerate(matrix.target.twists):
+        index, _ = component_space(target, d + a)
+        for (g, e) in index:
+            row = [0] * width
+            for i, terms in entries[j].items():
+                base, block = blocks[i]
+                for mono, c in terms:
+                    k = base + block[(g, _exp_mul(e, mono))]
+                    row[k] = (row[k] + c) % p
+            image.append(row)
+    return rank_mod_p(image + rel_rows, p) - rank_mod_p(rel_rows, p)
+
+
+def ext_dim(m: int, module, target, d: int) -> int:
+    """dim_k Ext^m(module, target)_d as the homology at Hom(F_m, N)_d of
+    Hom(F_., N)_d, where Hom(F_k, N)_d is the sum over the twists a of F_k
+    of N_{d+a} and F is `certified_resolution(module, m + 1)`."""
+    res = certified_resolution(module, m + 1)
+    if m >= len(res.free_modules):
+        return 0
+    diffs = res.differentials
+    cochains = sum(module_component_dim(target, d + a)
+                   for a in res.free_modules[m].twists)
+    out_rank = _hom_rank(diffs[m], target, d) if m < len(diffs) else 0
+    in_rank = _hom_rank(diffs[m - 1], target, d) if m >= 1 else 0
+    return cochains - out_rank - in_rank
 
 
 def projective_space_line_bundle(n: int, m: int, v: int) -> int:

@@ -12,42 +12,16 @@ import pytest
 
 from gext import (Ring, betti_stats, cokernel, free_module_of,
                   free_resolution, groebner_basis, hilbert_function,
-                  minimal_generators, prune, ring_module, syzygies,
-                  truncate_module)
+                  hom_module, minimal_generators, prune, ring_module,
+                  syzygies, truncate_module)
 from gext import homext
 from gext.free import FreeModule, GradedMatrix, ModuleElement
 from gext.gmod import GradedModule
 
-from oracles import module_component_dim, monomial_exponents
+from oracles import (assert_exact, ext_dim, image_dim, module_component_dim,
+                     monomial_exponents)
 
 P = 32003
-
-
-def image_dim(matrix: GradedMatrix, d: int) -> int:
-    """dim_k of the degree-d part of the image of matrix."""
-    free = free_module_of(matrix.ring, matrix.target.twists)
-    return (module_component_dim(free, d)
-            - module_component_dim(cokernel(matrix), d))
-
-
-def assert_exact(res, module, top_degree):
-    diffs = res.differentials
-    for i in range(len(diffs) - 1):
-        assert diffs[i].compose(diffs[i + 1]).is_zero(), f"d_{i} d_{i + 1}"
-    ring = module.ring
-    for d in range(top_degree + 1):
-        f0 = free_module_of(ring, res.free_modules[0].twists)
-        im0 = image_dim(diffs[0], d) if diffs else 0
-        assert module_component_dim(f0, d) - im0 == \
-            module_component_dim(module, d), f"coker d_0 in degree {d}"
-        for i in range(len(diffs)):
-            src = free_module_of(ring, diffs[i].source.twists)
-            kernel = module_component_dim(src, d) - image_dim(diffs[i], d)
-            if i + 1 < len(diffs):
-                assert kernel == image_dim(diffs[i + 1], d), \
-                    f"ker d_{i} != im d_{i + 1} in degree {d}"
-            elif res.complete:
-                assert kernel == 0, f"last differential not injective ({d})"
 
 
 def random_element(ambient, degree, rng):
@@ -82,6 +56,48 @@ def test_resolution_of_random_module_is_exact(seed, quotient):
     module = random_module(ring, rng)
     res = free_resolution(module, length_cap=3 if quotient else None)
     assert_exact(res, module, 7)
+
+
+def old_recipe(previous: GradedMatrix):
+    """The next differential's columns as free_resolution once built them:
+    the syzygies of the previous columns, then minimal generators of those
+    syzygies.  The reference for iterated subquotient."""
+    syz = syzygies(previous.columns, ambient=previous.target)
+    _, cols = minimal_generators(syz.columns, ambient=previous.source)
+    return cols
+
+
+def assert_old_recipe(res):
+    """Every differential after the first equals, column for column, the
+    old recipe on the one before; a complete resolution's last differential
+    has no syzygies left."""
+    diffs = res.differentials
+    for previous, d in zip(diffs, diffs[1:]):
+        cols = old_recipe(previous)
+        assert list(d.columns) == cols
+        assert d.source.twists == tuple(c.degree() for c in cols)
+    if res.complete and diffs:
+        assert old_recipe(diffs[-1]) == []
+
+
+@pytest.mark.parametrize("quotient", [(), ("x^3 + y^3 - z^3",)])
+@pytest.mark.parametrize("seed", range(6))
+def test_iterated_subquotient_keeps_the_old_recipe(seed, quotient):
+    """On the inputs of test_resolution_of_random_module_is_exact: each
+    subquotient step returns the previous columns as its generators, so its
+    presentation is the old recipe's minimal syzygies."""
+    rng = random.Random(1200 + seed)
+    ring = Ring(P, ("x", "y", "z"), quotient=list(quotient))
+    module = random_module(ring, rng)
+    res = free_resolution(module, length_cap=3 if quotient else None)
+    assert_old_recipe(res)
+
+
+def test_iterated_subquotient_keeps_the_old_recipe_on_the_quartic(
+        quartic_cokernel):
+    res = free_resolution(quartic_cokernel)
+    assert res.complete and len(res.differentials) == 3
+    assert_old_recipe(res)
 
 
 @pytest.mark.parametrize("quotient", [(), ("x^3 + y^3 - z^3",)])
@@ -127,6 +143,30 @@ def test_hilbert_function_of_random_module_matches_the_oracle(seed, quotient):
     module = random_module(ring, rng, ranks=(2, 3))
     for d in range(7):
         assert hilbert_function(module, d) == module_component_dim(module, d)
+
+
+@pytest.mark.parametrize("quotient", [(), ("x^3 + y^3 - z^3",)])
+@pytest.mark.parametrize("seed", (0, 6, 8, 9))
+def test_ext_matches_the_dense_oracle(seed, quotient):
+    """hilbert_function of ext_at_least(m, low, M, N), and for m = 0 of
+    hom_module(M, N), equals ext_dim, the homology of Hom(F_., N)_d by
+    dense ranks, for m = 0, 1, 2 in degrees low..low + 5.  Every case has
+    a nonzero Ext in the window, and seeds 0, 6 and 9 a nonzero Ext^2."""
+    rng = random.Random(1400 + seed)
+    ring = Ring(P, ("x", "y", "z"), quotient=list(quotient))
+    source, target = random_module(ring, rng), random_module(ring, rng)
+    low = -2
+    hom = hom_module(source, target).underlying
+    seen = 0
+    for m in range(3):
+        ext = homext.ext_at_least(m, low, source, target)
+        for d in range(low, low + 6):
+            want = ext_dim(m, source, target, d)
+            assert hilbert_function(ext, d) == want, (m, d)
+            if m == 0:
+                assert hilbert_function(hom, d) == want, d
+            seen += want
+    assert seen
 
 
 def _ext_resolutions(monkeypatch):

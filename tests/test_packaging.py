@@ -1,0 +1,38 @@
+"""The only runtime dependency is click: every import in the package is
+of the standard library, click, or gext itself, and pyproject.toml
+declares click alone."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "gext"
+ALLOWED = set(sys.stdlib_module_names) | {"click", "gext"}
+
+
+def imported_roots(path: Path):
+    """Top-level names of the absolute imports in one source file."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module.split(".")[0]
+
+
+def test_package_imports_only_the_standard_library_and_click():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    outside = {(path.name, name) for path in sources
+               for name in imported_roots(path) if name not in ALLOWED}
+    assert not outside
+
+
+def test_pyproject_declares_click_as_the_only_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        project = tomllib.load(f)["project"]
+    assert project["dependencies"] == ["click>=8.0"]
