@@ -72,8 +72,9 @@ plus terms of image below T; the lifts then generate Syz(G) (Moeller
 has the Schreyer lead of s.  (2) The p(h, n) generate the syzygies of the
 leads.  A reduced pair lifts, through its reduction to zero or to a new
 element; so do a product pair (its Koszul syzygy), a pair of fixed
-entries (they form a Groebner basis) and the top part of a known syzygy
-(to the syzygy itself).  (3) Each skipped p lies in the span of lifting
+entries (they form a Groebner basis) and the top part of a known syzygy,
+to the syzygy itself whatever pairs have been taken, so its lead may be
+recorded before any is.  (3) Each skipped p lies in the span of lifting
 ones, by induction along the well-order on the pairs by (L, n), pairs
 taken before pairs skipped and then in the order they were taken.  When
 the skipping record on n came from p' = p(h', n) or from the top part of
@@ -81,36 +82,37 @@ a known syzygy, with lead dividing that of p(h, n), then p(h, n) less the
 matching multiple of it has no e_n term and all its terms of image L:
 a syzygy of the leads of entries older than n, so a combination of pairs
 of such entries with lcm dividing L, all earlier in the order; p' itself
-was reduced or dropped by the product criterion, so it lifts.  (4) The tracks map e_b to the track of
-b, zero for a fixed entry.  On a lift this gives the syzygy a reduced
-pair emitted, or zero when it made a new element; zero for a product
-pair (over R) and for fixed pairs; the known syzygy itself for a known
-one.  Every syzygy c of the generators modulo the fixed entries is such
-an image, of sum c_j (generator j written by the entries), plus columns
-the intake emitted.  So the emitted columns, with the known syzygies,
-generate the syzygies modulo the relations.
+was reduced or dropped by the product criterion, so it lifts.  (4) The
+tracks map e_b to the track of b, zero for a fixed entry.  On a lift
+this gives the syzygy a reduced pair emitted, or zero when it made a new
+element; zero for a product pair (over R) and for fixed pairs; the known
+syzygy itself for a known one.  Every syzygy c of the generators modulo
+the fixed entries is such an image, of sum c_j (generator j written by
+the entries), plus columns the intake emitted.  So the emitted columns,
+with the known syzygies, generate the syzygies modulo the relations.
 
 The heap holds only S-pairs.  Generators enter by one of two intakes, in
 (degree, index) order, tracked when the run is.  The complete intake
 (`groebner_basis`, `syzygies`, `express_in_generators`) processes the
 pairs up to a generator's degree d, then inserts it, tracked as its
-index, reduced modulo the basis so far.  A generator g_j that a known
-syzygy involves (`syzygies(..., known=...)`) is reduced modulo the fixed
-entries only, and enters (if nonzero) as b_j = g_j / c modulo the fixed
-entries, tracked as e_j / c.  A known syzygy sum c_j e_j then lifts to
-sum c_j c e_{b_j} less a standard representation by the fixed entries of
-what that leaves; the latter has terms of image at most the greatest
+index, reduced modulo the basis so far.  With known syzygies
+(`syzygies(..., known=...)`) every generator g_j enters first, reduced
+modulo the fixed entries only: if nonzero, as b_j = g_j / c modulo the
+fixed entries, tracked as e_j / c.  A known syzygy sum c_j e_j then lifts
+to sum c_j c e_{b_j} less a standard representation by the fixed entries
+of what that leaves; the latter has terms of image at most the greatest
 mu lead(b_j) of a term mu e_j, on older entries, so the Schreyer lead is
 the term mu e_j that maximises (mu lead(b_j), entry number), recorded on
-b_j once the last generator of the syzygy is in.  The minimal intake
+b_j before the first pair is taken.  The minimal intake
 (`minimal_generators`, `generators_and_syzygies`) first reduces a
 generator against the basis so far: a zero remainder proves it
 redundant.  Only a nonzero remainder makes the engine process the pairs
-of degree <= d; reduced again, it is kept if still nonzero, the k-th kept
-element tracked as k.  A remainder fully reduced against a basis complete
-through degree d is unique, so the kept elements and the order in which
-the basis grows are those of the complete intake run on them, and pairs
-above the last kept generator wait until they are asked for.
+of degree <= d; reduced again if that grew the basis, it is kept if
+still nonzero, the k-th kept element tracked as k.  A remainder fully
+reduced against a basis complete through degree d is unique, so the kept
+elements and the order in which the basis grows are those of the
+complete intake run on them, and pairs above the last kept generator
+wait until they are asked for.
 
 Determinism: pair selection by (degree of the lcm term, newer entry,
 lcm term, insertion sequence); all containers iterate in insertion
@@ -264,7 +266,7 @@ class ModuleComputation:
         self.twists = ambient.twists
         self.track = track
         self._index = DivisorIndex(ring)
-        # the fixed entries alone, for generators a known syzygy involves
+        # the fixed entries alone: the intake's index when syzygies are known
         self._fixed = relation_basis(rels, ambient)._index
         for comp, entries in self._fixed.items():
             self._index[comp] = list(entries)
@@ -281,28 +283,18 @@ class ModuleComputation:
         """The complete intake, then every remaining pair.
 
         `known` holds syzygies of gens, elements of the gens' free module
-        (tracked runs only).  A generator that one of them involves enters
-        reduced modulo the fixed entries only, so its track is its unit
-        vector; every other generator is reduced modulo the basis so far.
-        Each known syzygy records its Schreyer lead once its last
-        generator is in."""
-        order = _by_degree(gens)
-        pending: dict = {}   # position of its last generator -> its support
-        if known:
-            position = {idx: pos for pos, (_, idx, _) in enumerate(order)}
-            for syz in known:
-                support = [jm for jm in syz.data if jm[0] in position]
-                if support:
-                    last = max(position[j] for j, _ in support)
-                    pending.setdefault(last, []).append(support)
-        supported = {j for supports in pending.values()
-                     for support in supports for j, _ in support}
+        (tracked runs only).  With none, each generator is reduced modulo
+        the basis so far, after the pairs up to its degree.  With some,
+        every generator enters first, reduced modulo the fixed entries
+        only, so its track is its unit vector; then each known syzygy
+        records its Schreyer lead, before any pair is taken."""
         one = self.ctx.one
+        known = [syz.data for syz in known]   # an empty GroebnerBasis is none
         slots = {}           # gen index -> (entry number, comp, lead)
-        for pos, (d, idx, g) in enumerate(order):
-            self.run(d)
+        for d, idx, g in _by_degree(gens):
             track = {(idx, one): 1} if self.track else None
-            if idx not in supported:
+            if not known:
+                self.run(d)
                 self._insert(g.data, track)
                 continue
             terms = normal_form_terms(self.ambient, self._fixed, g.data, None)
@@ -311,8 +303,8 @@ class ModuleComputation:
                 slots[idx] = (n,) + next(iter(terms))
             else:
                 self.syzygy_tracks.append(track)
-            for support in pending.get(pos, ()):   # idx is its last generator
-                self._record_known(support, slots)
+        for support in known:
+            self._record_known(support, slots)
         self.run()
 
     def _record_known(self, support, slots):
@@ -346,8 +338,10 @@ class ModuleComputation:
         for d, idx, g in _by_degree(gens):
             terms = normal_form_terms(ambient, index, g.data, None)
             if terms:
+                size = len(self._leads)
                 self.run(d)
-                terms = normal_form_terms(ambient, index, terms, None)
+                if len(self._leads) > size:   # else terms is still reduced
+                    terms = normal_form_terms(ambient, index, terms, None)
             if terms:
                 self._add_basis(terms, {(len(indices), self.ctx.one): 1}
                                 if self.track else None)
@@ -620,10 +614,11 @@ def syzygies(gens, rels=(), ambient: FreeModule = None,
 
     `known` holds syzygies of gens modulo rels already in hand: a
     GroebnerBasis, or an iterable of elements of the gens' free module.
-    The engine skips every pair whose syzygy the Schreyer lead of a known
-    one accounts for (module docstring), so a caller that works modulo
-    span(known) anyway gets fewer columns; with known=() the columns alone
-    generate.
+    When it holds any, every generator enters reduced modulo rels only,
+    each known syzygy records its Schreyer lead before the first pair,
+    and the engine skips every pair whose syzygy such a lead accounts for
+    (module docstring), so a caller that works modulo span(known) anyway
+    gets fewer columns; with none the columns alone generate.
 
     The result is a GradedMatrix into the free module on the degrees of
     gens (degree 0 for a zero generator).  Over the base polynomial ring

@@ -161,6 +161,29 @@ def test_cli_determinism(tmp_path):
     assert j1 == j2
 
 
+def test_cli_output_does_not_depend_on_hash_seed(tmp_path):
+    """`gext run --json` prints the same bytes in two processes with
+    different string hash seeds: no answer rests on the iteration order
+    of a hashed container."""
+    f = tmp_path / "s.gx"
+    f.write_text("ring R = ZZ/32003[x,y,z] / (x^3 + y^3 - z^3);\n"
+                 "module Q = coker(R, [[x, y]], degrees=[0]);\n"
+                 "compute globalExt(1, R, R);\n"
+                 "compute yonedaExt(R, R, [0, 0, 0, 0, 0, 0, z, 0, 0]);\n"
+                 "compute globalExt(1, Q, R);\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outs = []
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "gext.cli", "run", "--json", str(f)],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed))
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert len(json.loads(outs[0])["results"]) == 3
+
+
 def test_cli_json_schema(tmp_path):
     f = tmp_path / "s.gx"
     f.write_text(QUARTIC_SCRIPT + "compute betti(N);\n")

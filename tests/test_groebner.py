@@ -428,17 +428,25 @@ def test_known_syzygies_complete_the_columns(seed, quotient, known_as):
 def test_known_syzygy_skips_its_pair():
     """The syzygies of x, y, z are generated by the three Koszul columns;
     given y e_1 - x e_2 as known, the pair (x, y), whose Schreyer lead
-    x e_2 it has, is not reduced, and only the other two come out."""
+    x e_2 it has, is not reduced, and only the other two come out.  With
+    x z added, z and x z lie in no known support, yet enter modulo the
+    fixed entries only, and x z's lead is a multiple of x's, so x z queues
+    its pair with x alone.  In both cases the columns and the known syzygy
+    span the syzygies of the known=() run, with one column fewer."""
     ring = Ring(P, ("x", "y", "z"))
-    fm, gens = ideal_elements(ring, ["x", "y", "z"])
-    plain = syzygies(gens, ambient=fm)
-    assert plain.source.rank == 3
-    known = ModuleElement(plain.target, {(0, ring.ctx.variable(1)): 1,
-                                         (1, ring.ctx.variable(0)): P - 1})
-    seeded = syzygies(gens, ambient=fm, known=[known])
-    assert seeded.source.rank == 2
-    gb = groebner_basis(list(seeded.columns) + [known], ambient=plain.target)
-    assert all(gb.contains(c) for c in plain.columns)
+    for texts, rank in ((["x", "y", "z"], 3), (["x", "y", "z", "x*z"], 4)):
+        fm, gens = ideal_elements(ring, texts)
+        plain = syzygies(gens, ambient=fm)
+        assert plain.source.rank == rank
+        known = ModuleElement(plain.target, {(0, ring.ctx.variable(1)): 1,
+                                             (1, ring.ctx.variable(0)): P - 1})
+        seeded = syzygies(gens, ambient=fm, known=[known])
+        assert seeded.source.rank == rank - 1
+        both = list(seeded.columns) + [known]
+        gb = groebner_basis(both, ambient=plain.target)
+        assert all(gb.contains(c) for c in plain.columns)
+        gb_plain = groebner_basis(plain.columns, ambient=plain.target)
+        assert all(gb_plain.contains(c) for c in both)
 
 
 def terms_of(elements):

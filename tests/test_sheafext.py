@@ -21,7 +21,7 @@ from gext.sheafext import (class_is_split, corollary_bound,
 from conftest import line_bundle
 from oracles import (hilbert_polynomial, monomial_exponents,
                      projective_space_cotangent, projective_space_line_bundle)
-from test_exactness import random_element
+from test_exactness import random_element, random_module
 
 P = 32003
 
@@ -156,6 +156,17 @@ def test_bott_formula_cotangent(n, twists):
     assert got == want
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_fermat_surface_hodge_number(d):
+    """h^1(X, Omega_X) = h^{1,1} = (2d^3 - 6d^2 + 7d)/3 on the smooth
+    Fermat surface w^d + x^d + y^d + z^d in P^3: 2, 7 and 20 for
+    d = 2, 3, 4 (Hirzebruch; Griffiths, Ann. Math. 90, 1969)."""
+    R = Ring(P, ("w", "x", "y", "z"),
+             quotient=[f"w^{d} + x^{d} + y^{d} + z^{d}"])
+    omega = cotangent_module(R)[0]
+    assert sheaf_cohomology(1, omega)[0] == (2 * d**3 - 6 * d**2 + 7 * d) // 3
+
+
 def _presentation_degrees(module):
     return (sorted(module.generator_degrees),
             sorted(module.presentation.source.twists))
@@ -283,6 +294,21 @@ def test_del_pezzo_duality(del_pezzo_ring, del_pezzo_g):
     coh_dims = [sheaf_cohomology(j, G)[0] for j in range(3)]
     assert coh_dims == [2, 2, 0]
     assert ext_dims == coh_dims
+
+
+@pytest.mark.parametrize("seed, v, want", [(7, -3, [1, 2, 0]),
+                                           (2, -1, [0, 1, 0]),
+                                           (1, 1, [0, 0, 6])])
+def test_serre_duality_on_p2(seed, v, want):
+    """Ext^m(P^2; G, O(-3)) = H^{2-m}(P^2, G)^dual for a seeded module G on
+    three generators, twisted by v: Serre duality with a non-free first
+    argument.  The cases give a nonzero value for each m = 0, 1, 2."""
+    ring = Ring(P, ("x", "y", "z"))
+    G = twist(random_module(ring, random.Random(seed), ranks=(3,)), v)
+    canonical = free_module_of(ring, (3,))   # O(-3)
+    ext_dims = [global_ext(m, G, canonical)[0] for m in range(3)]
+    assert ext_dims == [sheaf_cohomology(2 - m, G)[0] for m in range(3)]
+    assert ext_dims == want
 
 
 # -- bound stability ---------------------------------------------------------------
