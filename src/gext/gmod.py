@@ -18,18 +18,19 @@ relations as known syzygies, as it presents the kernel modulo them.
 Both track only the generators, never the relations.
 
 A module caches on itself, on first use, the Groebner basis of its
-relations (`relations_gb`) and the S-free resolution of its restriction
-of scalars (`s_resolution`, read by `krull_dim` and Algorithm 3.1),
-whose relation basis is the module's own read over S.  No cache is
-shared between modules; `ring_module` returns one module per `Ring`
-object, so every use of R as a module shares that module's caches.
+relations (`relations_gb`, whose leads also give `krull_dim`) and the
+S-free resolution of its restriction of scalars (`s_resolution`, read
+only by the Betti table of Algorithm 3.1), whose relation basis is the
+module's own read over S.  No cache is shared between modules;
+`ring_module` returns one module per `Ring` object, so every use of R as
+a module shares that module's caches.
 """
 
 from __future__ import annotations
 
 from .free import FreeModule, GradedMatrix, ModuleElement
-from .groebner import (GroebnerBasis, generators_and_syzygies, groebner_basis,
-                       minimal_generators, syzygies)
+from .groebner import (MINUS_INF, GroebnerBasis, generators_and_syzygies,
+                       groebner_basis, minimal_generators, syzygies)
 from .ring import AlgebraError, Ring, RingMismatch
 
 
@@ -362,7 +363,35 @@ def restrict_scalars(module: GradedModule) -> GradedModule:
 def krull_dim(module: GradedModule):
     """Krull dimension of the support; MINUS_INF for the zero module.
 
-    Read off the S-free resolution cached on the module (`s_resolution`).
+    Read off the leads of the relation basis (`relations_gb`): M and
+    F/in(U) have the same Hilbert function (Eisenbud, *Commutative
+    Algebra*, Ch. 15), and F/in(U) is the sum over the generators j of
+    S/J_j, J_j generated by component j's divisor leads, the quotient
+    divisors GB(I) among them.  dim S/J_j is the size of the largest set
+    of variables that contains the support of no lead (Cox, Little and
+    O'Shea, *Ideals, Varieties, and Algorithms*, Ch. 9 Sec. 1), and the
+    zero ring S/(1) has none.
     """
-    from .resolve import resolution_dim
-    return resolution_dim(module.s_resolution())
+    rank = module.cover.rank
+    if not rank:
+        return MINUS_INF
+    ctx = module.ring.ctx
+    gb = module.relations_gb()
+    best = MINUS_INF
+    for j in range(rank):
+        supports = {sum(1 << i for i, e in enumerate(ctx.decode(lead)) if e)
+                    for lead in gb.divisor_leads(j)}
+        if 0 not in supports:
+            best = max(best, _largest_free_set(supports, (1 << ctx.nvars) - 1))
+    return best
+
+
+def _largest_free_set(supports, free):
+    """The size of the largest subset of the variables in `free` (a bit
+    mask) that contains no support (bit masks too): one that `free`
+    contains loses one of its variables."""
+    for s in supports:
+        if not s & ~free:
+            return max(_largest_free_set(supports, free & ~(1 << i))
+                       for i in range(s.bit_length()) if s >> i & 1)
+    return free.bit_count()

@@ -223,26 +223,28 @@ def normal_form_terms(ambient: FreeModule, index: DivisorIndex, terms,
 # -- the engine -----------------------------------------------------------------
 
 def _computation(gens, rels, ambient, track=False):
-    """gens as a list, and an engine run modulo rels over their ambient
-    module (the first one's when None); each generator is checked to lie
-    in it and to be homogeneous."""
+    """(degrees, order, run): the degree of each of gens (None for a zero
+    one), the nonzero gens as (degree, index, generator) in that order,
+    and an engine run modulo rels over their ambient module (the first
+    one's when None).  Each generator is checked to lie in it and to be
+    homogeneous; its degree is read here, once."""
     gens = list(gens)
     if ambient is None:
         if not gens:
             raise AlgebraError("need an ambient module for empty input")
         ambient = gens[0].ambient
+    degrees, order = [], []
     for idx, g in enumerate(gens):
         if g.ambient != ambient:
             raise RingMismatch(f"generator {idx} in wrong ambient module")
-        if not g.is_homogeneous():
+        d = g.degree()
+        if d is not None:
+            order.append((d, idx, g))
+        elif g.data:
             raise NotHomogeneous(f"generator {idx} is not homogeneous")
-    return gens, ModuleComputation(ambient, rels=rels, track=track)
-
-
-def _by_degree(gens):
-    """(degree, index, generator) of the nonzero gens, in that order."""
-    return sorted((g.degree(), idx, g) for idx, g in enumerate(gens)
-                  if not g.is_zero())
+        degrees.append(d)
+    order.sort()
+    return degrees, order, ModuleComputation(ambient, rels=rels, track=track)
 
 
 class ModuleComputation:
@@ -279,8 +281,9 @@ class ModuleComputation:
 
     # -- the two intakes ------------------------------------------------------
 
-    def add_all(self, gens, known=()):
-        """The complete intake, then every remaining pair.
+    def add_all(self, order, known=()):
+        """The complete intake of the generators in `order` (from
+        `_computation`), then every remaining pair.
 
         `known` holds syzygies of gens, elements of the gens' free module
         (tracked runs only).  With none, each generator is reduced modulo
@@ -291,7 +294,7 @@ class ModuleComputation:
         one = self.ctx.one
         known = [syz.data for syz in known]   # an empty GroebnerBasis is none
         slots = {}           # gen index -> (entry number, comp, lead)
-        for d, idx, g in _by_degree(gens):
+        for d, idx, g in order:
             track = {(idx, one): 1} if self.track else None
             if not known:
                 self.run(d)
@@ -330,12 +333,13 @@ class ModuleComputation:
         if best is not None:
             self._leads[best[3]].append(best[2])
 
-    def add_minimal(self, gens):
-        """The minimal intake: (indices, reduced elements) of the kept
-        generators.  Pairs above the last one kept stay pending."""
+    def add_minimal(self, order):
+        """The minimal intake of the generators in `order` (from
+        `_computation`): (indices, reduced elements) of the kept ones.
+        Pairs above the last one kept stay pending."""
         ambient, index = self.ambient, self._index
         indices, elements = [], []
-        for d, idx, g in _by_degree(gens):
+        for d, idx, g in order:
             terms = normal_form_terms(ambient, index, g.data, None)
             if terms:
                 size = len(self._leads)
@@ -559,8 +563,8 @@ def groebner_basis(gens, ambient: FreeModule = None, rels=()) -> GroebnerBasis:
 
     Over a quotient ring the ideal relations are adjoined implicitly.
     """
-    gens, comp = _computation(gens, rels, ambient)
-    comp.add_all(gens)
+    _, order, comp = _computation(gens, rels, ambient)
+    comp.add_all(order)
     return _autoreduce(comp)
 
 
@@ -624,9 +628,9 @@ def syzygies(gens, rels=(), ambient: FreeModule = None,
     gens (degree 0 for a zero generator).  Over the base polynomial ring
     with no rels, gens . result = 0 exactly.
     """
-    gens, comp = _computation(gens, rels, ambient, track=True)
-    comp.add_all(gens, known)
-    return _syzygy_matrix(comp, gens)
+    degrees, order, comp = _computation(gens, rels, ambient, track=True)
+    comp.add_all(order, known)
+    return _syzygy_matrix(comp, degrees)
 
 
 def minimal_generators(gens, rels=(), ambient: FreeModule = None):
@@ -637,27 +641,27 @@ def minimal_generators(gens, rels=(), ambient: FreeModule = None):
     degree order, so the reduced elements differ from the originals by
     earlier generators and relations only.
     """
-    gens, comp = _computation(gens, rels, ambient)
-    return comp.add_minimal(gens)
+    _, order, comp = _computation(gens, rels, ambient)
+    return comp.add_minimal(order)
 
 
 def generators_and_syzygies(gens, rels=(), ambient: FreeModule = None):
     """(kept, syz): the reduced elements of minimal_generators(gens, rels)
     and syzygies(kept, rels), column for column, from one tracked run."""
-    gens, comp = _computation(gens, rels, ambient, track=True)
-    _, kept = comp.add_minimal(gens)
+    degrees, order, comp = _computation(gens, rels, ambient, track=True)
+    indices, kept = comp.add_minimal(order)
     comp.run()
-    return kept, _syzygy_matrix(comp, kept)
+    return kept, _syzygy_matrix(comp, [degrees[i] for i in indices])
 
 
-def _syzygy_matrix(comp: ModuleComputation, gens) -> GradedMatrix:
+def _syzygy_matrix(comp: ModuleComputation, degrees) -> GradedMatrix:
     """The syzygy tracks of a finished tracked run, then a basis vector
-    for each zero generator, as columns over the degrees of gens."""
+    for each zero generator (degree None), as columns over the generators'
+    degrees, 0 for a zero one."""
     ring = comp.ambient.ring
-    gmod = FreeModule(ring, tuple(0 if g.is_zero() else g.degree()
-                                  for g in gens))
+    gmod = FreeModule(ring, tuple(0 if d is None else d for d in degrees))
     cols = [ModuleElement(gmod, tr) for tr in comp.syzygy_tracks]
-    cols += [gmod.basis_element(i) for i, g in enumerate(gens) if g.is_zero()]
+    cols += [gmod.basis_element(i) for i, d in enumerate(degrees) if d is None]
     src = FreeModule(ring, tuple(c.degree() for c in cols))
     return GradedMatrix(src, gmod, cols, check=False)
 
@@ -670,8 +674,8 @@ def express_in_generators(gens, ambient: FreeModule, elements, rels=()):
     Returns one coefficient dict {(gen index, monomial): coeff} per
     element; raises if an element is not in the span.
     """
-    gens, comp = _computation(gens, rels, ambient, track=True)
-    comp.add_all(gens)
+    _, order, comp = _computation(gens, rels, ambient, track=True)
+    comp.add_all(order)
     p = comp.p
     out = []
     for v in elements:

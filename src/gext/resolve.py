@@ -129,39 +129,3 @@ class BettiTable:
 def betti_stats(resolution: FreeResolution) -> BettiTable:
     return BettiTable(resolution)
 
-
-def hilbert_numerator(resolution: FreeResolution) -> dict:
-    """Numerator of the Hilbert series over (1-t)^nvars, as degree->coeff.
-
-    Valid for complete resolutions over the base polynomial ring.
-    """
-    out: dict[int, int] = {}
-    sign = 1
-    for f in resolution.free_modules:
-        for a in f.twists:
-            out[a] = out.get(a, 0) + sign
-        sign = -sign
-    return {e: c for e, c in out.items() if c}
-
-
-def resolution_dim(resolution: FreeResolution):
-    """Krull dimension of the resolved module; MINUS_INF for zero.
-
-    nvars minus the vanishing order at t=1 of the Hilbert numerator, so
-    valid where `hilbert_numerator` is.
-    """
-    coeffs = hilbert_numerator(resolution)
-    if not coeffs:
-        return MINUS_INF
-    order = 0
-    while sum(coeffs.values()) == 0:
-        # p(t) = (1 - t) q(t) with q_e = sum_{k <= e} p_k
-        quotient: dict[int, int] = {}
-        acc = 0
-        for e in range(min(coeffs), max(coeffs) + 1):
-            acc += coeffs.get(e, 0)
-            if acc:
-                quotient[e] = acc
-        coeffs = quotient
-        order += 1
-    return resolution.module.ring.nvars - order

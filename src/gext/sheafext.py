@@ -5,8 +5,9 @@ The key identity: for r at least the truncation bound, the graded pieces
 of Ext^m_R(M_{>=r}, N) in degrees >= e are the global extension groups
 Ext^m(X; M~, N~(v)) for v >= e, where X = Proj(R).  Sheaf cohomology is
 the M = R case.  The bound reads the Betti degrees of the restriction of
-scalars _S N (`s_betti`) and its Krull dimension (`krull_dim`), both from
-the S-resolution cached on N (`GradedModule.s_resolution`).
+scalars _S N (`s_betti`, from the S-resolution cached on N,
+`GradedModule.s_resolution`) and N's Krull dimension (`krull_dim`, from
+the leads of N's relation basis).
 `global_ext_sum` asks `homext.ext_at_least` for Ext^m_R(M_{>=r}, N) in
 degrees >= e only, so no degree below e is presented.  Its result is
 the zero module (m < 0, or the dim-0 shortcut) or comes from

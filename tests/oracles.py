@@ -4,7 +4,9 @@ Everything here works on exponent tuples and dense coefficient matrices,
 deliberately avoiding the Groebner engine so the two implementations can
 check each other.  The one exception is `ext_dim`, which takes its free
 resolution from `free_resolution` and certifies it with `assert_exact`
-before it reads any Ext dimension off it.
+before it reads any Ext dimension off it.  `hilbert_numerator` and
+`resolution_dim` read only the Betti degrees of a resolution they are
+given.
 """
 
 from functools import lru_cache
@@ -322,3 +324,40 @@ def hilbert_polynomial(betti_entries: dict, n: int, v: int) -> int:
             prod *= t - k
         total += (-1) ** i * b * (prod // factorial(n))
     return total
+
+
+def hilbert_numerator(resolution) -> dict:
+    """Numerator of the Hilbert series over (1-t)^nvars, as degree->coeff.
+
+    Valid for complete resolutions over the base polynomial ring.
+    """
+    out: dict[int, int] = {}
+    sign = 1
+    for f in resolution.free_modules:
+        for a in f.twists:
+            out[a] = out.get(a, 0) + sign
+        sign = -sign
+    return {e: c for e, c in out.items() if c}
+
+
+def resolution_dim(resolution):
+    """Krull dimension of the resolved module; -inf for zero.
+
+    nvars minus the vanishing order at t=1 of the Hilbert numerator, so
+    valid where `hilbert_numerator` is.
+    """
+    coeffs = hilbert_numerator(resolution)
+    if not coeffs:
+        return float("-inf")
+    order = 0
+    while sum(coeffs.values()) == 0:
+        # p(t) = (1 - t) q(t) with q_e = sum_{k <= e} p_k
+        quotient: dict[int, int] = {}
+        acc = 0
+        for e in range(min(coeffs), max(coeffs) + 1):
+            acc += coeffs.get(e, 0)
+            if acc:
+                quotient[e] = acc
+        coeffs = quotient
+        order += 1
+    return resolution.module.ring.nvars - order

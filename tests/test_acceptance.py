@@ -23,12 +23,11 @@ from gext import (Ring, betti_stats, cokernel, free_module_of,
 from gext.free import FreeModule, GradedMatrix, ModuleElement
 from gext.groebner import groebner_basis
 from gext.homext import ext_module
-from gext.resolve import hilbert_numerator
 from gext.sheafext import (cotangent_module, extension_setup,
                            nonsplit_extension_coords)
 
 from conftest import QUARTIC_GENS, line_bundle
-from oracles import (ideal_component_dim, ideal_contains,
+from oracles import (hilbert_numerator, ideal_component_dim, ideal_contains,
                      projective_space_line_bundle)
 from test_groebner import (random_combination, random_homogeneous, span_dim)
 from test_resolve import hilbert_from_numerator

@@ -52,13 +52,14 @@ layers = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(layers)
 recorder = layers.Recorder()
 layers.install(recorder)
-from gext import Ring, krull_dim, ring_module
+from gext import Ring, free_module_of
 from gext.sheafext import s_betti
 ring = Ring(32003, ("x", "y", "z"), quotient=["x^3 + y^3 - z^3"])
-a, b = ring_module(ring), ring_module(ring)
+a, b = free_module_of(ring, (0,)), free_module_of(ring, (0,))
+assert a == b and a is not b
 s_betti(a)       # miss: resolves a
 s_betti(a)       # hit
-krull_dim(b)     # resolves b
+b.s_resolution() # resolves b outside s_betti
 s_betti(b)       # hit
 print(int(recorder.stats["sheafext.s_betti.calls"]),
       int(recorder.stats["sheafext.s_betti.hits"]))

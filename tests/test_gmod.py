@@ -6,17 +6,18 @@ import pytest
 
 from gext import (Ring, direct_sum, free_module_of, graded_component,
                   hilbert_function, image_of, kernel_of_map, krull_dim,
-                  prune, ring_module, sheaf_cohomology, submodule_equals,
+                  prune, ring_module, submodule_equals,
                   truncate_module, twist, zero_module)
 from gext.free import FreeModule, GradedMatrix
 from gext.gmod import GradedModule, ModuleMap, cokernel, restrict_scalars
 from gext.groebner import MINUS_INF, groebner_basis
 from gext.resolve import betti_stats, free_resolution
 from gext.script import parse_script, run_script
-from gext.sheafext import cotangent_module
+from gext.sheafext import cotangent_module, s_betti
 
 from conftest import QUARTIC_GENS
-from oracles import module_component_dim, monomial_exponents
+from oracles import module_component_dim, monomial_exponents, resolution_dim
+from test_exactness import random_module
 from test_groebner import random_homogeneous, random_span_element
 
 P = 32003
@@ -218,18 +219,16 @@ def _count_resolutions(monkeypatch):
     return calls
 
 
-def test_krull_dim_reuses_the_resolution_of_sheaf_cohomology(monkeypatch,
-                                                             quartic_base):
-    """dim(N) after sheafCohomology(1, N) resolves nothing again: both read
-    the S-resolution cached on N."""
+def test_krull_dim_resolves_nothing(monkeypatch, quartic_base):
+    """krull_dim reads the leads of the relation basis, so on a fresh
+    module it runs no free resolution, and it leaves the S-resolution
+    cache empty."""
     N = cokernel(GradedMatrix.from_entries(quartic_base, [QUARTIC_GENS],
                                            (0,)))
     calls = _count_resolutions(monkeypatch)
-    assert sheaf_cohomology(1, N)[0] == 0
-    assert any(c is N for c in calls)   # N is resolved here, not earlier
-    before = len(calls)
     assert krull_dim(N) == 2
-    assert len(calls) == before
+    assert calls == []
+    assert N._s_res is None
 
 
 def test_equal_modules_do_not_share_a_resolution(monkeypatch, elliptic_ring):
@@ -239,11 +238,48 @@ def test_equal_modules_do_not_share_a_resolution(monkeypatch, elliptic_ring):
             free_module_of(elliptic_ring, (0,)))
     assert a == b and a is not b
     calls = _count_resolutions(monkeypatch)
-    assert krull_dim(a) == krull_dim(a) == 2
+    assert s_betti(a).entries == s_betti(a).entries
     assert len(calls) == 1
-    assert krull_dim(b) == 2
+    s_betti(b)
     assert len(calls) == 2
     assert a.s_resolution() is not b.s_resolution()
+
+
+def _krull_dim_cases():
+    """Modules for the resolution oracle: test_exactness's seeded modules
+    over S and over S/(x^3 + y^3 - z^3), the quartic cokernel, a module
+    with one component killed by a unit relation, one with its only
+    component killed, a finite-length module and a sum of modules of
+    dimensions 1, 2 and 0."""
+    s = Ring(P, ("x", "y", "z"))
+    cubic = Ring(P, ("x", "y", "z"), quotient=["x^3 + y^3 - z^3"])
+
+    def coker(ring, rows, twists, **kw):
+        return cokernel(GradedMatrix.from_entries(ring, rows, twists, **kw))
+
+    for ring, name in ((s, "S"), (cubic, "cubic")):
+        for seed in range(6):
+            module = random_module(ring, random.Random(1200 + seed))
+            yield pytest.param(module, id=f"{name}-{seed}")
+    yield pytest.param(coker(Ring(P, ("w", "x", "y", "z")), [QUARTIC_GENS],
+                             (0,)), id="quartic")
+    yield pytest.param(coker(s, [["1"], ["0"]], (0, 1), source_twists=(0,)),
+                       id="unit-component")
+    yield pytest.param(coker(s, [["1"]], (0,)), id="unit-only")
+    yield pytest.param(coker(s, [["x", "y^2", "z^3"]], (0,)),
+                       id="finite-length")
+    point = coker(s, [["x", "y"]], (0,))
+    conic = coker(s, [["x*z - y^2"]], (1,))
+    origin = coker(s, [["x", "y", "z"]], (2,))
+    yield pytest.param(direct_sum(direct_sum(point, conic), origin),
+                       id="direct-sum")
+
+
+@pytest.mark.parametrize("module", _krull_dim_cases())
+def test_krull_dim_matches_the_resolution_oracle(module):
+    """krull_dim equals nvars less the pole order at t = 1 of the Hilbert
+    numerator of the S-resolution."""
+    assert krull_dim(module) == resolution_dim(module.s_resolution())
 
 
 @pytest.mark.parametrize("quotient", [(), ("x^3 + y^3 - z^3",)])

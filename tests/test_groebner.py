@@ -13,7 +13,7 @@ from gext import (AlgebraError, Ring, cokernel, free_module_of,
                   groebner_basis, minimal_generators, normal_form,
                   parse_polynomial, subquotient, syzygies)
 from gext.free import FreeModule, GradedMatrix, ModuleElement
-from gext.groebner import (ModuleComputation, generators_and_syzygies,
+from gext.groebner import (_computation, generators_and_syzygies,
                            normal_form_terms)
 from gext.homext import express_in_generators
 from gext.monomial import ExponentOverflow
@@ -505,8 +505,8 @@ def test_normal_forms_descend_in_term_order(seed, quotient):
     fm = FreeModule(ring, (0, 2, -1, 1))
     gens = [random_module_element(fm, rng.choice([1, 2, 3]), rng)
             for _ in range(3)]
-    comp = ModuleComputation(fm, track=True)
-    comp.add_all(gens)
+    _, order, comp = _computation(gens, (), fm, track=True)
+    comp.add_all(order)
     nq = len(ring.quotient_groebner())
     assert any(entries[nq:] for entries in comp._index.values())
     for c, entries in comp._index.items():

@@ -1,8 +1,10 @@
 """The only runtime dependency is click: every import in the package is
 of the standard library, click, or gext itself, and pyproject.toml
-declares click alone."""
+declares click alone.  Every package of the test extra is imported by
+the tests or the benchmark."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -14,13 +16,25 @@ ALLOWED = set(sys.stdlib_module_names) | {"click", "gext"}
 
 
 def imported_roots(path: Path):
-    """Top-level names of the absolute imports in one source file."""
+    """Top-level names of the absolute imports in one source file, those
+    made by `pytest.importorskip("name")` included."""
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield alias.name.split(".")[0]
         elif isinstance(node, ast.ImportFrom) and not node.level:
             yield node.module.split(".")[0]
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "importorskip" and node.args
+              and isinstance(node.args[0], ast.Constant)):
+            yield node.args[0].value.split(".")[0]
+
+
+def pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        return tomllib.load(f)["project"]
 
 
 def test_package_imports_only_the_standard_library_and_click():
@@ -32,7 +46,14 @@ def test_package_imports_only_the_standard_library_and_click():
 
 
 def test_pyproject_declares_click_as_the_only_dependency():
-    tomllib = pytest.importorskip("tomllib")
-    with open(ROOT / "pyproject.toml", "rb") as f:
-        project = tomllib.load(f)["project"]
-    assert project["dependencies"] == ["click>=8.0"]
+    assert pyproject()["dependencies"] == ["click>=8.0"]
+
+
+def test_every_test_extra_is_imported():
+    extra = pyproject()["optional-dependencies"]["test"]
+    wanted = {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower()
+              for spec in extra}
+    sources = sorted((ROOT / "tests").glob("*.py"))
+    sources += sorted((ROOT / "bench").glob("*.py"))
+    used = {name.lower() for path in sources for name in imported_roots(path)}
+    assert not wanted - used

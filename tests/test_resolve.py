@@ -8,9 +8,8 @@ from gext import (AlgebraError, Ring, betti_stats, cokernel, free_module_of,
                   free_resolution, hilbert_function, ring_module)
 from gext.free import GradedMatrix
 from gext.groebner import INF, MINUS_INF
-from gext.resolve import hilbert_numerator
 
-from oracles import monomial_exponents
+from oracles import hilbert_numerator, monomial_exponents
 
 P = 32003
 
