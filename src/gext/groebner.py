@@ -1,25 +1,28 @@
 """Buchberger's algorithm for submodules of graded free modules.
 
-One engine drives everything above it: Groebner bases, normal forms,
-syzygies (via reduction tracking, Schreyer style), minimal generators
-and membership certificates.
+Two kinds of run share one reducer.  Buchberger runs
+(`ModuleComputation`) give Groebner bases, minimal generators, the
+syzygies of `generators_and_syzygies` and membership certificates;
+signature runs (`SignatureRun`) give `syzygies`.
 
-A divisor is one entry [lead, tail, track] of a `DivisorIndex`
+A divisor is one entry [lead, tail, track, sig] of a `DivisorIndex`
 (component -> entries): a monic element with lead term (comp, lead), its
-other terms and its track (None when nothing is tracked).  That entry is
-the only record of a basis element: neither the engine nor a finished
-`GroebnerBasis` keeps another list of its basis, and iterating over a
-`GroebnerBasis` builds its elements from their entries.
+other terms, its track (None when nothing is tracked) and its signature
+(None outside a signature run).  That entry is the only record of a
+basis element: neither the engine nor a finished `GroebnerBasis` keeps
+another list of its basis, and iterating over a `GroebnerBasis` builds
+its elements from their entries.
 
 Every normal form is computed by one kernel, `normal_form_terms`, which
 reduces each term by the first entry of its component whose lead divides
-it.  It tests divisibility and forms products on the packed monomials
-inline, with the guard mask of `monomial`, rather than through
-`MonomialContext` calls; so does `_process_pair`.
-Its callers are `ModuleComputation` (tracked or untracked, inside
-Buchberger), `GroebnerBasis.reduce` (hence `normal_form`), `_autoreduce`
-(tails of the elements a run added) and, through `Ring.reduce_terms` and
-`ModuleElement.reduced`, the canonical forms of quotient-ring elements.
+it (in a signature run, the first that reduces it regularly, below).  It
+tests divisibility and forms products on the packed monomials inline,
+with the guard mask of `monomial`, rather than through `MonomialContext`
+calls; so do `_process_pair` and `SignatureRun`.
+Its callers are the two runs, `GroebnerBasis.reduce` (hence
+`normal_form`), `_autoreduce` (tails of the elements a run added) and,
+through `Ring.reduce_terms` and `ModuleElement.reduced`, the canonical
+forms of quotient-ring elements.
 
 Each component's entries begin with *fixed* divisors, which carry no
 track: first the quotient divisors GB(I) e_comp of R = S/I, built once
@@ -35,12 +38,13 @@ whose lead a new lead divides, and sorts and tail-reduces the new
 elements alone.  Those tails are the only entries ever changed after
 they are built, so fixed entries are shared between indexes.
 
-Schreyer leads.  Number the entries in insertion order, fixed entries
-first, and give entry b the unit e_b of a free module E; E -> F sends e_b
-to b, and its kernel Syz(G) holds the syzygies of the final basis G.  The
-Schreyer order on E compares m e_a and m' e_b by the terms m lead(a) and
-m' lead(b), the newer entry winning a tie.  A pair of entries h and n, n
-the newer, with L = lcm(lead h, lead n), stands for the syzygy of leads
+Schreyer leads (Buchberger runs).  Number the entries in insertion
+order, fixed entries first, and give entry b the unit e_b of a free
+module E; E -> F sends e_b to b, and its kernel Syz(G) holds the
+syzygies of the final basis G.  The Schreyer order on E compares m e_a
+and m' e_b by the terms m lead(a) and m' lead(b), the newer entry
+winning a tie.  A pair of entries h and n, n the newer, with
+L = lcm(lead h, lead n), stands for the syzygy of leads
 p(h, n) = (L / lead n) e_n - (L / lead h) e_h, whose Schreyer lead is
 (L / lead n) e_n: the multiplier of n is read off L.  Pairs are taken
 by degree (of L, with its twist); within one, by n, then by L, which is
@@ -55,12 +59,9 @@ R = S/I, so this holds in tracked runs too.  The Schreyer-lead criterion
 (Moeller, Mora and Traverso): every pair reduced, and every pair the
 product criterion drops, records its L on n; a pair is skipped unreduced
 when its L is a multiple of one already recorded on n, that is when its
-Schreyer lead is a multiple of a recorded one; a new entry whose lead
-the lead of an earlier new entry divides queues that pair alone, as
-every other pair of it has a multiple of its Schreyer lead, 1 e_n.  A
-known syzygy records its Schreyer lead too (below).  One pair per lcm,
-the F criterion of Gebauer and Moeller, is the case of equal multiples.
-A pair between two fixed entries needs no processing: it reduces to zero
+Schreyer lead is a multiple of a recorded one.  One pair per lcm, the F
+criterion of Gebauer and Moeller, is the case of equal multiples.  A
+pair between two fixed entries needs no processing: it reduces to zero
 by the fixed entries alone, and its syzygy projects to zero on the
 tracked coordinates.
 
@@ -71,39 +72,28 @@ plus terms of image below T; the lifts then generate Syz(G) (Moeller
 1988; for the pairs, Schreyer's theorem, Eisenbud Thm 15.10), and a lift
 has the Schreyer lead of s.  (2) The p(h, n) generate the syzygies of the
 leads.  A reduced pair lifts, through its reduction to zero or to a new
-element; so do a product pair (its Koszul syzygy), a pair of fixed
-entries (they form a Groebner basis) and the top part of a known syzygy,
-to the syzygy itself whatever pairs have been taken, so its lead may be
-recorded before any is.  (3) Each skipped p lies in the span of lifting
-ones, by induction along the well-order on the pairs by (L, n), pairs
-taken before pairs skipped and then in the order they were taken.  When
-the skipping record on n came from p' = p(h', n) or from the top part of
-a known syzygy, with lead dividing that of p(h, n), then p(h, n) less the
-matching multiple of it has no e_n term and all its terms of image L:
-a syzygy of the leads of entries older than n, so a combination of pairs
-of such entries with lcm dividing L, all earlier in the order; p' itself
-was reduced or dropped by the product criterion, so it lifts.  (4) The
-tracks map e_b to the track of b, zero for a fixed entry.  On a lift
-this gives the syzygy a reduced pair emitted, or zero when it made a new
-element; zero for a product pair (over R) and for fixed pairs; the known
-syzygy itself for a known one.  Every syzygy c of the generators modulo
-the fixed entries is such an image, of sum c_j (generator j written by
-the entries), plus columns the intake emitted.  So the emitted columns,
-with the known syzygies, generate the syzygies modulo the relations.
+element; so do a product pair (its Koszul syzygy) and a pair of fixed
+entries (they form a Groebner basis).  (3) Each skipped p lies in the
+span of lifting ones, by induction along the well-order on the pairs by
+(L, n), pairs taken before pairs skipped and then in the order they were
+taken.  When the skipping record on n came from p' = p(h', n), with lead
+dividing that of p(h, n), then p(h, n) less the matching multiple of p'
+has no e_n term and all its terms of image L: a syzygy of the leads of
+entries older than n, so a combination of pairs of such entries with lcm
+dividing L, all earlier in the order; p' itself was reduced or dropped
+by the product criterion, so it lifts.  (4) The tracks map e_b to the
+track of b, zero for a fixed entry.  On a lift this gives the syzygy a
+reduced pair emitted, or zero when it made a new element; zero for a
+product pair (over R) and for fixed pairs.  Every syzygy c of the
+generators modulo the fixed entries is such an image, of sum c_j
+(generator j written by the entries), plus columns the intake emitted.
+So the emitted columns generate the syzygies modulo the relations.
 
-The heap holds only S-pairs.  Generators enter by one of two intakes, in
-(degree, index) order, tracked when the run is.  The complete intake
-(`groebner_basis`, `syzygies`, `express_in_generators`) processes the
-pairs up to a generator's degree d, then inserts it, tracked as its
-index, reduced modulo the basis so far.  With known syzygies
-(`syzygies(..., known=...)`) every generator g_j enters first, reduced
-modulo the fixed entries only: if nonzero, as b_j = g_j / c modulo the
-fixed entries, tracked as e_j / c.  A known syzygy sum c_j e_j then lifts
-to sum c_j c e_{b_j} less a standard representation by the fixed entries
-of what that leaves; the latter has terms of image at most the greatest
-mu lead(b_j) of a term mu e_j, on older entries, so the Schreyer lead is
-the term mu e_j that maximises (mu lead(b_j), entry number), recorded on
-b_j before the first pair is taken.  The minimal intake
+Generators enter a Buchberger run by one of two intakes, in (degree,
+index) order, tracked when the run is; its heap holds only S-pairs.  The
+complete intake (`groebner_basis`, `express_in_generators`) processes
+the pairs up to a generator's degree d, then inserts it, tracked as its
+index, reduced modulo the basis so far.  The minimal intake
 (`minimal_generators`, `generators_and_syzygies`) first reduces a
 generator against the basis so far: a zero remainder proves it
 redundant.  Only a nonzero remainder makes the engine process the pairs
@@ -114,9 +104,73 @@ elements and the order in which the basis grows are those of the
 complete intake run on them, and pairs above the last kept generator
 wait until they are asked for.
 
-Determinism: pair selection by (degree of the lcm term, newer entry,
-lcm term, insertion sequence); all containers iterate in insertion
-order.
+Signature runs (`syzygies`; Gao, Volny and Wang, Math. Comp. 85 (2016);
+Eder and Faugere, J. Symb. Comp. 80 (2017)).  Let E have a unit e_j per
+generator g_j, phi: E -> F send e_j to g_j, and Syz be the x in E with
+phi(x) in the span of the fixed entries, read over S (so I E lies in
+it).  Every new element b is phi(u_b) modulo the fixed entries for a
+track u_b, and its signature sig(b) is the lead term of u_b in E's own
+order (`FreeModule.term_key`).  K is a Groebner basis of syzygies in hand
+(`known`, empty when none is given), in that same order; the divisor
+leads of K, quotient divisors included, are the first syzygy leads.
+Fixed entries have no signature and reduce freely.
+- Jobs are taken in increasing signature order, which is still degree
+  by degree: each generator g_j, of signature e_j, and J-pairs.  The
+  J-pair of a new element b and another entry h of its lead's component,
+  with L = lcm(lead b, lead h), is (L / lead b) b when h is fixed, and
+  otherwise whichever of (L / lead b) b and (L / lead h) h has the larger
+  signature; there is none when the two are equal.
+- Syzygy criterion: a job whose signature is a multiple of a syzygy lead
+  is dropped, when it is queued and again when it is taken.
+- One job per signature: the one of smallest lead is taken and the
+  others are dropped.  Cover criterion: a J-pair t b of signature T is
+  dropped when an element b' has sig(b') | T and (T / sig b') lead(b')
+  below t lead(b).
+- Regular reduction: an element with a signature reduces a term only
+  when its signature times the multiplier lies below the signature being
+  reduced (`normal_form_terms`), so reduction keeps the signature.
+- A reduction to zero emits its track as a column, and its signature
+  joins the syzygy leads.  A nonzero normal form is dropped when an
+  element divides its lead with a multiple of the same signature (it is
+  singular); this is tested only after every divisor was tried for a
+  regular reduction, for a normal form dropped while a regular divisor
+  remained could have reduced to zero, and its column would be lost.
+  Otherwise it joins as a new element.
+Pairs with a quotient divisor need no product criterion here: when the
+leads are coprime, the signature is a multiple of a quotient lead of E.
+
+Why the signature run is enough.  Let m(T) be the least lead of phi(x)
+over the x in E with lead T, and call T covered when an element b has
+sig(b) | T and (T / sig b) lead(b) = m(T).  Let H be the monomial module
+of the final syzygy leads; H lies in in(Syz), as each is the lead of K
+or of a column.  Claim: every term T outside H lies outside in(Syz) and
+is covered.  By induction on T: (1) below T, the claim makes every x
+with lead T' < T and phi(x) nonzero top-reducible by a fixed entry or a
+multiple of an element of signature at most T' (subtract a syzygy with
+lead T' when T' is in H, else the multiple of the covering element).
+(2) Take T outside H, e_j | T.  Generator j made an element, as e_j is
+outside H and nothing else has that signature; of the b with sig(b) | T,
+take one with least lambda = (T / sig b) lead(b).  If lambda > m(T), or
+T lies in in(Syz), apply (1) to the difference of (T / sig b) b and an x
+of lead T with lead m(T) (or a syzygy of lead T): an h reduces lambda
+with a multiple of signature below T.  The J-pair of b and h then has a
+signature T' dividing T, on b's side, and its lcm L' divides lambda; T'
+is outside H, so the pair was queued.  The job taken at T' is a multiple
+of an element b'' with lead at most L' (if below, b'' is the b' sought).
+If equal to L', it was covered, or h (whose signature is smaller, so it
+was there) reduced it regularly to a nonzero normal form below L' (a
+zero one would put T' in H), kept, or dropped as singular.  Either way
+an element b' has sig(b') | T' and (T' / sig b') lead(b') < L', which
+times T / T' is below lambda, against the choice of b.  So in(Syz) = H,
+and the columns with K form a Groebner basis of Syz.  Each column's lead
+is its signature, as regular reduction never reaches it; it lies outside
+in(K) and divides no other column's lead, as it was tested against every
+syzygy lead found before it and later signatures are larger.
+
+Determinism: a Buchberger run selects pairs by (degree of the lcm term,
+newer entry, lcm term, insertion sequence); a signature run selects jobs
+by (degree, signature, lead, insertion sequence), integers all.  All
+containers iterate in insertion order.
 """
 
 from __future__ import annotations
@@ -135,7 +189,7 @@ MINUS_INF = float("-inf")
 # -- the normal-form kernel ---------------------------------------------------
 
 class DivisorIndex(dict):
-    """comp -> divisor entries [lead, tail, track] for
+    """comp -> divisor entries [lead, tail, track, sig] for
     `normal_form_terms`: the quotient divisors GB(I) e_comp first (filled in
     on first lookup, with no track), then the divisors appended with `add`,
     in insertion order.
@@ -155,21 +209,28 @@ class DivisorIndex(dict):
         entries = self[comp] = list(self.ring.quotient_divisors(comp))
         return entries
 
-    def add(self, comp, lead, tail, track):
+    def add(self, comp, lead, tail, track, sig=None):
         """Append the monic divisor (comp, lead) + tail, where tail is a
         tuple of ((comp, mono), coeff); returns its entry."""
-        entry = [lead, tail, track]
+        entry = [lead, tail, track, sig]
         self[comp].append(entry)
         return entry
 
 
 def normal_form_terms(ambient: FreeModule, index: DivisorIndex, terms,
-                      track) -> dict:
+                      track, sig=None) -> dict:
     """Full normal form of a term dict {(comp, mono): coeff} of `ambient`.
 
     Each term is reduced by the first entry of index[comp] whose lead
     divides it.  When `track` is a dict, that divisor's track times the
     multiplier is subtracted from it in place; None tracks nothing.
+
+    `sig` is the signature (comp, mono) of the element in a signature run
+    (module docstring), None elsewhere.  A divisor with a signature then
+    reduces a term only regularly: when its signature times the
+    multiplier lies below `sig`.  A divisor without one (a fixed entry,
+    or any entry outside a signature run) reduces freely, and no other
+    test is made.
     """
     ring = ambient.ring
     ctx = ring.ctx
@@ -179,6 +240,7 @@ def normal_form_terms(ambient: FreeModule, index: DivisorIndex, terms,
     coeffs = dict(terms)
     heap = [(-((m >> shift) + twists[j]), j, -m) for (j, m) in coeffs]
     heapq.heapify(heap)
+    sc, sm = sig or (None, None)
     out: dict = {}
     while heap:
         _, comp, negm = heapq.heappop(heap)
@@ -186,9 +248,14 @@ def normal_form_terms(ambient: FreeModule, index: DivisorIndex, terms,
         c = coeffs.pop((comp, mono), 0)
         if not c:
             continue
-        for lead, tail, dtrack in index[comp]:
+        for lead, tail, dtrack, dsig in index[comp]:
             if not (lead - mono) & guards:
-                break
+                if dsig is None:
+                    break
+                # same degree as sig: compare (-comp, mono) of the two
+                dc, dm = dsig
+                if dc > sc or dc == sc and dm + mono - lead < sm:
+                    break
         else:
             out[(comp, mono)] = c
             continue
@@ -222,12 +289,12 @@ def normal_form_terms(ambient: FreeModule, index: DivisorIndex, terms,
 
 # -- the engine -----------------------------------------------------------------
 
-def _computation(gens, rels, ambient, track=False):
-    """(degrees, order, run): the degree of each of gens (None for a zero
-    one), the nonzero gens as (degree, index, generator) in that order,
-    and an engine run modulo rels over their ambient module (the first
-    one's when None).  Each generator is checked to lie in it and to be
-    homogeneous; its degree is read here, once."""
+def _graded(gens, ambient):
+    """(ambient, degrees, order): the ambient module of gens (the first
+    one's when None), the degree of each of gens (None for a zero one),
+    and the nonzero gens as (degree, index, generator) in that order.
+    Each generator is checked to lie in it and to be homogeneous; its
+    degree is read here, once."""
     gens = list(gens)
     if ambient is None:
         if not gens:
@@ -244,7 +311,34 @@ def _computation(gens, rels, ambient, track=False):
             raise NotHomogeneous(f"generator {idx} is not homogeneous")
         degrees.append(d)
     order.sort()
+    return ambient, degrees, order
+
+
+def _computation(gens, rels, ambient, track=False):
+    """(degrees, order, run): `_graded`'s degrees and order, and an engine
+    run modulo rels over the gens' ambient module."""
+    ambient, degrees, order = _graded(gens, ambient)
     return degrees, order, ModuleComputation(ambient, rels=rels, track=track)
+
+
+def _copy_index(fixed: DivisorIndex) -> DivisorIndex:
+    """A new index that begins with the entries of `fixed` (those of a
+    relation basis), shared, for a run to append its own to."""
+    index = DivisorIndex(fixed.ring)
+    for comp, entries in fixed.items():
+        index[comp] = list(entries)
+    return index
+
+
+def _multiples(ctx, items, u):
+    """items ((i, mono), coeff) times the monomial u + one, where u is a
+    difference of packed monomials such as lcm - lead."""
+    guards = ctx.guards
+    for (i, m), c in items:
+        m += u
+        if m & guards:
+            raise ExponentOverflow("exponent overflow in product")
+        yield (i, m), c
 
 
 class ModuleComputation:
@@ -267,11 +361,9 @@ class ModuleComputation:
         self.p = ring.p
         self.twists = ambient.twists
         self.track = track
-        self._index = DivisorIndex(ring)
-        # the fixed entries alone: the intake's index when syzygies are known
+        # the fixed entries alone, and the index the run appends to
         self._fixed = relation_basis(rels, ambient)._index
-        for comp, entries in self._fixed.items():
-            self._index[comp] = list(entries)
+        self._index = _copy_index(self._fixed)
         self.events: list = []
         self._seq = itertools.count()
         # per new element, in insertion order: the Schreyer leads recorded
@@ -281,57 +373,16 @@ class ModuleComputation:
 
     # -- the two intakes ------------------------------------------------------
 
-    def add_all(self, order, known=()):
+    def add_all(self, order):
         """The complete intake of the generators in `order` (from
-        `_computation`), then every remaining pair.
-
-        `known` holds syzygies of gens, elements of the gens' free module
-        (tracked runs only).  With none, each generator is reduced modulo
-        the basis so far, after the pairs up to its degree.  With some,
-        every generator enters first, reduced modulo the fixed entries
-        only, so its track is its unit vector; then each known syzygy
-        records its Schreyer lead, before any pair is taken."""
+        `_computation`), then every remaining pair: each generator is
+        reduced modulo the basis so far, after the pairs up to its
+        degree."""
         one = self.ctx.one
-        known = [syz.data for syz in known]   # an empty GroebnerBasis is none
-        slots = {}           # gen index -> (entry number, comp, lead)
         for d, idx, g in order:
-            track = {(idx, one): 1} if self.track else None
-            if not known:
-                self.run(d)
-                self._insert(g.data, track)
-                continue
-            terms = normal_form_terms(self.ambient, self._fixed, g.data, None)
-            if terms:
-                n = self._add_basis(terms, track)
-                slots[idx] = (n,) + next(iter(terms))
-            else:
-                self.syzygy_tracks.append(track)
-        for support in known:
-            self._record_known(support, slots)
+            self.run(d)
+            self._insert(g.data, {(idx, one): 1} if self.track else None)
         self.run()
-
-    def _record_known(self, support, slots):
-        """Record the Schreyer lead of a known syzygy with the given support
-        ((j, mu) of its terms): the mu e_j that maximises (mu * lead(b_j),
-        entry number of b_j), b_j the entry of generator j.  A generator
-        that is zero modulo the fixed entries has no entry and no part in
-        it."""
-        ctx = self.ctx
-        one, guards, shift = ctx.one, ctx.guards, ctx.degshift
-        best = None
-        for j, mu in support:
-            slot = slots.get(j)
-            if slot is None:
-                continue
-            n, comp, lead = slot
-            m = mu + lead - one
-            if m & guards:
-                raise ExponentOverflow("exponent overflow in product")
-            key = ((m >> shift) + self.twists[comp], -comp, m, n)
-            if best is None or key > best:
-                best = key
-        if best is not None:
-            self._leads[best[3]].append(best[2])
 
     def add_minimal(self, order):
         """The minimal intake of the generators in `order` (from
@@ -384,20 +435,10 @@ class ModuleComputation:
         # A fixed partner is t, as it has no track.  A pair the product
         # criterion drops (a quotient divisor with a coprime lead: the lcm
         # has the degree of the product) records its Schreyer lead now.
-        # When the lead of an earlier new entry divides this lead (a
-        # generator that entered modulo the fixed entries only), their pair
-        # has multiplier 1 and every other pair's Schreyer lead is a
-        # multiple of its lead: it is queued alone.
         ctx = self.ctx
         degree = ctx.degree
-        guards = ctx.guards
         twist = self.twists[comp]
-        partners = enumerate(entries[:-1])
-        for i in range(nfixed, len(entries) - 1):
-            if not (entries[i][0] - lead) & guards:
-                partners = [(i, entries[i])]
-                break
-        for i, old in partners:
+        for i, old in enumerate(entries[:-1]):
             lcm = ctx.lcm(lead, old[0])
             d = degree(lcm)
             if i < nq and d == degree(lead) + degree(old[0]):
@@ -408,20 +449,10 @@ class ModuleComputation:
                 (new, old, lcm, n) if i < nfixed else (old, new, lcm, n)))
         return n
 
-    def _multiples(self, items, u):
-        """items ((i, mono), coeff) times the monomial u + one, where u is
-        a difference of packed monomials such as lcm - lead."""
-        guards = self.ctx.guards
-        for (i, m), c in items:
-            m += u
-            if m & guards:
-                raise ExponentOverflow("exponent overflow in product")
-            yield (i, m), c
-
     def _subtract(self, target, items, u):
         """target -= (u + one) * items in place."""
         p = self.p
-        for k, c in self._multiples(items, u):
+        for k, c in _multiples(self.ctx, items, u):
             nv = (target.get(k, 0) - c) % p
             if nv:
                 target[k] = nv
@@ -439,11 +470,11 @@ class ModuleComputation:
         # (lcm / lead_t) tail_t, and the tracks combine the same way (a
         # fixed entry t has none)
         us, ut = lcm - s[0], lcm - t[0]
-        terms = dict(self._multiples(s[1], us))
+        terms = dict(_multiples(self.ctx, s[1], us))
         self._subtract(terms, t[1], ut)
         track = None
         if self.track:
-            track = dict(self._multiples(s[2].items(), us))
+            track = dict(_multiples(self.ctx, s[2].items(), us))
             if t[2]:
                 self._subtract(track, t[2].items(), ut)
         self._insert(terms, track)
@@ -454,6 +485,140 @@ class ModuleComputation:
         events = self.events
         while events and events[0][0] <= stop_degree:
             self._process_pair(*heapq.heappop(events)[4])
+
+
+class SignatureRun:
+    """The signature run of `syzygies` (module docstring): the syzygies of
+    generators in `ambient` modulo its fixed entries (the quotient
+    divisors and the basis of rels), given a GroebnerBasis `known` of
+    syzygies already in hand.  Signatures are terms (comp, mono) of E =
+    known.ambient, the generators' free module, compared in E's order.
+
+    The heap `events` holds J-pairs and generators by (degree, signature,
+    lead, sequence), all integers.  A reduction to zero appends its track
+    to `syzygy_tracks` and its signature to the syzygy leads."""
+
+    def __init__(self, ambient: FreeModule, rels, known: GroebnerBasis):
+        self.ambient = ambient
+        ring = ambient.ring
+        self.ctx = ring.ctx
+        self.p = ring.p
+        self.twists = ambient.twists
+        self._index = _copy_index(relation_basis(rels, ambient)._index)
+        self._known = known
+        self._syz: dict = {}      # E comp -> syzygy leads (monomials)
+        self._signed: dict = {}   # E comp -> (sig mono, comp, lead)
+        self.events: list = []
+        self._seq = itertools.count()
+        self.syzygy_tracks: list[dict] = []
+
+    def _is_syzygy(self, sc, sm) -> bool:
+        """Is the signature a multiple of a syzygy lead: of a divisor lead
+        of `known` (quotient divisors included), or a column's signature?"""
+        leads = self._syz.get(sc)
+        if leads is None:
+            leads = self._syz[sc] = self._known.divisor_leads(sc)
+        guards = self.ctx.guards
+        for lead in leads:
+            if not (lead - sm) & guards:
+                return True
+        return False
+
+    def add(self, order):
+        """Queue the generators in `order` (from `_graded`): generator j
+        has signature (j, 1)."""
+        one = self.ctx.one
+        for d, idx, g in order:
+            if not self._is_syzygy(idx, one):
+                heapq.heappush(self.events, (d, -idx, one, 0, 0,
+                                             next(self._seq), (None, idx, g)))
+
+    def run(self) -> None:
+        """Process the queued J-pairs in increasing signature order, each
+        signature once, by the J-pair of smallest lead."""
+        ambient, index, events = self.ambient, self._index, self.events
+        ctx = self.ctx
+        last = None
+        while events:
+            _, nsc, sm, _, lead, _, (entry, comp, u) = heapq.heappop(events)
+            sig = (-nsc, sm)
+            if sig == last:
+                continue
+            last = sig
+            if self._is_syzygy(*sig):
+                continue
+            if entry is None:       # generator comp, u the generator
+                terms, track = dict(u.data), {(comp, ctx.one): 1}
+            elif self._covered(sig, comp, lead):
+                continue
+            else:                   # u times the element of the entry
+                terms = {(comp, lead): 1}
+                terms.update(_multiples(ctx, entry[1], u))
+                track = dict(_multiples(ctx, entry[2].items(), u))
+            terms = normal_form_terms(ambient, index, terms, track, sig)
+            if not terms:
+                self.syzygy_tracks.append(track)
+                self._syz[sig[0]].append(sm)
+            elif not self._singular(terms, sig):
+                self._add(terms, track, sig)
+
+    def _covered(self, sig, comp, lead) -> bool:
+        """The cover criterion: some element's signature divides sig, and
+        the same multiple of its lead lies below (comp, lead)."""
+        sc, sm = sig
+        guards = self.ctx.guards
+        for esm, ec, elead in self._signed[sc]:
+            if not (esm - sm) & guards and (
+                    ec > comp or ec == comp and elead + sm - esm < lead):
+                return True
+        return False
+
+    def _singular(self, terms, sig) -> bool:
+        """Does an element divide the lead of terms, which no element
+        reduces regularly, with a multiple of signature sig?"""
+        comp, lead = next(iter(terms))
+        sc, sm = sig
+        guards = self.ctx.guards
+        for elead, _, _, esig in self._index[comp]:
+            if (esig is not None and esig[0] == sc
+                    and not (elead - lead) & guards
+                    and esig[1] + lead - elead == sm):
+                return True
+        return False
+
+    def _add(self, terms, track, sig):
+        """Add a regular normal form of signature sig, monic, and queue
+        its J-pairs with the entries of its lead's component."""
+        p = self.p
+        items = iter(terms.items())
+        (comp, lead), lc = next(items)
+        inv = field_inverse(lc, p)
+        tail = tuple((k, (v * inv) % p) for k, v in items)
+        track = {k: (v * inv) % p for k, v in track.items()}
+        new = self._index.add(comp, lead, tail, track, sig)
+        sc, sm = sig
+        self._signed.setdefault(sc, []).append((sm, comp, lead))
+        ctx = self.ctx
+        guards = ctx.guards
+        twist = self.twists[comp]
+        for old in self._index[comp][:-1]:
+            olead, osig = old[0], old[3]
+            lcm = ctx.lcm(lead, olead)
+            # the J-pair is the multiple of larger signature; a fixed
+            # entry has none
+            job, jc, jm = (new, comp, lcm - lead), sc, sm + lcm - lead
+            if osig is not None:
+                oc, om = osig[0], osig[1] + lcm - olead
+                if oc == jc and om == jm:
+                    continue
+                if oc < jc or oc == jc and om > jm:
+                    job, jc, jm = (old, comp, lcm - olead), oc, om
+            if jm & guards:
+                raise ExponentOverflow("exponent overflow in product")
+            if not self._is_syzygy(jc, jm):
+                heapq.heappush(self.events, (
+                    ctx.degree(lcm) + twist, -jc, jm, -comp, lcm,
+                    next(self._seq), job))
 
 
 # -- public operations ------------------------------------------------------
@@ -478,7 +643,7 @@ class GroebnerBasis:
                 for entry in entries[nq:]]
 
     def __iter__(self):
-        for comp, (lead, tail, _) in self._entries():
+        for comp, (lead, tail, _, _) in self._entries():
             terms = dict(tail)
             terms[(comp, lead)] = 1
             yield ModuleElement(self.ambient, terms)
@@ -513,10 +678,10 @@ class GroebnerBasis:
         index = DivisorIndex(ambient.ring)
         for k in range(copies):
             off = k * nb
-            for comp, (lead, tail, _) in entries:
+            for comp, (lead, tail, _, _) in entries:
                 index[comp + off].append(
                     [lead, tuple(((j + off, m), c) for (j, m), c in tail),
-                     None])
+                     None, None])
         return GroebnerBasis(ambient, index)
 
     def over_base(self, ambient: FreeModule) -> "GroebnerBasis":
@@ -587,7 +752,7 @@ def _autoreduce(comp: ModuleComputation) -> GroebnerBasis:
         leads = [e[0] for e in new]
         index[c].extend(e for e in entries[nq:nfixed]
                         if not any(ctx.divides(lead, e[0]) for lead in leads))
-        added += [index.add(c, lead, tail, None) for lead, tail, _ in new]
+        added += [index.add(c, lead, tail, None) for lead, tail, _, _ in new]
     # One index for all tails: b never divides its own tail, whose terms lie
     # below b's lead and only shrink under reduction, while a multiple of a
     # lead is never smaller than it in a degree-compatible order.
@@ -617,20 +782,29 @@ def syzygies(gens, rels=(), ambient: FreeModule = None,
     tracking them in gens and discarding their coordinates.
 
     `known` holds syzygies of gens modulo rels already in hand: a
-    GroebnerBasis, or an iterable of elements of the gens' free module.
-    When it holds any, every generator enters reduced modulo rels only,
-    each known syzygy records its Schreyer lead before the first pair,
-    and the engine skips every pair whose syzygy such a lead accounts for
-    (module docstring), so a caller that works modulo span(known) anyway
-    gets fewer columns; with none the columns alone generate.
+    GroebnerBasis in a free module E with one component per generator
+    (E's own term order is the signature order), or an iterable of
+    elements of the gens' free module, turned into one.  The run is the
+    signature run of the module docstring, with known's leads as its
+    first syzygy leads.  Each column's lead is its signature: it lies
+    outside in(known) and divides no other column's lead, and the columns
+    with known form a Groebner basis of the syzygy module.
 
     The result is a GradedMatrix into the free module on the degrees of
     gens (degree 0 for a zero generator).  Over the base polynomial ring
     with no rels, gens . result = 0 exactly.
     """
-    degrees, order, comp = _computation(gens, rels, ambient, track=True)
-    comp.add_all(order, known)
-    return _syzygy_matrix(comp, degrees)
+    ambient, degrees, order = _graded(gens, ambient)
+    gfree = FreeModule(ambient.ring,
+                       tuple(0 if d is None else d for d in degrees))
+    if not isinstance(known, GroebnerBasis):
+        known = relation_basis(known, gfree)
+    elif known.ambient.rank != len(degrees):
+        raise RingMismatch("known syzygies in a module of the wrong rank")
+    run = SignatureRun(ambient, rels, known)
+    run.add(order)
+    run.run()
+    return _syzygy_matrix(run, degrees)
 
 
 def minimal_generators(gens, rels=(), ambient: FreeModule = None):
@@ -700,4 +874,4 @@ def ideal_groebner(ring, polys):
         gens.append(ModuleElement(fm, {(0, m): c for m, c in f.terms.items()}))
     gb = groebner_basis(gens, ambient=fm)
     return tuple((lead, [(lead, 1)] + [(m, c) for (_, m), c in tail])
-                 for lead, tail, _ in gb._index[0])
+                 for lead, tail, _, _ in gb._index[0])

@@ -12,23 +12,28 @@ the kernel of Hom(d_out, N) as columns over the cover of Hom(F, N), and
 relations of Hom(F, N) plus the image of Hom(d_in, N).  Every element of
 K0's basis lies in that kernel (N's relations map to relations, and
 d_out d_in = 0), so the `syzygies` run is given the basis as known
-syzygies: it skips the pairs whose syzygies K0 accounts for, and its
-columns generate the kernel together with K0, which is all that the
-presentation modulo K0 reads.
+syzygies: a signature run whose first syzygy leads are K0's leads.  It
+emits only columns with new leads, and those columns together with K0
+form a Groebner basis of the kernel.
 
 Algorithm 3.1 reads Ext only in degrees >= e, so `ext_at_least` asks
 `_homology` for Ext_{>=low} itself rather than presenting all of Ext and
 truncating it.  The columns of degree < low are first raised to low
-(`_raise`), untracked and modulo K0 only: with Q_d the span in degree d of
-the columns modulo K0, Q_d = x_0 Q_{d-1} + ... + x_n Q_{d-1} + (columns
-of degree d), because R is generated in degree 1 and x_i K0_{d-1} lies in
-K0_d.  So a basis of Q_d (the `minimal_generators` of elements all of
-degree d) is carried from the lowest column degree up to low - 1, and the
-variables times that basis, with the columns of degree >= low, generate
-the kernel in degrees >= low modulo K0.  Truncation is exact degree by
-degree, (ker / K0)_{>=low} = ker_{>=low} / K0_{>=low}, so presenting
-that span modulo K0 gives Ext_{>=low}: the same module as truncating the
-full Ext, with other generator representatives.  With low = MINUS_INF
+(`_raise`) by standard monomials, with no engine run.  As the columns G
+and K0 form a Groebner basis of the kernel, in(ker) is generated by
+in(K0) and the leads of G, so the monomials of degree low in in(ker) but
+not in in(K0) are the t lead(g), g in G, that lie outside in(K0); keep
+one t g for each (a column of degree low stands for its own lead).
+Their leads are distinct and outside in(K0), so no combination of them
+lies in K0, and there are dim (ker/K0)_low of them: a basis of
+(ker/K0)_low.  An element of ker of degree D > low is a combination of
+columns with K0; a column of degree d < low enters it with a coefficient
+of degree D - d > low - d, so through the degree-low multiples of that
+column.  So that basis, with the columns of degree >= low, generates
+ker_{>=low} modulo K0.  Truncation is exact degree by degree,
+(ker/K0)_{>=low} = ker_{>=low}/K0_{>=low}, so presenting that span
+modulo K0 gives Ext_{>=low}: the same module as truncating the full Ext,
+with other generator representatives.  With low = MINUS_INF
 (`hom_module`, `ext_module`) nothing is raised.
 """
 
@@ -37,7 +42,7 @@ from __future__ import annotations
 from .free import FreeModule, GradedMatrix, ModuleElement
 from .gmod import GradedModule, ModuleMap, subquotient, zero_module
 from .groebner import (MINUS_INF, express_in_generators, groebner_basis,
-                       minimal_generators, syzygies)
+                       syzygies)
 from .resolve import free_resolution
 from .ring import AlgebraError, NotHomogeneous, RingMismatch
 
@@ -127,9 +132,10 @@ def _homology(free: FreeModule, d_in, d_out, target: GradedModule,
 
     The known kernel K0 (Hom(free, N)'s relation basis plus that image) is
     the one relation basis, and the kernel run's known syzygies.  Kernel
-    columns below low are raised to low modulo K0 first; that is exact
-    because x_i K0_d lies in K0_{d+1} and R is generated in degree 1
-    (module docstring), and only the raised span is presented."""
+    columns below low are raised to low modulo K0 first, by standard
+    monomials (module docstring), and only the raised span is presented.
+    With no d_out the kernel is all of Hom(free, N), whose basis vectors
+    with K0 form a Groebner basis too."""
     cover, known = hom_of_free(free, target)
     if d_in is not None:
         known = groebner_basis(induced_columns(d_in, target, cover), cover,
@@ -145,24 +151,29 @@ def _homology(free: FreeModule, d_in, d_out, target: GradedModule,
 
 
 def _raise(gens, known, cover: FreeModule, low):
-    """Generators of span(gens)_{>=low} modulo known, from gens of any
-    degree: the ones of degree >= low, and the variables times a basis of
-    span(gens)_{low-1} modulo known, built up one degree at a time."""
-    by_degree = {}
+    """Generators of span(gens)_{>=low} modulo known, when gens together
+    with known form a Groebner basis (the kernel columns of `syzygies`):
+    the ones of degree >= low, and for each g of degree d < low and each
+    monomial t of degree low - d, t g when t lead(g) lies outside in(known)
+    and is the lead of no element kept before it (module docstring)."""
+    ctx = cover.ring.ctx
+    guards = ctx.guards
+    out, seen = [], set()
     for g in gens:
-        by_degree.setdefault(g.degree(), []).append(g)
-    if not by_degree or low <= min(by_degree):
-        return gens
-    ring = cover.ring
-    xs = [ring.ctx.variable(j) for j in range(ring.nvars)]
-    cur = []
-    for d in range(min(by_degree), low):
-        if cur or d in by_degree:
-            _, cur = minimal_generators(
-                [g.monomial_mul(x) for g in cur for x in xs]
-                + by_degree.get(d, []), rels=known, ambient=cover)
-    return ([g.monomial_mul(x) for g in cur for x in xs]
-            + [g for d, gs in by_degree.items() if d >= low for g in gs])
+        d = g.degree()
+        if d >= low:
+            out.append(g)
+            continue
+        (comp, lead), _ = g.lead_term()
+        divisors = known.divisor_leads(comp)
+        for t in ctx.monomials_of_degree(low - d):
+            m = ctx.mul(lead, t)
+            if (comp, m) in seen or any(not (q - m) & guards
+                                        for q in divisors):
+                continue
+            seen.add((comp, m))
+            out.append(g.monomial_mul(t))
+    return out
 
 
 def hom_element(hom: HomModule, coords):

@@ -170,7 +170,7 @@ class Ring:
         return self._quotient_gb
 
     def quotient_divisors(self, comp: int) -> list:
-        """The divisor entries [lead, tail, None] of GB(I) e_comp
+        """The divisor entries [lead, tail, None, None] of GB(I) e_comp
         that begin component comp of every `groebner.DivisorIndex`.
 
         Built once per component and shared: an index copies the list and
@@ -179,7 +179,8 @@ class Ring:
         entries = self._quotient_divisors.get(comp)
         if entries is None:
             entries = self._quotient_divisors[comp] = [
-                [lead, tuple(((comp, m), c) for m, c in qterms[1:]), None]
+                [lead, tuple(((comp, m), c) for m, c in qterms[1:]), None,
+                 None]
                 for lead, qterms in self.quotient_groebner()]
         return entries
 

@@ -119,10 +119,10 @@ def global_ext_sum(m: int, e: int, source: GradedModule,
 
     That is Ext^m_R(M_{>=r}, N)_{>=e}, computed in degrees >= e only: the
     kernel columns of degree < e are raised to e modulo the known kernel
-    before anything is presented (see `homext`).  Raising is exact, as R
-    is generated in degree 1 and truncation at e commutes with taking
-    homology, so the result has the generator degrees and Hilbert function
-    of the full Ext^m truncated at e."""
+    before anything is presented (see `homext`).  Raising is exact, as the
+    columns with the known kernel form a Groebner basis and truncation at
+    e commutes with taking homology, so the result has the generator
+    degrees and Hilbert function of the full Ext^m truncated at e."""
     if source.ring != target.ring:
         raise RingMismatch("modules over different rings")
     if m < 0 or krull_dim(source) <= 0 or krull_dim(target) == MINUS_INF:

@@ -36,31 +36,36 @@ def poly_exponents(poly):
     return {tuple(ctx.decode(m)): c for m, c in poly.terms.items()}
 
 
-def rank_mod_p(rows, p: int) -> int:
-    """Rank of an integer matrix over ZZ/p (plain Gaussian elimination)."""
-    if not rows:
-        return 0
+def echelon_mod_p(rows, p: int):
+    """(reduced, pivots): the nonzero rows of the reduced row echelon form
+    of an integer matrix over ZZ/p, and their pivot columns, left to
+    right."""
     mat = np.array(rows, dtype=np.int64) % p
     nrows, ncols = mat.shape
-    rank = 0
+    pivots = []
     for col in range(ncols):
-        pivot = None
-        for r in range(rank, nrows):
-            if mat[r, col] % p:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        mat[[rank, pivot]] = mat[[pivot, rank]]
-        inv = pow(int(mat[rank, col]), p - 2, p)
-        mat[rank] = (mat[rank] * inv) % p
-        for r in range(nrows):
-            if r != rank and mat[r, col]:
-                mat[r] = (mat[r] - mat[r, col] * mat[rank]) % p
-        rank += 1
+        rank = len(pivots)
         if rank == nrows:
             break
-    return rank
+        below = np.nonzero(mat[rank:, col])[0]
+        if not below.size:
+            continue
+        mat[[rank, rank + below[0]]] = mat[[rank + below[0], rank]]
+        mat[rank] = mat[rank] * pow(int(mat[rank, col]), p - 2, p) % p
+        others = np.nonzero(mat[:, col])[0]
+        others = others[others != rank]
+        if others.size:
+            mat[others] = (mat[others]
+                           - np.outer(mat[others, col], mat[rank])) % p
+        pivots.append(col)
+    return mat[:len(pivots)], pivots
+
+
+def rank_mod_p(rows, p: int) -> int:
+    """Rank of an integer matrix over ZZ/p (Gaussian elimination)."""
+    if not rows:
+        return 0
+    return len(echelon_mod_p(rows, p)[1])
 
 
 def solve_mod_p(rows, rhs, p: int):
@@ -195,6 +200,60 @@ def module_component_dim(module, d: int) -> int:
     if not index:
         return 0
     return len(index) - rank_mod_p(rows, module.ring.p)
+
+
+def initial_module(gens, rels, ambient, d: int):
+    """in(U)_d for U = span(gens) + span(rels) (+ I * ambient over S/I), as
+    a set of (component, exponent tuple): the pivot columns of the row
+    echelon form of the degree-d multiples of gens, rels and the quotient
+    generators times each basis vector, with the columns sorted by
+    ambient.term_key, largest first.  A pivot is the lead term of a row
+    of U_d and every lead term of U_d is one, with no Groebner basis
+    involved."""
+    ring = ambient.ring
+    ctx = ring.ctx
+    nvars = len(ring.variables)
+    terms = [(j, ctx.encode(e)) for j, a in enumerate(ambient.twists)
+             for e in monomial_exponents(nvars, d - a)]
+    terms.sort(key=lambda t: ambient.term_key(*t), reverse=True)
+    index = {t: k for k, t in enumerate(terms)}
+    rows = []
+    quotient = [{(j, m): c for m, c in f.terms.items()}
+                for f in ring.quotient for j in range(ambient.rank)]
+    for data in [g.data for g in gens] + [r.data for r in rels] + quotient:
+        if not data:
+            continue
+        j, m = next(iter(data))
+        for mult in monomial_exponents(nvars, d - ambient.twists[j]
+                                       - ctx.degree(m)):
+            u = ctx.encode(mult)
+            row = [0] * len(terms)
+            for (i, mono), c in data.items():
+                row[index[(i, ctx.mul(mono, u))]] = c
+            rows.append(row)
+    if not rows:
+        return set()
+    _, pivots = echelon_mod_p(rows, ring.p)
+    return {(terms[k][0], tuple(ctx.decode(terms[k][1]))) for k in pivots}
+
+
+def quotient_coordinates(module, k: int):
+    """Coordinates on module_k: (index, standard, proj), where index is
+    `component_space`'s column map of the cover's degree-k part, standard
+    lists the columns off the pivots of the reduced echelon form of its
+    relation rows (their terms lift a basis of module_k), and proj is the
+    integer matrix taking cover coordinates to coordinates in that
+    basis."""
+    index, rows = component_space(module, k)
+    p = module.ring.p
+    reduced, pivots = (echelon_mod_p(rows, p) if rows
+                       else (np.zeros((0, len(index)), dtype=np.int64), []))
+    standard = sorted(set(range(len(index))) - set(pivots))
+    proj = np.zeros((len(index), len(standard)), dtype=np.int64)
+    proj[standard, range(len(standard))] = 1
+    # v - v[pivots] . reduced is v's normal form, zero on the pivots
+    proj[pivots] = (-reduced[:, standard]) % p
+    return index, standard, proj
 
 
 def image_dim(matrix, d: int) -> int:

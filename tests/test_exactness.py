@@ -17,6 +17,7 @@ from gext import (Ring, betti_stats, cokernel, free_module_of,
 from gext import homext
 from gext.free import FreeModule, GradedMatrix, ModuleElement
 from gext.gmod import GradedModule
+from gext.groebner import _computation, _syzygy_matrix
 
 from oracles import (assert_exact, ext_dim, image_dim, module_component_dim,
                      monomial_exponents)
@@ -60,9 +61,14 @@ def test_resolution_of_random_module_is_exact(seed, quotient):
 
 def old_recipe(previous: GradedMatrix):
     """The next differential's columns as free_resolution once built them:
-    the syzygies of the previous columns, then minimal generators of those
-    syzygies.  The reference for iterated subquotient."""
-    syz = syzygies(previous.columns, ambient=previous.target)
+    the syzygies of the previous columns from the Buchberger engine's
+    tracked complete intake (what `syzygies` ran before its signature
+    run), then minimal generators of those syzygies.  The reference for
+    iterated subquotient."""
+    degrees, order, comp = _computation(previous.columns, (),
+                                        previous.target, track=True)
+    comp.add_all(order)
+    syz = _syzygy_matrix(comp, degrees)
     _, cols = minimal_generators(syz.columns, ambient=previous.source)
     return cols
 

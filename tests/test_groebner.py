@@ -9,16 +9,16 @@ import random
 
 import pytest
 
-from gext import (AlgebraError, Ring, cokernel, free_module_of,
-                  groebner_basis, minimal_generators, normal_form,
-                  parse_polynomial, subquotient, syzygies)
+from gext import (AlgebraError, Ring, RingMismatch, cokernel,
+                  free_module_of, groebner_basis, minimal_generators,
+                  normal_form, parse_polynomial, subquotient, syzygies)
 from gext.free import FreeModule, GradedMatrix, ModuleElement
-from gext.groebner import (_computation, generators_and_syzygies,
-                           normal_form_terms)
+from gext.groebner import (_computation, _syzygy_matrix,
+                           generators_and_syzygies, normal_form_terms)
 from gext.homext import express_in_generators
 from gext.monomial import ExponentOverflow
 
-from oracles import (ideal_component_dim, ideal_contains,
+from oracles import (ideal_component_dim, ideal_contains, initial_module,
                      module_component_dim, monomial_exponents,
                      quotient_hilbert)
 
@@ -425,14 +425,90 @@ def test_known_syzygies_complete_the_columns(seed, quotient, known_as):
     assert all(gb_plain.contains(c) for c in seeded.columns)
 
 
+def syzygy_initial_module(gens, rels, ambient, source, d):
+    """in(ker)_d of source -> ambient / (span(rels) + I*ambient), e_j ->
+    gens[j], in source's term order, by the dense oracle: initial_module
+    of the graph module ambient + source, whose components come first in
+    each degree, so the pivots on source's components are the leads of
+    the kernel (elimination)."""
+    ring = ambient.ring
+    rank = ambient.rank
+    graph = FreeModule(ring, ambient.twists + source.twists)
+    rows = [ModuleElement(graph, {**g.data, (rank + j, ring.ctx.one): 1})
+            for j, g in enumerate(gens)]
+    rows += [ModuleElement(graph, dict(r.data)) for r in rels]
+    return {(j - rank, e) for j, e in initial_module(rows, (), graph, d)
+            if j >= rank}
+
+
+def lead_multiples(leads, source, d):
+    """The terms of degree d of source that some (component, monomial) of
+    leads divides, as (component, exponent tuple)."""
+    ctx = source.ring.ctx
+    nvars = source.ring.nvars
+    return {(j, e) for j, a in enumerate(source.twists)
+            for e in monomial_exponents(nvars, d - a)
+            if any(c == j and ctx.divides(m, ctx.encode(e))
+                   for c, m in leads)}
+
+
+@pytest.mark.parametrize("quotient", [(), ("x^3 + y^3 - z^3",)])
+@pytest.mark.parametrize("seed", range(6))
+def test_columns_and_known_leads_give_the_initial_module(seed, quotient):
+    """syzygies(gens, rels, known=K), K a GroebnerBasis, emits columns
+    whose leads lie outside in(K) and divide no other column's lead, and
+    these leads with in(K) (quotient divisors included) generate the
+    initial module of the syzygies in every degree up to the largest lead
+    degree + 2, against the dense oracle, which uses no Groebner basis.
+    K empty too.  The inputs are those of
+    test_known_syzygies_complete_the_columns."""
+    rng = random.Random(500 + seed)
+    ring = Ring(P, ("x", "y", "z"), quotient=list(quotient))
+    ctx = ring.ctx
+    fm = FreeModule(ring, (0, 1))
+    gens = [random_module_element(fm, rng.choice([1, 2, 2, 3]), rng)
+            for _ in range(3)]
+    rels = [random_module_element(fm, rng.choice([2, 3]), rng)
+            for _ in range(2)]
+    gens = [g for g in gens if not g.is_zero()]
+    rels = [r for r in rels if not r.is_zero()]
+    plain = syzygies(gens, rels=rels, ambient=fm)
+    gfree = plain.target
+    rng = random.Random(4200 + seed)
+    columns = list(plain.columns)
+    known = [random_span_element(columns, d, rng) for d in (3, 4, 4, 5)]
+    known += [c.poly_mul(ring.constant(rng.randrange(1, P)))
+              for c in rng.sample(columns, len(columns) // 2)]
+    known = groebner_basis([k for k in known if not k.is_zero()],
+                           ambient=gfree)
+    empty = groebner_basis([], ambient=gfree)
+    for basis in (known, empty):
+        cols = syzygies(gens, rels=rels, ambient=fm, known=basis).columns
+        col_leads = [c.lead_term()[0] for c in cols]
+        known_leads = [(j, m) for j in range(gfree.rank)
+                       for m in basis.divisor_leads(j)]
+        for i, (j, m) in enumerate(col_leads):
+            assert not any(c == j and ctx.divides(q, m)
+                           for c, q in known_leads)
+            assert not any(c == j and k != i and ctx.divides(m, q)
+                           for k, (c, q) in enumerate(col_leads))
+        leads = col_leads + known_leads
+        top = max(gfree.twists[j] + ctx.degree(m) for j, m in leads)
+        for d in range(min(gfree.twists), top + 3):
+            assert lead_multiples(leads, gfree, d) == \
+                syzygy_initial_module(gens, rels, fm, gfree, d), d
+
+
 def test_known_syzygy_skips_its_pair():
     """The syzygies of x, y, z are generated by the three Koszul columns;
-    given y e_1 - x e_2 as known, the pair (x, y), whose Schreyer lead
-    x e_2 it has, is not reduced, and only the other two come out.  With
-    x z added, z and x z lie in no known support, yet enter modulo the
-    fixed entries only, and x z's lead is a multiple of x's, so x z queues
-    its pair with x alone.  In both cases the columns and the known syzygy
-    span the syzygies of the known=() run, with one column fewer."""
+    given y e_1 - x e_2 as known, the J-pair of x and y, whose signature
+    y e_1 (the larger of y e_1 and x e_2 in the order of E, where the
+    earlier component wins) is that known syzygy's lead, is not reduced,
+    and only the other two come out.  With x z added as e_4, x z is not
+    regularly reducible by x (z e_1 lies above e_4) and joins as an
+    element of signature e_4; the known lead still removes the pair
+    (x, y).  In both cases the columns and the known syzygy span the
+    syzygies of the known=() run, with one column fewer."""
     ring = Ring(P, ("x", "y", "z"))
     for texts, rank in ((["x", "y", "z"], 3), (["x", "y", "z", "x*z"], 4)):
         fm, gens = ideal_elements(ring, texts)
@@ -449,6 +525,17 @@ def test_known_syzygy_skips_its_pair():
         assert all(gb_plain.contains(c) for c in both)
 
 
+def test_known_syzygies_of_the_wrong_rank_are_rejected():
+    """A known GroebnerBasis whose free module has a rank other than the
+    number of generators cannot hold their syzygies."""
+    ring = Ring(P, ("x", "y", "z"))
+    fm, gens = ideal_elements(ring, ["x", "y", "z"])
+    wrong = FreeModule(ring, (1, 1))
+    known = groebner_basis([wrong.basis_element(0)], ambient=wrong)
+    with pytest.raises(RingMismatch):
+        syzygies(gens, ambient=fm, known=known)
+
+
 def terms_of(elements):
     """Each element's terms, in their order."""
     return [list(e.data.items()) for e in elements]
@@ -460,10 +547,12 @@ def terms_of(elements):
 def test_one_run_presentation_matches_the_two_runs(seed, quotient, rels_as):
     """generators_and_syzygies, the one tracked run behind subquotient,
     keeps the elements that minimal_generators(gens, rels) keeps and
-    returns the columns of syzygies(kept, rels), term for term and in the
-    same order; subquotient presents them with those columns minimalized.
-    The inputs are those of test_syzygies_modulo_relations, plus a
-    redundant and a zero generator."""
+    returns the columns of the engine's tracked complete intake on them
+    (the run behind express_in_generators), term for term and in the same
+    order; those span what syzygies(kept, rels) spans; subquotient
+    presents them with those columns minimalized.  The inputs are those
+    of test_syzygies_modulo_relations, plus a redundant and a zero
+    generator."""
     rng = random.Random(500 + seed)
     ring = Ring(P, ("x", "y", "z"), quotient=list(quotient))
     fm = FreeModule(ring, (0, 1))
@@ -479,12 +568,20 @@ def test_one_run_presentation_matches_the_two_runs(seed, quotient, rels_as):
         rels = groebner_basis(rels, ambient=fm)
 
     _, kept = minimal_generators(gens, rels=rels, ambient=fm)
-    syz = syzygies(kept, rels=rels, ambient=fm)
+    degrees, order, comp = _computation(kept, rels, fm, track=True)
+    comp.add_all(order)
+    syz = _syzygy_matrix(comp, degrees)
     one_kept, one_syz = generators_and_syzygies(gens, rels=rels, ambient=fm)
     assert kept and len(kept) < len(gens)
     assert terms_of(one_kept) == terms_of(kept)
     assert (one_syz.source, one_syz.target) == (syz.source, syz.target)
     assert terms_of(one_syz.columns) == terms_of(syz.columns)
+    signed = syzygies(kept, rels=rels, ambient=fm)
+    assert signed.target == syz.target
+    gb_signed = groebner_basis(signed.columns, ambient=syz.target)
+    gb_syz = groebner_basis(syz.columns, ambient=syz.target)
+    assert all(gb_signed.contains(c) for c in syz.columns)
+    assert all(gb_syz.contains(c) for c in signed.columns)
 
     module, gelts = subquotient(gens, rels, fm)
     _, relmin = minimal_generators(syz.columns, ambient=syz.target)
@@ -510,7 +607,7 @@ def test_normal_forms_descend_in_term_order(seed, quotient):
     nq = len(ring.quotient_groebner())
     assert any(entries[nq:] for entries in comp._index.values())
     for c, entries in comp._index.items():
-        for lead, tail, _ in entries[nq:]:
+        for lead, tail, _, _ in entries[nq:]:
             assert all(fm.term_key(*k) < fm.term_key(c, lead) for k, _ in tail)
     gb = groebner_basis(gens, ambient=fm)
     for _ in range(6):
