@@ -8,14 +8,23 @@ signature runs (`SignatureRun`) give `syzygies`.
 A divisor is one entry [lead, tail, track, sig] of a `DivisorIndex`
 (component -> entries): a monic element with lead term (comp, lead), its
 other terms, its track (None when nothing is tracked) and its signature
-(None outside a signature run).  That entry is the only record of a
-basis element: neither the engine nor a finished `GroebnerBasis` keeps
-another list of its basis, and iterating over a `GroebnerBasis` builds
-its elements from their entries.
+(None outside a signature run).  A tail term ((off, mono), coeff) stands
+at component comp + off: an entry does not depend on the component it
+is filed under, so one entry serves every component that holds the same
+element shifted, the quotient divisors of every component
+(`Ring.quotient_divisors`) and the blocks of `block_copies` alike.  The
+reducer adds the component back, one add per tail term; the tail
+builders (`ModuleComputation._add_basis`, `SignatureRun._add`) subtract
+it, and `_autoreduce` and `GroebnerBasis.__iter__` convert at the
+boundary.  That entry is the only record of a basis element: neither the
+engine nor a finished `GroebnerBasis` keeps another list of its basis,
+and iterating over a `GroebnerBasis` builds its elements from their
+entries.
 
 Every normal form is computed by one kernel, `normal_form_terms`, which
 reduces each term by the first entry of its component whose lead divides
-it (in a signature run, the first that reduces it regularly, below).  It
+it (in a signature run, the first that reduces it regularly, below, and
+only until the lead is irreducible: a signature run top-reduces).  It
 tests divisibility and forms products on the packed monomials inline,
 with the guard mask of `monomial`, rather than through `MonomialContext`
 calls; so do `_process_pair` and `SignatureRun`.
@@ -25,18 +34,19 @@ through `Ring.reduce_terms` and `ModuleElement.reduced`, the canonical
 forms of quotient-ring elements.
 
 Each component's entries begin with *fixed* divisors, which carry no
-track: first the quotient divisors GB(I) e_comp of R = S/I, built once
-per ring and shared by every index, then the elements of the Groebner
-basis of the relations (the ambient submodule the computation works
-modulo), entered once, up front.  The engine forms no S-pair among fixed
-entries: they already form a Groebner basis, so by Buchberger's
-criterion those pairs reduce to zero.  Pairs are formed only between
-each new element and the fixed entries, and among new elements.  The
-finished basis does not redo the fixed entries either: `_autoreduce`
-passes the relation entries through as they came, dropping only those
-whose lead a new lead divides, and sorts and tail-reduces the new
-elements alone.  Those tails are the only entries ever changed after
-they are built, so fixed entries are shared between indexes.
+track: first the quotient divisors GB(I) e_comp of R = S/I, one list
+built once per ring whose entries every component of every index shares,
+then the elements of the Groebner basis of the relations (the ambient
+submodule the computation works modulo), entered once, up front.  The
+engine forms no S-pair among fixed entries: they already form a Groebner
+basis, so by Buchberger's criterion those pairs reduce to zero.  Pairs
+are formed only between each new element and the fixed entries, and
+among new elements.  The finished basis does not redo the fixed entries
+either: `_autoreduce` passes the relation entries through as they came,
+dropping only those whose lead a new lead divides, and sorts and
+tail-reduces the new elements alone.  Those tails are the only entries
+ever changed after they are built (by `_autoreduce`, before it returns),
+so fixed entries are shared between indexes.
 
 Schreyer leads (Buchberger runs).  Number the entries in insertion
 order, fixed entries first, and give entry b the unit e_b of a free
@@ -126,14 +136,18 @@ Fixed entries have no signature and reduce freely.
   others are dropped.  Cover criterion: a J-pair t b of signature T is
   dropped when an element b' has sig(b') | T and (T / sig b') lead(b')
   below t lead(b).
-- Regular reduction: an element with a signature reduces a term only
+- Regular top-reduction: an element with a signature reduces a term only
   when its signature times the multiplier lies below the signature being
-  reduced (`normal_form_terms`), so reduction keeps the signature.
-- A reduction to zero emits its track as a column, and its signature
-  joins the syzygy leads.  A nonzero normal form is dropped when an
+  reduced (`normal_form_terms`), so reduction keeps the signature.  Only
+  the lead is reduced: the reduction stops at the first lead that no
+  divisor reduces regularly, and the terms below it stay as they are.
+  The proof below reads leads only.
+- A reduction to zero (which cancels every term, so its track is a
+  syzygy) emits its track as a column, and its signature joins the
+  syzygy leads.  A nonzero top-reduced element is dropped when an
   element divides its lead with a multiple of the same signature (it is
   singular); this is tested only after every divisor was tried for a
-  regular reduction, for a normal form dropped while a regular divisor
+  regular reduction, for an element dropped while a regular divisor
   remained could have reduced to zero, and its column would be lost.
   Otherwise it joins as a new element.
 Pairs with a quotient divisor need no product criterion here: when the
@@ -158,10 +172,10 @@ signature T' dividing T, on b's side, and its lcm L' divides lambda; T'
 is outside H, so the pair was queued.  The job taken at T' is a multiple
 of an element b'' with lead at most L' (if below, b'' is the b' sought).
 If equal to L', it was covered, or h (whose signature is smaller, so it
-was there) reduced it regularly to a nonzero normal form below L' (a
-zero one would put T' in H), kept, or dropped as singular.  Either way
-an element b' has sig(b') | T' and (T' / sig b') lead(b') < L', which
-times T / T' is below lambda, against the choice of b.  So in(Syz) = H,
+was there) top-reduced it regularly to a nonzero element with lead
+below L' (a zero one would put T' in H), kept, or dropped as singular.
+Either way an element b' has sig(b') | T' and (T' / sig b') lead(b') <
+L', which times T / T' is below lambda, against the choice of b.  So in(Syz) = H,
 and the columns with K form a Groebner basis of Syz.  Each column's lead
 is its signature, as regular reduction never reaches it; it lies outside
 in(K) and divides no other column's lead, as it was tested against every
@@ -190,13 +204,14 @@ MINUS_INF = float("-inf")
 
 class DivisorIndex(dict):
     """comp -> divisor entries [lead, tail, track, sig] for
-    `normal_form_terms`: the quotient divisors GB(I) e_comp first (filled in
-    on first lookup, with no track), then the divisors appended with `add`,
+    `normal_form_terms`, tail terms at offsets from comp (module
+    docstring): the quotient divisors GB(I) e_comp first (filled in on
+    first lookup, with no track), then the divisors appended with `add`,
     in insertion order.
 
-    The quotient divisors of a component are built once per ring
-    (`Ring.quotient_divisors`); each index copies that list and shares its
-    entries, which nothing mutates."""
+    The quotient divisors are one list per ring (`Ring.quotient_divisors`);
+    each component of each index copies that list and shares its entries,
+    which nothing mutates."""
 
     __slots__ = ("ring", "nq")
 
@@ -206,12 +221,12 @@ class DivisorIndex(dict):
         self.nq = len(ring.quotient_groebner())   # quotient divisors per comp
 
     def __missing__(self, comp):
-        entries = self[comp] = list(self.ring.quotient_divisors(comp))
+        entries = self[comp] = list(self.ring.quotient_divisors())
         return entries
 
     def add(self, comp, lead, tail, track, sig=None):
         """Append the monic divisor (comp, lead) + tail, where tail is a
-        tuple of ((comp, mono), coeff); returns its entry."""
+        tuple of ((offset from comp, mono), coeff); returns its entry."""
         entry = [lead, tail, track, sig]
         self[comp].append(entry)
         return entry
@@ -219,18 +234,23 @@ class DivisorIndex(dict):
 
 def normal_form_terms(ambient: FreeModule, index: DivisorIndex, terms,
                       track, sig=None) -> dict:
-    """Full normal form of a term dict {(comp, mono): coeff} of `ambient`.
+    """Normal form of a term dict {(comp, mono): coeff} of `ambient`: full,
+    its terms in descending order, when sig is None; else top-reduced.
 
     Each term is reduced by the first entry of index[comp] whose lead
-    divides it.  When `track` is a dict, that divisor's track times the
-    multiplier is subtracted from it in place; None tracks nothing.
+    divides it; the entry's tail terms lie at comp plus their offsets.
+    When `track` is a dict, that divisor's track times the multiplier is
+    subtracted from it in place; None tracks nothing.
 
     `sig` is the signature (comp, mono) of the element in a signature run
     (module docstring), None elsewhere.  A divisor with a signature then
     reduces a term only regularly: when its signature times the
     multiplier lies below `sig`.  A divisor without one (a fixed entry,
     or any entry outside a signature run) reduces freely, and no other
-    test is made.
+    test is made.  With a signature the reduction stops at the first term
+    that no entry reduces, after every entry was tried: that term comes
+    first, and the terms below it are returned as they stand, in no
+    particular order.
     """
     ring = ambient.ring
     ctx = ring.ctx
@@ -258,9 +278,13 @@ def normal_form_terms(ambient: FreeModule, index: DivisorIndex, terms,
                     break
         else:
             out[(comp, mono)] = c
+            if sig is not None:     # top-reduced: keep the other terms
+                out.update(coeffs)
+                return out
             continue
         u = mono - lead     # gm times mono / lead is gm + u
         for (gj, gm), gc in tail:
+            gj += comp
             m = gm + u
             if m & guards:
                 raise ExponentOverflow("exponent overflow in product")
@@ -330,15 +354,16 @@ def _copy_index(fixed: DivisorIndex) -> DivisorIndex:
     return index
 
 
-def _multiples(ctx, items, u):
+def _multiples(ctx, items, u, comp=0):
     """items ((i, mono), coeff) times the monomial u + one, where u is a
-    difference of packed monomials such as lcm - lead."""
+    difference of packed monomials such as lcm - lead, at component
+    comp + i: comp is an entry's component for its tail, 0 for a track."""
     guards = ctx.guards
     for (i, m), c in items:
         m += u
         if m & guards:
             raise ExponentOverflow("exponent overflow in product")
-        yield (i, m), c
+        yield (comp + i, m), c
 
 
 class ModuleComputation:
@@ -422,7 +447,7 @@ class ModuleComputation:
         items = iter(terms.items())
         (comp, lead), lc = next(items)
         inv = field_inverse(lc, p)
-        tail = tuple((k, (v * inv) % p) for k, v in items)
+        tail = tuple(((j - comp, m), (v * inv) % p) for (j, m), v in items)
         if track is not None:
             track = {k: (v * inv) % p for k, v in track.items()}
         new = self._index.add(comp, lead, tail, track)
@@ -446,20 +471,21 @@ class ModuleComputation:
                 continue
             heapq.heappush(self.events, (
                 d + twist, n, lcm, next(self._seq),
-                (new, old, lcm, n) if i < nfixed else (old, new, lcm, n)))
+                (new, old, comp, lcm, n) if i < nfixed
+                else (old, new, comp, lcm, n)))
         return n
 
-    def _subtract(self, target, items, u):
-        """target -= (u + one) * items in place."""
+    def _subtract(self, target, items, u, comp=0):
+        """target -= (u + one) * items in place, items at comp + i."""
         p = self.p
-        for k, c in _multiples(self.ctx, items, u):
+        for k, c in _multiples(self.ctx, items, u, comp):
             nv = (target.get(k, 0) - c) % p
             if nv:
                 target[k] = nv
             else:
                 target.pop(k, None)
 
-    def _process_pair(self, s, t, lcm, n):
+    def _process_pair(self, s, t, comp, lcm, n):
         guards = self.ctx.guards
         leads = self._leads[n]
         for recorded in leads:
@@ -470,8 +496,8 @@ class ModuleComputation:
         # (lcm / lead_t) tail_t, and the tracks combine the same way (a
         # fixed entry t has none)
         us, ut = lcm - s[0], lcm - t[0]
-        terms = dict(_multiples(self.ctx, s[1], us))
-        self._subtract(terms, t[1], ut)
+        terms = dict(_multiples(self.ctx, s[1], us, comp))
+        self._subtract(terms, t[1], ut, comp)
         track = None
         if self.track:
             track = dict(_multiples(self.ctx, s[2].items(), us))
@@ -553,7 +579,7 @@ class SignatureRun:
                 continue
             else:                   # u times the element of the entry
                 terms = {(comp, lead): 1}
-                terms.update(_multiples(ctx, entry[1], u))
+                terms.update(_multiples(ctx, entry[1], u, comp))
                 track = dict(_multiples(ctx, entry[2].items(), u))
             terms = normal_form_terms(ambient, index, terms, track, sig)
             if not terms:
@@ -587,13 +613,13 @@ class SignatureRun:
         return False
 
     def _add(self, terms, track, sig):
-        """Add a regular normal form of signature sig, monic, and queue
-        its J-pairs with the entries of its lead's component."""
+        """Add a regularly top-reduced element of signature sig, monic, and
+        queue its J-pairs with the entries of its lead's component."""
         p = self.p
         items = iter(terms.items())
         (comp, lead), lc = next(items)
         inv = field_inverse(lc, p)
-        tail = tuple((k, (v * inv) % p) for k, v in items)
+        tail = tuple(((j - comp, m), (v * inv) % p) for (j, m), v in items)
         track = {k: (v * inv) % p for k, v in track.items()}
         new = self._index.add(comp, lead, tail, track, sig)
         sc, sm = sig
@@ -644,7 +670,7 @@ class GroebnerBasis:
 
     def __iter__(self):
         for comp, (lead, tail, _, _) in self._entries():
-            terms = dict(tail)
+            terms = {(comp + j, m): c for (j, m), c in tail}
             terms[(comp, lead)] = 1
             yield ModuleElement(self.ambient, terms)
 
@@ -672,16 +698,16 @@ class GroebnerBasis:
         Valid without a Buchberger run when each block of ambient has this
         basis's twists shifted by one constant: pairs form only within a
         component, and the shift preserves the term order inside a block.
+        An entry's tail is stored relative to its component, so each block
+        appends this basis's own entry objects: no entry is built.
         """
         nb = self.ambient.rank
-        entries = self._entries()
+        nq = self._index.nq
         index = DivisorIndex(ambient.ring)
         for k in range(copies):
             off = k * nb
-            for comp, (lead, tail, _, _) in entries:
-                index[comp + off].append(
-                    [lead, tuple(((j + off, m), c) for (j, m), c in tail),
-                     None, None])
+            for comp, entries in self._index.items():
+                index[comp + off] += entries[nq:]
         return GroebnerBasis(ambient, index)
 
     def over_base(self, ambient: FreeModule) -> "GroebnerBasis":
@@ -752,14 +778,16 @@ def _autoreduce(comp: ModuleComputation) -> GroebnerBasis:
         leads = [e[0] for e in new]
         index[c].extend(e for e in entries[nq:nfixed]
                         if not any(ctx.divides(lead, e[0]) for lead in leads))
-        added += [index.add(c, lead, tail, None) for lead, tail, _, _ in new]
+        added += [(c, index.add(c, lead, tail, None))
+                  for lead, tail, _, _ in new]
     # One index for all tails: b never divides its own tail, whose terms lie
     # below b's lead and only shrink under reduction, while a multiple of a
     # lead is never smaller than it in a degree-compatible order.
-    for entry in added:
+    for c, entry in added:
         # later reductions use the reduced tail
-        entry[1] = tuple(normal_form_terms(comp.ambient, index, entry[1],
-                                           None).items())
+        tail = normal_form_terms(comp.ambient, index, {
+            (c + j, m): v for (j, m), v in entry[1]}, None)
+        entry[1] = tuple(((j - c, m), v) for (j, m), v in tail.items())
     return GroebnerBasis(comp.ambient, index)
 
 

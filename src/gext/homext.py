@@ -152,24 +152,38 @@ def _homology(free: FreeModule, d_in, d_out, target: GradedModule,
 
 def _raise(gens, known, cover: FreeModule, low):
     """Generators of span(gens)_{>=low} modulo known, when gens together
-    with known form a Groebner basis (the kernel columns of `syzygies`):
-    the ones of degree >= low, and for each g of degree d < low and each
-    monomial t of degree low - d, t g when t lead(g) lies outside in(known)
-    and is the lead of no element kept before it (module docstring)."""
+    with known form a Groebner basis (the kernel columns of `syzygies`,
+    homogeneous and nonzero): the ones of degree >= low, and for each g of
+    degree d < low and each monomial t of degree low - d, t g when t lead(g)
+    lies outside in(known) and is the lead of no element kept before it
+    (module docstring).
+
+    A column's degree is read in `cover`, where a zero generator's basis
+    vector has its component's twist (the syzygy matrix gives it 0).  Its
+    lead, all terms being of one degree, is the term of least component
+    and then greatest monomial, found in one pass; the monomials of each
+    degree and the divisor leads of each component are listed once."""
     ctx = cover.ring.ctx
-    guards = ctx.guards
-    out, seen = [], set()
+    guards, degree, twists = ctx.guards, ctx.degree, cover.twists
+    out, seen, monomials, divisors = [], set(), {}, {}
     for g in gens:
-        d = g.degree()
+        terms = iter(g.data)
+        comp, lead = next(terms)
+        d = degree(lead) + twists[comp]
         if d >= low:
             out.append(g)
             continue
-        (comp, lead), _ = g.lead_term()
-        divisors = known.divisor_leads(comp)
-        for t in ctx.monomials_of_degree(low - d):
+        for c, m in terms:
+            if c < comp or c == comp and m > lead:
+                comp, lead = c, m
+        if comp not in divisors:
+            divisors[comp] = known.divisor_leads(comp)
+        if d not in monomials:
+            monomials[d] = list(ctx.monomials_of_degree(low - d))
+        leads = divisors[comp]
+        for t in monomials[d]:
             m = ctx.mul(lead, t)
-            if (comp, m) in seen or any(not (q - m) & guards
-                                        for q in divisors):
+            if (comp, m) in seen or any(not (q - m) & guards for q in leads):
                 continue
             seen.add((comp, m))
             out.append(g.monomial_mul(t))

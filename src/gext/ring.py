@@ -80,7 +80,7 @@ class Ring:
         self.nvars = len(variables)
         self.ctx: MonomialContext = context(self.nvars)
         self._quotient_gb = None
-        self._quotient_divisors: dict = {}     # comp -> divisor entries
+        self._quotient_divisors = None     # divisor entries of GB(I)
         self._module = None     # R as a module over itself: gmod.ring_module
         if quotient:
             base = Ring(p, variables)
@@ -169,20 +169,20 @@ class Ring:
                 self._quotient_gb = ideal_groebner(self.base, self.quotient)
         return self._quotient_gb
 
-    def quotient_divisors(self, comp: int) -> list:
-        """The divisor entries [lead, tail, None, None] of GB(I) e_comp
-        that begin component comp of every `groebner.DivisorIndex`.
+    def quotient_divisors(self) -> list:
+        """The divisor entries [lead, tail, None, None] of GB(I) that begin
+        every component of every `groebner.DivisorIndex`: a tail term
+        stores its component as an offset from the entry's, here 0, so
+        one list serves every component.
 
-        Built once per component and shared: an index copies the list and
-        never mutates its entries.
+        Built once per ring and shared: an index copies the list and never
+        mutates its entries.
         """
-        entries = self._quotient_divisors.get(comp)
-        if entries is None:
-            entries = self._quotient_divisors[comp] = [
-                [lead, tuple(((comp, m), c) for m, c in qterms[1:]), None,
-                 None]
+        if self._quotient_divisors is None:
+            self._quotient_divisors = [
+                [lead, tuple(((0, m), c) for m, c in qterms[1:]), None, None]
                 for lead, qterms in self.quotient_groebner()]
-        return entries
+        return self._quotient_divisors
 
     def reduce_terms(self, terms: dict) -> dict:
         """Reduce a term dict modulo the quotient ideal (no-op over S)."""

@@ -17,7 +17,7 @@ from gext import (Ring, betti_stats, cokernel, free_module_of,
 from gext import homext
 from gext.free import FreeModule, GradedMatrix, ModuleElement
 from gext.gmod import GradedModule
-from gext.groebner import _computation, _syzygy_matrix
+from gext.groebner import _computation, _syzygy_matrix, relation_basis
 
 from oracles import (assert_exact, ext_dim, image_dim, module_component_dim,
                      monomial_exponents)
@@ -281,6 +281,38 @@ def test_seeded_syzygies_span_the_projected_syzygies(kind, seed, quotient):
                   + module_component_dim(cokernel(modulo_all), d))
         assert image_dim(a, d) == image_dim(b, d) == image_dim(both, d) \
             == kernel, d
+
+
+@pytest.mark.parametrize("quotient", [(), ("x^3 + y^3 - z^3",)])
+@pytest.mark.parametrize("seed", range(6))
+def test_syzygies_with_known_and_rels_are_syzygies(seed, quotient):
+    """Given the relations of a random module and known syzygies (seeded
+    multiples of the plain run's columns), every column c of syzygies is
+    a syzygy modulo the relations: sum c_i gens_i reduces to zero by
+    their basis, the quotient ideal included.  The known syzygies are
+    passed as a list and as a Groebner basis."""
+    rng = random.Random(1600 + seed)
+    ring = Ring(P, ("x", "y", "z"), quotient=list(quotient))
+    module = random_module(ring, rng, ranks=(2, 3))
+    cover, rels = module.cover, list(module.relations)
+    gens = [random_element(cover, rng.choice([1, 2, 2, 3]), rng)
+            for _ in range(4)]
+    gens = [g for g in gens if not g.is_zero()]
+    plain = syzygies(gens, rels=rels, ambient=cover)
+    known = [c.poly_mul(ring.constant(rng.randrange(1, P)))
+             for c in rng.sample(plain.columns, len(plain.columns) // 2)]
+    known += [c.poly_mul(ring.variable(rng.randrange(3)))
+              for c in plain.columns[::3]]
+    assert known
+    basis = relation_basis(rels, cover)
+    for given in (known, groebner_basis(known, ambient=plain.target)):
+        columns = syzygies(gens, rels=rels, ambient=cover, known=given)
+        assert columns.source.rank > 0
+        for col in columns.columns:
+            image = cover.zero_element()
+            for (i, m), c in col.data.items():
+                image = image + gens[i].monomial_mul(m, c)
+            assert basis.contains(image), col
 
 
 def span_in(ambient, cols):

@@ -595,8 +595,8 @@ def test_normal_forms_descend_in_term_order(seed, quotient):
     """normal_form_terms returns its terms in descending
     FreeModule.term_key order, so the first term of a normal form is its
     lead: each basis element the engine adds has a lead above every term
-    of its tail.  Four components with mixed twists, inhomogeneous
-    inputs."""
+    of its tail, each tail term read at the entry's component plus its
+    offset.  Four components with mixed twists, inhomogeneous inputs."""
     rng = random.Random(1700 + seed)
     ring = Ring(P, ("x", "y", "z"), quotient=list(quotient))
     fm = FreeModule(ring, (0, 2, -1, 1))
@@ -608,7 +608,8 @@ def test_normal_forms_descend_in_term_order(seed, quotient):
     assert any(entries[nq:] for entries in comp._index.values())
     for c, entries in comp._index.items():
         for lead, tail, _, _ in entries[nq:]:
-            assert all(fm.term_key(*k) < fm.term_key(c, lead) for k, _ in tail)
+            assert all(fm.term_key(c + j, m) < fm.term_key(c, lead)
+                       for (j, m), _ in tail)
     gb = groebner_basis(gens, ambient=fm)
     for _ in range(6):
         v = fm.zero_element()

@@ -12,6 +12,7 @@ import pytest
 from gext import (AlgebraError, NotHomogeneous, Ring, cokernel, ext_module,
                   free_module_of, groebner_basis, hilbert_function, hom_module,
                   homomorphism_from, prune, ring_module, truncate_module)
+from gext.gmod import direct_sum
 from gext import homext
 from gext.free import FreeModule, GradedMatrix, ModuleElement
 from gext.groebner import syzygies
@@ -149,14 +150,10 @@ def _random_element(ambient, degree, rng):
     return ModuleElement(ambient, data).reduced()
 
 
-@pytest.mark.parametrize("quotient", [(), ("x^3 + y^3 - z^3",)])
-@pytest.mark.parametrize("seed", range(3))
-def test_hom_of_free_basis_is_block_copies(seed, quotient):
-    """The relation basis hom_of_free builds from block copies of N's is
-    the reduced Groebner basis a Buchberger run computes from Hom's
-    relations, the block copies of N's relations: the same cover, the same
-    lead terms and the same normal forms.  Its elements are N's basis
-    elements shifted block by block."""
+def _hom_of_free_case(seed, quotient):
+    """(ring, rels, N, F, rng): N the cokernel of seeded relations on one
+    or two generators, F a free module of rank 1-3, and the generator that
+    drew them."""
     rng = random.Random(700 + seed)
     ring = Ring(P, ("x", "y", "z"), quotient=list(quotient))
     ncover = FreeModule(ring, (0, rng.choice([0, 1])))
@@ -169,6 +166,19 @@ def test_hom_of_free_basis_is_block_copies(seed, quotient):
         check=False))
     F = FreeModule(ring, tuple(rng.choice([-1, 0, 1, 2])
                                for _ in range(rng.randint(1, 3))))
+    return ring, rels, N, F, rng
+
+
+@pytest.mark.parametrize("quotient", [(), ("x^3 + y^3 - z^3",)])
+@pytest.mark.parametrize("seed", range(3))
+def test_hom_of_free_basis_is_block_copies(seed, quotient):
+    """The relation basis hom_of_free builds from block copies of N's is
+    the reduced Groebner basis a Buchberger run computes from Hom's
+    relations, the block copies of N's relations: the same cover, the same
+    lead terms and the same normal forms.  Its elements are N's basis
+    elements shifted block by block."""
+    ring, rels, N, F, rng = _hom_of_free_case(seed, quotient)
+    ncover = N.cover
     cover, blocks = hom_of_free(F, N)
     assert cover == FreeModule(ring, tuple(b - a for a in F.twists
                                            for b in ncover.twists))
@@ -186,20 +196,85 @@ def test_hom_of_free_basis_is_block_copies(seed, quotient):
         assert blocks.reduce(v).data == computed.reduce(v).data
 
 
+@pytest.mark.parametrize("quotient", [(), ("x^3 + y^3 - z^3",)])
+@pytest.mark.parametrize("seed", range(3))
+def test_block_copies_share_entries(seed, quotient):
+    """A divisor entry stores its tail's components as offsets from its
+    own, so hom_of_free's block copies hold N's own entry objects, block
+    by block, and every component of every index begins with the ring's
+    one list of quotient entries: in N's basis, in the block copies, and
+    in a Groebner basis computed modulo them."""
+    ring, _, N, F, _ = _hom_of_free_case(seed, quotient)
+    cover, blocks = hom_of_free(F, N)
+    nb, nq = N.cover.rank, len(ring.quotient_groebner())
+    own = N.relations_gb()._index
+    for k in range(F.rank):
+        for i in range(nb):
+            copied, entries = blocks._index[k * nb + i][nq:], own[i][nq:]
+            assert len(copied) == len(entries)
+            assert all(a is b for a, b in zip(copied, entries))
+    rng = random.Random(7700 + seed)
+    gens = [_random_element(cover, rng.choice([2, 3]), rng) for _ in range(3)]
+    gens = [g for g in gens if not g.is_zero()]
+    modulo = groebner_basis(gens, cover, rels=blocks)
+    shared = ring.quotient_divisors()
+    assert len(shared) == nq
+    for index in (own, blocks._index, modulo._index):
+        assert index
+        for entries in index.values():
+            assert all(a is b for a, b in zip(entries[:nq], shared))
+
+
+def test_raise_reads_a_zero_generator_degree_in_the_cover():
+    """M = R(-2) + R/(x), N = R, m = 0: the row of d_1 for the free summand
+    is zero, so the kernel run gets a zero generator and emits its basis
+    vector, of twist 0 in the syzygy matrix but -2 in the cover of
+    Hom(F_0, N).  Raised to degree 0 it gives the 6 quadrics: Ext^0_{>=0}
+    = Hom(M, R)_{>=0} = R(2)_{>=0}, generated in degree 0."""
+    ring = Ring(P, ("x", "y", "z"))
+    cover = FreeModule(ring, (2, 0))
+    rel = ModuleElement(cover, {(1, ring.ctx.variable(0)): 1})
+    M = cokernel(GradedMatrix(FreeModule(ring, (1,)), cover, [rel]))
+    ext = ext_at_least(0, 0, M, ring_module(ring))
+    assert ext.generator_degrees == (0,) * 6
+    assert [hilbert_function(ext, d) for d in range(-2, 3)] == \
+        [0, 0, 6, 10, 15]
+
+
+@pytest.mark.parametrize("quotient", [(), ("x^3 + y^3 - z^3",)])
+@pytest.mark.parametrize("seed", range(3))
+def test_raise_with_a_free_summand(seed, quotient):
+    """M = R(-a) + N' for seeded N', so the kernel runs of Ext^0 and
+    Ext^1 get zero generators: Ext^m(M, N)_{>=low} has every generator in
+    degree >= low, is zero below low, and agrees with Ext^m(M, N) from
+    low up."""
+    ring, _, N, F, _ = _hom_of_free_case(seed, quotient)
+    rng = random.Random(7800 + seed)
+    M = direct_sum(free_module_of(ring, (rng.choice([1, 2]),)), N)
+    for m in (0, 1):
+        full = ext_module(m, M, N).underlying
+        for low in (0, 1):
+            ext = ext_at_least(m, low, M, N)
+            assert all(d >= low for d in ext.generator_degrees), (m, low)
+            for d in range(low - 3, low + 3):
+                want = hilbert_function(full, d) if d >= low else 0
+                assert hilbert_function(ext, d) == want, (m, low, d)
+
+
 def test_shared_quotient_divisors_stay_pristine(quartic_ring):
-    """Every divisor index copies its components' quotient divisors from
-    the lists cached on the ring and shares their entries, so no engine run
+    """Every divisor index copies the ring's one list of quotient divisors
+    into each of its components and shares its entries, so no engine run
     may change them: after Ext computations over the rational quartic,
-    each cached list equals a fresh build from quotient_groebner()."""
+    the cached list equals a fresh build from quotient_groebner(), with
+    every tail term at offset 0 from its entry's component."""
     R = ring_module(quartic_ring)
     for r in (1, 2):
         ext_module(1, truncate_module(R, r), R)
     cached = quartic_ring._quotient_divisors
-    assert len(cached) > 1
-    for comp, entries in cached.items():
-        assert entries == [
-            [lead, tuple(((comp, m), c) for m, c in terms[1:]), None, None]
-            for lead, terms in quartic_ring.quotient_groebner()]
+    assert cached is quartic_ring.quotient_divisors()
+    assert cached == [
+        [lead, tuple(((0, m), c) for m, c in terms[1:]), None, None]
+        for lead, terms in quartic_ring.quotient_groebner()]
 
 
 def test_known_kernel_shrinks_the_hom_kernel_run(monkeypatch, quartic_ring):
