@@ -18,15 +18,26 @@ relations as known syzygies, as it presents the kernel modulo them.
 Both track only the generators, never the relations.
 
 A module caches on itself, on first use, the Groebner basis of its
-relations (`relations_gb`, whose leads also give `krull_dim`) and the
-S-free resolution of its restriction of scalars (`s_resolution`, read
-only by the Betti table of Algorithm 3.1), whose relation basis is the
-module's own read over S.  No cache is shared between modules;
-`ring_module` returns one module per `Ring` object, so every use of R as
-a module shares that module's caches.
+relations (`relations_gb`) and the S-free resolution of its restriction
+of scalars (`s_resolution`, read only by the Betti table of Algorithm
+3.1), whose relation basis is the module's own read over S.  No cache is
+shared between modules; `ring_module` returns one module per `Ring`
+object, so every use of R as a module shares that module's caches.
+
+Hilbert data comes from the leads of the relation basis alone: M = F/U
+has the Hilbert function of F/in(U) (Macaulay).  `krull_dim` reads the
+supports of the leads; `hilbert_function` counts with the numerators of
+the Hilbert series of the lead ideals (Bayer and Stillman, J. Symb.
+Comp. 14 (1992); Bigatti, J. Pure Appl. Algebra 119 (1997)), cached on
+the relation basis, and lists no monomial.  Only `graded_component`,
+which returns a basis of M_d for `sheaf_cohomology` and `global_ext`,
+lists the monomials of each degree, so only it meets the packed
+encoding's cap of 127 per exponent.
 """
 
 from __future__ import annotations
+
+from math import comb
 
 from .free import FreeModule, GradedMatrix, ModuleElement
 from .groebner import (MINUS_INF, GroebnerBasis, generators_and_syzygies,
@@ -314,7 +325,10 @@ def submodule_equals(a: ModuleMap, b: ModuleMap) -> bool:
 # -- Hilbert data ----------------------------------------------------------------
 
 def graded_component(module: GradedModule, d: int):
-    """(dimension, basis of (generator index, packed monomial) pairs)."""
+    """(dimension, basis of (generator index, packed monomial) pairs): the
+    standard monomials of degree d, listed and tested against the leads.
+    Only the basis needs the listing; `hilbert_function` counts without
+    it."""
     cover = module.cover
     if cover.rank == 0:
         return 0, []
@@ -332,8 +346,94 @@ def graded_component(module: GradedModule, d: int):
     return len(basis), basis
 
 
+def hilbert_numerators(module: GradedModule):
+    """[(a_j, N_j)] for the generators j: HS(S/J_j) = N_j(t) / (1 - t)^n,
+    n the number of variables, where J_j is generated by component j's
+    divisor leads, the quotient divisors GB(I) among them.  N_j is a tuple
+    of integer coefficients, N_j[k] that of t^k; () when J_j holds 1.
+
+    M and F/in(U) have the same Hilbert function (Macaulay; Eisenbud,
+    *Commutative Algebra*, Thm 15.3), and F/in(U) is the sum of the
+    S/J_j(-a_j).  Each N_j is cached on the relation basis, keyed by the
+    lead set, so components with the same leads share it."""
+    if not module.cover.rank:
+        return []
+    ctx = module.ring.ctx
+    gb = module.relations_gb()
+    cache = gb.numerators
+    out = []
+    for j, a in enumerate(module.generator_degrees):
+        leads = frozenset(gb.divisor_leads(j))
+        numerator = cache.get(leads)
+        if numerator is None:
+            numerator = cache[leads] = _numerator(
+                _minimal([ctx.decode(m) for m in sorted(leads)]))
+        out.append((a, numerator))
+    return out
+
+
 def hilbert_function(module: GradedModule, d: int) -> int:
-    return graded_component(module, d)[0]
+    """dim_k M_d, from the Hilbert series numerators of the leads
+    (`hilbert_numerators`; Bayer and Stillman, J. Symb. Comp. 14 (1992);
+    Bigatti, J. Pure Appl. Algebra 119 (1997)): the coefficient of t^d in
+    sum_j t^a_j N_j(t) / (1 - t)^n, which is
+    sum_j sum_k N_j[k] C(d - a_j - k + n - 1, n - 1) over d - a_j - k >= 0.
+    No monomial is listed, so no exponent of degree d is ever packed."""
+    n = module.ring.nvars
+    return sum(c * comb(d - a - k + n - 1, n - 1)
+               for a, numerator in hilbert_numerators(module)
+               for k, c in enumerate(numerator[:max(d - a + 1, 0)]))
+
+
+def _minimal(gens):
+    """The minimal generators of the monomial ideal that the exponent
+    tuples gens generate, by degree: those no earlier one divides."""
+    gens = sorted(gens, key=sum)
+    out = []
+    for g in gens:
+        if not any(all(x <= y for x, y in zip(h, g)) for h in out):
+            out.append(g)
+    return out
+
+
+def _numerator(gens):
+    """The numerator N of HS(S/J) = N(t) / (1 - t)^n for the monomial
+    ideal J minimally generated by the exponent tuples gens, as a tuple
+    with no trailing zeros, by the pivot recursion.
+
+    When no variable occurs in two generators, they form a regular
+    sequence and N is the product of the (1 - t^deg g).  Otherwise take a
+    variable x that occurs in the most generators and p = x^e, e its least
+    positive exponent among them: the sequence
+    0 -> S/(J : p)(-e) -> S/J -> S/(J + (p)) -> 0 gives
+    N(J) = N(J + (p)) + t^e N(J : p).  Both sides have a smaller sum of
+    generator degrees, as p replaces two or more generators in J + (p)
+    and J : p lowers each of them."""
+    n = len(gens[0]) if gens else 0
+    counts = [sum(1 for g in gens if g[i]) for i in range(n)]
+    x = max(range(n), key=counts.__getitem__, default=None)
+    if x is None or counts[x] < 2:
+        poly = [1]
+        for g in gens:
+            shift = [0] * sum(g) + poly
+            poly += [0] * (len(shift) - len(poly))
+            poly = [a - b for a, b in zip(poly, shift)]
+        return _trim(poly)
+    e = min(g[x] for g in gens if g[x])
+    power = tuple(e if i == x else 0 for i in range(n))
+    plus = _numerator([power] + [g for g in gens if not g[x]])
+    colon = _numerator(_minimal(
+        [g[:x] + (max(g[x] - e, 0),) + g[x + 1:] for g in gens]))
+    poly = list(plus) + [0] * max(len(colon) + e - len(plus), 0)
+    for k, c in enumerate(colon):
+        poly[k + e] += c
+    return _trim(poly)
+
+
+def _trim(poly):
+    while poly and not poly[-1]:
+        poly.pop()
+    return tuple(poly)
 
 
 def restrict_scalars(module: GradedModule) -> GradedModule:

@@ -114,6 +114,18 @@ elements and the order in which the basis grows are those of the
 complete intake run on them, and pairs above the last kept generator
 wait until they are asked for.
 
+Pairs are queued only when a run can reach them.  A new element n waits
+with its degree and the number of entries before it in its component;
+a run up to degree D first queues the pairs of every waiting element of
+degree below D, in insertion order, and again after each pair it takes.
+No earlier lead divides n's lead, as n is a normal form, so each pair of
+n lies above n's degree: it is on the heap before the run can take it,
+and n's product-criterion records are made before any pair of n is
+taken.  Keys tie on (degree, n, lcm) only among n's own pairs, queued
+together in partner order; so the pairs taken, and their order, are
+those of queueing every pair as n is added.  A minimal intake whose run
+ends at its last generator never builds the pairs of that degree.
+
 Signature runs (`syzygies`; Gao, Volny and Wang, Math. Comp. 85 (2016);
 Eder and Faugere, J. Symb. Comp. 80 (2017)).  Let E have a unit e_j per
 generator g_j, phi: E -> F send e_j to g_j, and Syz be the x in E with
@@ -374,7 +386,8 @@ class ModuleComputation:
 
     Generators enter through `add_all` or `add_minimal`, the two intakes
     of the module docstring.  The heap `events` holds only S-pairs: two
-    new elements, or a new element and a fixed entry.  In a tracked run
+    new elements, or a new element and a fixed entry, queued by `_queue`
+    once a run can reach them.  In a tracked run
     the track of each pair that reduces to zero is a syzygy, kept in
     `syzygy_tracks`.
     """
@@ -394,6 +407,9 @@ class ModuleComputation:
         # per new element, in insertion order: the Schreyer leads recorded
         # on it, as the terms lcm of their pairs (module docstring)
         self._leads: list[list] = []
+        # new elements whose pairs are not queued yet, in insertion order:
+        # (degree, n, comp, position in the component's entries)
+        self._pending: list = []
         self.syzygy_tracks: list[dict] = []
 
     # -- the two intakes ------------------------------------------------------
@@ -441,8 +457,8 @@ class ModuleComputation:
             self.syzygy_tracks.append(track)
 
     def _add_basis(self, terms, track):
-        """Add a normal form, its first term, the greatest, the lead, and
-        queue its pairs; returns its entry number."""
+        """Add a normal form, its first term, the greatest, the lead; its
+        pairs wait in `_pending` until a run can reach them (`_queue`)."""
         p = self.p
         items = iter(terms.items())
         (comp, lead), lc = next(items)
@@ -450,30 +466,48 @@ class ModuleComputation:
         tail = tuple(((j - comp, m), (v * inv) % p) for (j, m), v in items)
         if track is not None:
             track = {k: (v * inv) % p for k, v in track.items()}
-        new = self._index.add(comp, lead, tail, track)
+        self._index.add(comp, lead, tail, track)
         n = len(self._leads)
-        leads = []
-        self._leads.append(leads)
-        entries = self._index[comp]
-        nq = self._index.nq
-        nfixed = len(self._fixed[comp])
-        # A fixed partner is t, as it has no track.  A pair the product
-        # criterion drops (a quotient divisor with a coprime lead: the lcm
-        # has the degree of the product) records its Schreyer lead now.
+        self._leads.append([])
+        self._pending.append((self.ctx.degree(lead) + self.twists[comp], n,
+                              comp, len(self._index[comp]) - 1))
+
+    def _queue(self, stop_degree):
+        """Queue the pairs of the pending elements of degree < stop_degree,
+        in insertion order, each with the entries before it in its
+        component (the module docstring says why no pair a run can take is
+        missed).  Elements are added in nondecreasing degree, so these are
+        a prefix of `_pending`."""
+        pending = self._pending
+        if not pending or pending[0][0] >= stop_degree:
+            return
         ctx = self.ctx
         degree = ctx.degree
-        twist = self.twists[comp]
-        for i, old in enumerate(entries[:-1]):
-            lcm = ctx.lcm(lead, old[0])
-            d = degree(lcm)
-            if i < nq and d == degree(lead) + degree(old[0]):
-                leads.append(lcm)
-                continue
-            heapq.heappush(self.events, (
-                d + twist, n, lcm, next(self._seq),
-                (new, old, comp, lcm, n) if i < nfixed
-                else (old, new, comp, lcm, n)))
-        return n
+        nq = self._index.nq
+        k = 0
+        while k < len(pending) and pending[k][0] < stop_degree:
+            _, n, comp, pos = pending[k]
+            k += 1
+            entries = self._index[comp]
+            new = entries[pos]
+            lead = new[0]
+            leads = self._leads[n]
+            nfixed = len(self._fixed[comp])
+            twist = self.twists[comp]
+            # A fixed partner is t, as it has no track.  A pair the product
+            # criterion drops (a quotient divisor with a coprime lead: the
+            # lcm has the degree of the product) records its Schreyer lead.
+            for i, old in enumerate(entries[:pos]):
+                lcm = ctx.lcm(lead, old[0])
+                d = degree(lcm)
+                if i < nq and d == degree(lead) + degree(old[0]):
+                    leads.append(lcm)
+                    continue
+                heapq.heappush(self.events, (
+                    d + twist, n, lcm, next(self._seq),
+                    (new, old, comp, lcm, n) if i < nfixed
+                    else (old, new, comp, lcm, n)))
+        del pending[:k]
 
     def _subtract(self, target, items, u, comp=0):
         """target -= (u + one) * items in place, items at comp + i."""
@@ -506,11 +540,14 @@ class ModuleComputation:
         self._insert(terms, track)
 
     def run(self, stop_degree=INF) -> None:
-        """Process the pending pairs of degree <= stop_degree; within a
-        degree by newer entry, then by lcm."""
+        """Process the pairs of degree <= stop_degree; within a degree by
+        newer entry, then by lcm.  Pairs are queued first, and again after
+        each pair taken, for the elements below stop_degree."""
         events = self.events
+        self._queue(stop_degree)
         while events and events[0][0] <= stop_degree:
             self._process_pair(*heapq.heappop(events)[4])
+            self._queue(stop_degree)
 
 
 class SignatureRun:
@@ -660,6 +697,9 @@ class GroebnerBasis:
     def __init__(self, ambient: FreeModule, index: DivisorIndex):
         self.ambient = ambient
         self._index = index
+        # a component's divisor leads (a frozenset) -> the numerator of the
+        # Hilbert series they cut out, filled by `gmod.hilbert_numerators`
+        self.numerators: dict = {}
 
     def _entries(self):
         """(comp, entry) of each basis element, as a list: `reduce` may add

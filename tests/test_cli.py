@@ -336,6 +336,21 @@ def test_polynomial_over_the_exponent_cap_fails_when_run(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_hilbert_past_the_exponent_cap(tmp_path):
+    """hilbert counts standard monomials from the leads' Hilbert series
+    and packs none of degree d, so a degree past the 127-per-exponent cap
+    of the monomial encoding answers: h(200) = 3 * 200 on a plane
+    cubic."""
+    f = tmp_path / "cap.gx"
+    f.write_text("ring R = ZZ/32003[x,y,z] / (x^3 + y^3 - z^3);\n"
+                 "compute hilbert(R, 200);\n")
+    result = run_cli(["run", "--json", str(f)])
+    assert result.exit_code == 0, result.output
+    doc = json.loads(result.output)
+    jsonschema.validate(doc, schema())
+    assert doc["results"][0]["value"] == 600
+
+
 def test_exit_code_computation_error(tmp_path):
     f = tmp_path / "bad.gx"
     f.write_text("ring R = ZZ/32003[x];\ncompute dim(Q);\n")

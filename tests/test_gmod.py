@@ -9,7 +9,8 @@ from gext import (Ring, direct_sum, free_module_of, graded_component,
                   prune, ring_module, submodule_equals,
                   truncate_module, twist, zero_module)
 from gext.free import FreeModule, GradedMatrix
-from gext.gmod import GradedModule, ModuleMap, cokernel, restrict_scalars
+from gext.gmod import (GradedModule, ModuleMap, cokernel, hilbert_numerators,
+                       restrict_scalars)
 from gext.groebner import MINUS_INF, groebner_basis
 from gext.resolve import betti_stats, free_resolution
 from gext.script import parse_script, run_script
@@ -47,6 +48,67 @@ def test_quartic_hilbert_values(quartic_cokernel):
     # the rational quartic curve has hilbert polynomial 4d + 1
     assert [hilbert_function(quartic_cokernel, d) for d in range(6)] == \
         [1, 4, 9, 13, 17, 21]
+
+
+def test_quartic_hilbert_function_in_high_degree(quartic_base):
+    """Far past the leads, hilbert_function follows the Hilbert polynomial
+    4d + 1 of the rational quartic; at d = 200 the degree-d monomials have
+    exponents past the packed encoding's cap, which counting never
+    forms."""
+    N = cokernel(GradedMatrix.from_entries(quartic_base, [QUARTIC_GENS],
+                                           (0,)))
+    assert hilbert_function(N, 50) == 201
+    assert hilbert_function(N, 200) == 801
+
+
+def _hilbert_edge_module(ring):
+    """Generators of degrees -2, 0, 1, -1: the first killed by a unit
+    relation (its leads contain 1), the second and third tied by a
+    relation, the last a free summand."""
+    return cokernel(GradedMatrix.from_entries(
+        ring, [["1", "0", "0"], ["0", "x^2", "y^2"], ["0", "0", "x"],
+               ["0", "0", "0"]], (-2, 0, 1, -1)))
+
+
+@pytest.mark.parametrize("quotient", [(), ("x^3 + y^3 - z^3",)])
+def test_hilbert_function_edge_cases_match_the_dense_oracle(quotient):
+    """A zero generator counts nothing, negative generator degrees shift
+    the count, a degree below every generator counts 0 and a free summand
+    counts every monomial: each against the dense oracle, over S and
+    S/(x^3 + y^3 - z^3), alone and in a direct sum with the quotient by a
+    unit relation alone."""
+    ring = Ring(P, ("x", "y", "z"), quotient=list(quotient))
+    module = _hilbert_edge_module(ring)
+    unit = cokernel(GradedMatrix.from_entries(ring, [["1"]], (3,)))
+    both = direct_sum(module, unit)
+    for d in range(-4, 6):
+        want = module_component_dim(module, d)
+        assert hilbert_function(module, d) == want, d
+        assert hilbert_function(unit, d) == 0
+        assert hilbert_function(both, d) == want
+    assert hilbert_function(module, -3) == 0
+
+
+def test_hilbert_function_lists_no_monomials(monkeypatch, quartic_base):
+    """hilbert_function counts from the numerators alone: with
+    monomials_of_degree made to raise, it still answers, on fresh modules
+    over S and S/I and on the edge-case module (against the dense oracle,
+    which lists exponent tuples of its own)."""
+    from gext.monomial import MonomialContext
+
+    def listing(self, d):
+        raise AssertionError("a monomial was listed")
+
+    monkeypatch.setattr(MonomialContext, "monomials_of_degree", listing)
+    N = cokernel(GradedMatrix.from_entries(quartic_base, [QUARTIC_GENS],
+                                           (0,)))
+    assert [hilbert_function(N, d) for d in range(6)] == [1, 4, 9, 13, 17, 21]
+    cubic = Ring(P, ("x", "y", "z"), quotient=["x^3 + y^3 - z^3"])
+    assert [hilbert_function(ring_module(cubic), d)
+            for d in range(5)] == [1, 3, 6, 9, 12]
+    edge = _hilbert_edge_module(cubic)
+    assert [hilbert_function(edge, d) for d in range(4)] == \
+        [module_component_dim(edge, d) for d in range(4)]
 
 
 def test_graded_component_basis_size(quartic_cokernel):
@@ -280,6 +342,29 @@ def test_krull_dim_matches_the_resolution_oracle(module):
     """krull_dim equals nvars less the pole order at t = 1 of the Hilbert
     numerator of the S-resolution."""
     assert krull_dim(module) == resolution_dim(module.s_resolution())
+
+
+def _pole_order_dim(module):
+    """nvars less the order at t = 1 of the Hilbert series numerators of
+    the relation basis's leads, largest over the generators; -inf when
+    every numerator is zero."""
+    best = MINUS_INF
+    for _, numerator in hilbert_numerators(module):
+        coeffs, order = list(numerator), 0
+        while coeffs and not sum(coeffs):
+            # N(t) = (1 - t) Q(t), Q's coefficients the partial sums of N's
+            coeffs = [sum(coeffs[:k + 1]) for k in range(len(coeffs) - 1)]
+            order += 1
+        if coeffs:
+            best = max(best, module.ring.nvars - order)
+    return best
+
+
+@pytest.mark.parametrize("module", _krull_dim_cases())
+def test_krull_dim_is_the_pole_order_of_the_numerators(module):
+    """krull_dim, read off the supports of the leads, equals nvars less
+    the order at t = 1 of the leads' Hilbert series numerators."""
+    assert krull_dim(module) == _pole_order_dim(module)
 
 
 @pytest.mark.parametrize("quotient", [(), ("x^3 + y^3 - z^3",)])

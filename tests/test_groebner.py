@@ -499,6 +499,56 @@ def test_columns_and_known_leads_give_the_initial_module(seed, quotient):
                 syzygy_initial_module(gens, rels, fm, gfree, d), d
 
 
+@pytest.mark.parametrize("quotient", [(), ("x^3 + y^3 - z^3",)])
+@pytest.mark.parametrize("seed", range(6))
+def test_groebner_basis_leads_give_the_initial_module(seed, quotient):
+    """The leads of groebner_basis(gens, rels=...), with the quotient
+    leads GB(I) e_j, generate the initial module of span(gens + rels) +
+    I*F in every degree up to the largest lead degree + 2, against the
+    dense oracle, which uses no Groebner basis.  Ranks 1-3 with mixed
+    twists; rels as an iterable and as the relation basis a run hands
+    back."""
+    rng = random.Random(2400 + seed)
+    ring = Ring(P, ("x", "y", "z"), quotient=list(quotient))
+    quotient_leads = [lead for lead, _ in ring.quotient_groebner()]
+    fm = FreeModule(ring, tuple(rng.choice([-1, 0, 0, 1])
+                                for _ in range(rng.choice([1, 2, 3]))))
+    lo = min(fm.twists)
+    gens = [random_module_element(fm, lo + rng.choice([1, 2, 2, 3]), rng)
+            for _ in range(rng.choice([2, 3, 4]))]
+    rels = [random_module_element(fm, lo + rng.choice([2, 3]), rng)
+            for _ in range(2)]
+    gens = [g for g in gens if not g.is_zero()]
+    rels = [r for r in rels if not r.is_zero()]
+    assert gens
+    relation_gb = groebner_basis(rels, ambient=fm)
+    for given in (rels, relation_gb):
+        gb = groebner_basis(gens, ambient=fm, rels=given)
+        leads = gb.lead_terms() + [(j, q) for j in range(fm.rank)
+                                   for q in quotient_leads]
+        top = max(fm.twists[j] + ring.ctx.degree(m) for j, m in leads)
+        for d in range(lo, top + 3):
+            assert lead_multiples(leads, fm, d) == \
+                initial_module(gens, rels, fm, d), d
+
+
+def test_minimal_intake_of_one_degree_queues_no_pair():
+    """Pairs are queued only when a run can reach them: every pair of an
+    element lies above its degree, so a minimal intake whose generators
+    share one degree keeps the independent ones and returns with an empty
+    heap; the run that follows queues and takes their pairs (each taken
+    pair records its lcm on its newer element)."""
+    ring = Ring(P, ("x", "y", "z"))
+    fm, gens = ideal_elements(ring, ["x^2", "x*y", "y^2", "x^2 + x*y",
+                                     "y*z - x^2"])
+    _, order, comp = _computation(gens, (), fm)
+    indices, _ = comp.add_minimal(order)
+    assert indices == [0, 1, 2, 4]
+    assert comp.events == []
+    comp.run()
+    assert not comp.events and any(comp._leads)
+
+
 def test_known_syzygy_skips_its_pair():
     """The syzygies of x, y, z are generated by the three Koszul columns;
     given y e_1 - x e_2 as known, the J-pair of x and y, whose signature

@@ -1,7 +1,8 @@
 """The only runtime dependency is click: every import in the package is
 of the standard library, click, or gext itself, and pyproject.toml
 declares click alone.  Every package of the test extra is imported by
-the tests or the benchmark."""
+the tests or the benchmark, and the package's syntax is that of the
+oldest Python that `requires-python` admits."""
 
 import ast
 import re
@@ -57,3 +58,18 @@ def test_every_test_extra_is_imported():
     sources += sorted((ROOT / "bench").glob("*.py"))
     used = {name.lower() for path in sources for name in imported_roots(path)}
     assert not wanted - used
+
+
+def test_sources_parse_as_the_oldest_supported_python():
+    """Every module of the package parses with the grammar of the oldest
+    Python that pyproject.toml's `requires-python` admits (ast's
+    feature_version; a later-only syntax such as `except*` or a `type`
+    statement fails)."""
+    floor = re.fullmatch(r">=\s*(\d+)\.(\d+)", pyproject()["requires-python"])
+    assert floor
+    version = (int(floor.group(1)), int(floor.group(2)))
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(), filename=str(path),
+                  feature_version=version)
