@@ -14,8 +14,8 @@ from .resolve import BettiTable, FreeResolution, betti_stats, free_resolution
 from .ring import (AlgebraError, NotHomogeneous, ParseError, Polynomial, Ring,
                    RingMismatch, parse_polynomial)
 from .script import parse_script, run_script
-from .sheafext import (ExtensionResult, corollary_bound, cotangent_module,
-                       global_ext, global_ext_sum, nonsplit_extension_coords,
+from .sheafext import (ExtensionResult, cotangent_module, global_ext,
+                       global_ext_sum, nonsplit_extension_coords,
                        sheaf_cohomology, sheaf_cohomology_sum,
                        truncation_bound, vanishing_bound, yoneda_extension)
 
@@ -26,8 +26,8 @@ __all__ = [
     "FreeModule", "FreeResolution", "GradedMatrix", "GradedModule",
     "GroebnerBasis", "HomModule", "ModuleElement", "ModuleMap",
     "NotHomogeneous", "ParseError", "Polynomial", "Ring", "RingMismatch",
-    "betti_stats", "cokernel", "corollary_bound", "cotangent_module",
-    "direct_sum", "ext_module", "free_module_of", "free_resolution",
+    "betti_stats", "cokernel", "cotangent_module", "direct_sum",
+    "ext_module", "free_module_of", "free_resolution",
     "global_ext", "global_ext_sum", "graded_component", "groebner_basis",
     "hilbert_function", "hom_module", "homomorphism_from", "image_of",
     "kernel_of_map", "krull_dim", "minimal_generators",

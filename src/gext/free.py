@@ -75,9 +75,7 @@ class ModuleElement:
         return None
 
     def is_homogeneous(self) -> bool:
-        ctx = self.ambient.ring.ctx
-        tw = self.ambient.twists
-        return len({ctx.degree(m) + tw[j] for (j, m) in self.data}) <= 1
+        return not self.data or self.degree() is not None
 
     def lead_term(self):
         """((component, monomial), coeff) of the greatest term."""

@@ -25,18 +25,20 @@ shared between modules; `ring_module` returns one module per `Ring`
 object, so every use of R as a module shares that module's caches.
 
 Hilbert data comes from the leads of the relation basis alone: M = F/U
-has the Hilbert function of F/in(U) (Macaulay).  `krull_dim` reads the
-supports of the leads; `hilbert_function` counts with the numerators of
-the Hilbert series of the lead ideals (Bayer and Stillman, J. Symb.
-Comp. 14 (1992); Bigatti, J. Pure Appl. Algebra 119 (1997)), cached on
-the relation basis, and lists no monomial.  Only `graded_component`,
-which returns a basis of M_d for `sheaf_cohomology` and `global_ext`,
-lists the monomials of each degree, so only it meets the packed
-encoding's cap of 127 per exponent.
+has the Hilbert function of F/in(U) (Macaulay).  `hilbert_numerators`
+computes the numerators of the Hilbert series of the lead ideals (Bayer
+and Stillman, J. Symb. Comp. 14 (1992); Bigatti, J. Pure Appl. Algebra
+119 (1997)) and caches them on the relation basis.  `hilbert_function`
+counts with them and lists no monomial; `krull_dim` reads off them the
+order of the pole of the Hilbert series at t = 1, the dimension.  Only
+`graded_component`, which returns a basis of M_d for `sheaf_cohomology`
+and `global_ext`, lists the monomials of each degree, so only it meets
+the packed encoding's cap of 127 per exponent.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb
 
 from .free import FreeModule, GradedMatrix, ModuleElement
@@ -463,35 +465,24 @@ def restrict_scalars(module: GradedModule) -> GradedModule:
 def krull_dim(module: GradedModule):
     """Krull dimension of the support; MINUS_INF for the zero module.
 
-    Read off the leads of the relation basis (`relations_gb`): M and
-    F/in(U) have the same Hilbert function (Eisenbud, *Commutative
-    Algebra*, Ch. 15), and F/in(U) is the sum over the generators j of
-    S/J_j, J_j generated by component j's divisor leads, the quotient
-    divisors GB(I) among them.  dim S/J_j is the size of the largest set
-    of variables that contains the support of no lead (Cox, Little and
-    O'Shea, *Ideals, Varieties, and Algorithms*, Ch. 9 Sec. 1), and the
-    zero ring S/(1) has none.
+    M and F/in(U) have the same Hilbert function (Macaulay; Eisenbud,
+    *Commutative Algebra*, Thm 15.3), so the same dimension: the order of
+    the pole at t = 1 of their Hilbert series.  F/in(U) is the sum of the
+    S/J_j(-a_j) of `hilbert_numerators`, whose series are
+    t^a_j N_j(t) / (1 - t)^n, n the number of variables.  Write
+    N_j = (1 - t)^k Q_j with Q_j(1) != 0: Q_j(1) is the multiplicity of
+    S/J_j, so positive, and no poles cancel in the sum.  So dim M is the
+    largest n - k over the j with N_j nonzero; the zero ring S/(1) has
+    N_j = () and counts for none.
     """
-    rank = module.cover.rank
-    if not rank:
-        return MINUS_INF
-    ctx = module.ring.ctx
-    gb = module.relations_gb()
+    n = module.ring.nvars
     best = MINUS_INF
-    for j in range(rank):
-        supports = {sum(1 << i for i, e in enumerate(ctx.decode(lead)) if e)
-                    for lead in gb.divisor_leads(j)}
-        if 0 not in supports:
-            best = max(best, _largest_free_set(supports, (1 << ctx.nvars) - 1))
+    for _, numerator in hilbert_numerators(module):
+        k = 0
+        while numerator and not sum(numerator):
+            # N = (1 - t) Q, Q's coefficients the partial sums of N's
+            numerator = tuple(accumulate(numerator[:-1]))
+            k += 1
+        if numerator:
+            best = max(best, n - k)
     return best
-
-
-def _largest_free_set(supports, free):
-    """The size of the largest subset of the variables in `free` (a bit
-    mask) that contains no support (bit masks too): one that `free`
-    contains loses one of its variables."""
-    for s in supports:
-        if not s & ~free:
-            return max(_largest_free_set(supports, free & ~(1 << i))
-                       for i in range(s.bit_length()) if s >> i & 1)
-    return free.bit_count()

@@ -14,7 +14,7 @@ mandatory there.
 from __future__ import annotations
 
 from .gmod import GradedModule, prune, subquotient
-from .groebner import INF, MINUS_INF
+from .groebner import MINUS_INF
 from .ring import AlgebraError
 
 
@@ -75,7 +75,7 @@ def free_resolution(module: GradedModule, length_cap=None) -> FreeResolution:
 
 
 class BettiTable:
-    """Multiplicities of Betti degrees with the max/min conventions.
+    """Multiplicities of the Betti degrees (i, a) of a resolution.
 
     `complete` is the resolution's: a capped table has no pd."""
 
@@ -99,11 +99,6 @@ class BettiTable:
         """a-bar_i: max degree of minimal generators of the i-th syzygy."""
         degs = [a for (k, a) in self.entries if k == i]
         return max(degs) if degs else MINUS_INF
-
-    def min_degree(self, i: int):
-        """a-under_i: min degree, +inf when empty."""
-        degs = [a for (k, a) in self.entries if k == i]
-        return min(degs) if degs else INF
 
     def degrees(self, i: int):
         """Betti degrees at homological index i, with multiplicity."""

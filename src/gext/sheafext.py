@@ -7,7 +7,7 @@ Ext^m(X; M~, N~(v)) for v >= e, where X = Proj(R).  Sheaf cohomology is
 the M = R case.  The bound reads the Betti degrees of the restriction of
 scalars _S N (`s_betti`, from the S-resolution cached on N,
 `GradedModule.s_resolution`) and N's Krull dimension (`krull_dim`, from
-the leads of N's relation basis).
+the Hilbert series numerators of the leads of N's relation basis).
 `global_ext_sum` asks `homext.ext_at_least` for Ext^m_R(M_{>=r}, N) in
 degrees >= e only, so no degree below e is presented.  Its result is
 the zero module (m < 0, or the dim-0 shortcut) or comes from
@@ -25,7 +25,7 @@ from .groebner import INF, MINUS_INF, groebner_basis, syzygies
 from .homext import (HomModule, express_in_generators, ext_at_least,
                      hom_element, hom_module, hom_of_free, homomorphism_from,
                      induced_columns)
-from .resolve import BettiTable, betti_stats, free_resolution
+from .resolve import BettiTable, betti_stats
 from .ring import AlgebraError, Polynomial, Ring, RingMismatch
 
 
@@ -84,33 +84,6 @@ def vanishing_bound(m: int, module: GradedModule):
     if abar == MINUS_INF:
         return MINUS_INF
     return abar - n
-
-
-def corollary_bound(m: int, source: GradedModule, target: GradedModule):
-    """Least e satisfying both inequality families of the Corollary.
-
-    Uses abar of _S N and aunder of the R-resolution of M through
-    homological degree m.
-    """
-    if source.ring != target.ring:
-        raise RingMismatch("modules over different rings")
-    n = target.ring.nvars - 1
-    bt_n = s_betti(target)
-    ell = min(krull_dim(target), m)
-    if ell == MINUS_INF or m < 0:
-        return MINUS_INF
-    cap = max(m, 0)
-    res_m = free_resolution(source, length_cap=cap)
-    bt_m = betti_stats(res_m)
-    best = MINUS_INF
-    for u in range(ell + 1):
-        under = bt_m.min_degree(m - u)
-        v1 = bt_n.max_degree(n - u) - under - n
-        best = max(best, v1)
-        if u != 1:
-            v2 = bt_n.max_degree(n - u + 1) - under - n
-            best = max(best, v2)
-    return best
 
 
 def global_ext_sum(m: int, e: int, source: GradedModule,

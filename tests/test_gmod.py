@@ -1,6 +1,7 @@
 """Graded modules: Hilbert functions, truncation, twist, kernels, dimension."""
 
 import random
+from math import comb, perm
 
 import pytest
 
@@ -9,8 +10,7 @@ from gext import (Ring, direct_sum, free_module_of, graded_component,
                   prune, ring_module, submodule_equals,
                   truncate_module, twist, zero_module)
 from gext.free import FreeModule, GradedMatrix
-from gext.gmod import (GradedModule, ModuleMap, cokernel, hilbert_numerators,
-                       restrict_scalars)
+from gext.gmod import GradedModule, ModuleMap, cokernel, restrict_scalars
 from gext.groebner import MINUS_INF, groebner_basis
 from gext.resolve import betti_stats, free_resolution
 from gext.script import parse_script, run_script
@@ -311,8 +311,10 @@ def _krull_dim_cases():
     """Modules for the resolution oracle: test_exactness's seeded modules
     over S and over S/(x^3 + y^3 - z^3), the quartic cokernel, a module
     with one component killed by a unit relation, one with its only
-    component killed, a finite-length module and a sum of modules of
-    dimensions 1, 2 and 0."""
+    component killed, a finite-length module, a sum of modules of
+    dimensions 1, 2 and 0, a module with a negative-degree generator, and
+    the twisted cubic's Omega and OmegaDual from `cotangent_module`, over
+    a quotient ring in four variables."""
     s = Ring(P, ("x", "y", "z"))
     cubic = Ring(P, ("x", "y", "z"), quotient=["x^3 + y^3 - z^3"])
 
@@ -335,6 +337,14 @@ def _krull_dim_cases():
     origin = coker(s, [["x", "y", "z"]], (2,))
     yield pytest.param(direct_sum(direct_sum(point, conic), origin),
                        id="direct-sum")
+    yield pytest.param(coker(s, [["x*y", "z^2"]], (-3,)),
+                       id="negative-degree")
+    twisted_cubic = Ring(P, ("x0", "x1", "x2", "x3"),
+                         quotient=["x0*x2 - x1^2", "x0*x3 - x1*x2",
+                                   "x1*x3 - x2^2"])
+    omega, omega_dual = cotangent_module(twisted_cubic)
+    yield pytest.param(omega, id="twisted-cubic-omega")
+    yield pytest.param(omega_dual, id="twisted-cubic-omega-dual")
 
 
 @pytest.mark.parametrize("module", _krull_dim_cases())
@@ -344,27 +354,41 @@ def test_krull_dim_matches_the_resolution_oracle(module):
     assert krull_dim(module) == resolution_dim(module.s_resolution())
 
 
-def _pole_order_dim(module):
+def _counted_pole_order_dim(module):
     """nvars less the order at t = 1 of the Hilbert series numerators of
-    the relation basis's leads, largest over the generators; -inf when
-    every numerator is zero."""
+    the components' lead ideals, largest over the generators; -inf when
+    every numerator is zero.  The numerators are counted here, not taken
+    from `hilbert_numerators`: N_j is (1 - t)^n times the series of the
+    standard monomials of component j, listed degree by degree up to the
+    degree of the lcm of its leads, which bounds deg N_j (the Taylor
+    resolution).  The order is the number of derivatives of N_j that
+    vanish at t = 1."""
+    n = module.ring.nvars
+    ctx = module.ring.ctx
+    gb = module.relations_gb()
     best = MINUS_INF
-    for _, numerator in hilbert_numerators(module):
-        coeffs, order = list(numerator), 0
-        while coeffs and not sum(coeffs):
-            # N(t) = (1 - t) Q(t), Q's coefficients the partial sums of N's
-            coeffs = [sum(coeffs[:k + 1]) for k in range(len(coeffs) - 1)]
-            order += 1
-        if coeffs:
-            best = max(best, module.ring.nvars - order)
+    for j in range(module.cover.rank):
+        leads = [ctx.decode(m) for m in gb.divisor_leads(j)]
+        top = sum(max(column) for column in zip(*leads)) if leads else 0
+        series = [sum(1 for e in monomial_exponents(n, d)
+                      if not any(all(x <= y for x, y in zip(lead, e))
+                                 for lead in leads))
+                  for d in range(top + 1)]
+        numerator = [sum((-1) ** i * comb(n, i) * series[d - i]
+                         for i in range(min(n, d) + 1))
+                     for d in range(top + 1)]
+        for order in range(top + 1):
+            if sum(c * perm(d, order) for d, c in enumerate(numerator)):
+                best = max(best, n - order)
+                break
     return best
 
 
 @pytest.mark.parametrize("module", _krull_dim_cases())
 def test_krull_dim_is_the_pole_order_of_the_numerators(module):
-    """krull_dim, read off the supports of the leads, equals nvars less
-    the order at t = 1 of the leads' Hilbert series numerators."""
-    assert krull_dim(module) == _pole_order_dim(module)
+    """krull_dim equals nvars less the order at t = 1 of the leads'
+    Hilbert series numerators, counted from the standard monomials."""
+    assert krull_dim(module) == _counted_pole_order_dim(module)
 
 
 @pytest.mark.parametrize("quotient", [(), ("x^3 + y^3 - z^3",)])

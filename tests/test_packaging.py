@@ -1,8 +1,9 @@
 """The only runtime dependency is click: every import in the package is
 of the standard library, click, or gext itself, and pyproject.toml
 declares click alone.  Every package of the test extra is imported by
-the tests or the benchmark, and the package's syntax is that of the
-oldest Python that `requires-python` admits."""
+the tests or the benchmark, the package's syntax is that of the oldest
+Python that `requires-python` admits, and `__all__` lists exactly the
+names that `__init__.py` imports."""
 
 import ast
 import re
@@ -73,3 +74,18 @@ def test_sources_parse_as_the_oldest_supported_python():
     for path in sources:
         ast.parse(path.read_text(), filename=str(path),
                   feature_version=version)
+
+
+def test_all_lists_exactly_the_names_the_package_imports():
+    """`gext.__all__` has no duplicates, equals the set of names that
+    `__init__.py` imports from its submodules, and every name in it
+    resolves on the package."""
+    import gext
+
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level
+                for alias in node.names}
+    assert len(gext.__all__) == len(set(gext.__all__))
+    assert set(gext.__all__) == imported
+    assert all(hasattr(gext, name) for name in gext.__all__)

@@ -10,13 +10,12 @@ from gext import (AlgebraError, Ring, cokernel, cotangent_module,
                   sheaf_cohomology, sheaf_cohomology_sum,
                   truncate_module, truncation_bound, twist, vanishing_bound,
                   yoneda_extension, zero_module)
-from gext import homext
+from gext import homext, sheafext
 from gext.free import FreeModule, GradedMatrix
 from gext.groebner import MINUS_INF, groebner_basis
 from gext.resolve import betti_stats
-from gext.sheafext import (class_is_split, corollary_bound,
-                           degree_zero_hom_coords, extension_setup,
-                           nonsplit_extension_coords)
+from gext.sheafext import (class_is_split, degree_zero_hom_coords,
+                           extension_setup, nonsplit_extension_coords)
 
 from conftest import line_bundle
 from oracles import (hilbert_polynomial, monomial_exponents,
@@ -99,6 +98,32 @@ def test_zero_module_arguments(quartic_base, quartic_cokernel):
 
 def test_negative_m_is_zero(quartic_base, quartic_cokernel):
     assert global_ext_sum(-1, 0, quartic_cokernel, quartic_cokernel).is_zero()
+
+
+def test_dim_zero_shortcut_computes_no_ext(monkeypatch, p2_ring):
+    """Remark dim0: a finite-length source, or a zero target, gives the
+    zero module without asking `ext_at_least` for anything; a source of
+    dimension 1 on P^2 (a point) does ask it."""
+    calls = []
+    ext_at_least = homext.ext_at_least
+
+    def spy(*args):
+        calls.append(args)
+        return ext_at_least(*args)
+
+    monkeypatch.setattr(homext, "ext_at_least", spy)
+    monkeypatch.setattr(sheafext, "ext_at_least", spy)
+    O = free_module_of(p2_ring, (0,))
+    origin = cokernel(GradedMatrix.from_entries(
+        p2_ring, [["x", "y^2", "z^3"]], (0,)))
+    point = cokernel(GradedMatrix.from_entries(p2_ring, [["x", "y"]], (0,)))
+    assert (krull_dim(origin), krull_dim(point)) == (0, 1)
+    for m in range(3):
+        assert global_ext_sum(m, 0, origin, O).is_zero()
+        assert global_ext_sum(m, 0, O, zero_module(p2_ring)).is_zero()
+    assert calls == []
+    assert not global_ext_sum(2, 0, point, O).is_zero()
+    assert len(calls) == 1
 
 
 def test_projective_space_corollary_fixed(quartic_base, quartic_cokernel):
@@ -350,17 +375,7 @@ def test_sharpness_r1_vs_r2(quartic_base, quartic_cokernel):
     dims_r2 = ext_dims_with_r(1, 0, S1, quartic_cokernel, 2, [0])
     assert dims_r1 == [4]
     assert dims_r2 == [0]
-
-
-# -- corollary bound ---------------------------------------------------------------
-
-def test_corollary_bound_finite_on_quartic(quartic_base, quartic_cokernel):
-    e = corollary_bound(1, free_module_of(quartic_base, (0,)),
-                        quartic_cokernel)
-    assert e == float("-inf") or isinstance(e, (int, float))
-    # the sum over degrees >= corollary bound must agree with Ext directly
-    tb = truncation_bound(1, 0, quartic_cokernel)
-    assert tb.r >= 1
+    assert truncation_bound(1, 0, quartic_cokernel).r >= 1
 
 
 def random_homogeneous(ring, degree, rng):
