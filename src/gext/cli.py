@@ -3,15 +3,17 @@
 ``gext run FILE`` prints the text rendering of every compute statement;
 ``--json`` emits a single JSON document instead.  Exit codes: 0 on
 success, 1 on an input error (a parse error, or a ``--prime`` that is not
-a prime in [2, 2^31)), 2 on a computation error.
+a prime in [2, 2^31)) or when stdout's reader closes it early, 2 on a
+computation error or a misused command line (usage on stderr).  The
+parser is the standard library's ``argparse``.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
 import sys
-
-import click
 
 from .gmod import GradedModule, hilbert_function
 from .script import (DEFAULT_PRIME, ComputationError, ResultRecord,
@@ -87,39 +89,74 @@ def record_payload(rec: ResultRecord) -> dict:
     return out
 
 
-@click.group()
-def main():
-    """Graded Ext and sheaf cohomology over projective schemes."""
-
-
-@main.command("run")
-@click.argument("script_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--json", "as_json", is_flag=True, help="emit a JSON document")
-@click.option("--prime", type=int, default=DEFAULT_PRIME, show_default=True,
-              help="coefficient prime for rings declared with 'kk'")
-def run(script_file, as_json, prime):
+def run(script_file: str, as_json: bool, prime: int) -> None:
     """Execute SCRIPT_FILE and print its compute results."""
     if not is_modulus(prime):
-        click.echo(f"input error: --prime {prime} is not a prime in "
-                   "[2, 2^31)", err=True)
+        print(f"input error: --prime {prime} is not a prime in [2, 2^31)",
+              file=sys.stderr)
         sys.exit(1)
     try:
         with open(script_file, encoding="utf-8") as fh:
             script = parse_script(fh.read())
     except (ParseError, UnicodeDecodeError) as err:
-        click.echo(f"parse error: {err}", err=True)
+        print(f"parse error: {err}", file=sys.stderr)
         sys.exit(1)
     try:
         records = run_script(script, default_prime=prime)
     except ComputationError as err:
-        click.echo(f"computation error: {err}", err=True)
+        print(f"computation error: {err}", file=sys.stderr)
         sys.exit(2)
     if as_json:
         doc = {"prime": prime,
                "results": [record_payload(r) for r in records]}
-        click.echo(json.dumps(doc, indent=2, sort_keys=True))
+        print(json.dumps(doc, indent=2, sort_keys=True))
     else:
-        click.echo("\n\n".join(render_record_text(r) for r in records))
+        print("\n\n".join(render_record_text(r) for r in records))
+
+
+def _script_file(path: str) -> str:
+    """A readable file that is not a directory; else a usage error."""
+    if not os.path.exists(path):
+        raise argparse.ArgumentTypeError(f"file {path!r} does not exist")
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"file {path!r} is a directory")
+    if not os.access(path, os.R_OK):
+        raise argparse.ArgumentTypeError(f"file {path!r} is not readable")
+    return path
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="gext", allow_abbrev=False,
+        description="Graded Ext and sheaf cohomology over projective "
+                    "schemes.")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    cmd = commands.add_parser(
+        "run", allow_abbrev=False,
+        help="execute SCRIPT_FILE and print its compute results",
+        description="Execute SCRIPT_FILE and print its compute results.")
+    cmd.add_argument("script_file", metavar="SCRIPT_FILE", type=_script_file)
+    cmd.add_argument("--json", dest="as_json", action="store_true",
+                     help="emit a JSON document")
+    cmd.add_argument("--prime", type=int, default=DEFAULT_PRIME, metavar="P",
+                     help="coefficient prime for rings declared with 'kk' "
+                          "(default: %(default)s)")
+    return parser
+
+
+def main(argv=None, standalone_mode=True):
+    """``gext run SCRIPT_FILE [--json] [--prime P]``; argv defaults to
+    sys.argv[1:].  Misuse exits 2 with a usage line on stderr."""
+    # bench/worker.py's traced child passes standalone_mode=False: no effect.
+    args = _parser().parse_args(argv)
+    try:
+        run(args.script_file, args.as_json, args.prime)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's reader has gone (`gext run S | head`): exit 1 with no
+        # traceback, and point stdout at devnull so the exit flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
 
 
 if __name__ == "__main__":

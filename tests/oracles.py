@@ -10,7 +10,7 @@ given.
 """
 
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
@@ -368,6 +368,40 @@ def projective_space_cotangent(n: int, q: int, d: int) -> int:
     if q == n:
         return (1 - d) * comb(-d - 1, n - 1) if d <= -n else 0
     return 1 if (q, d) == (1, 0) else 0
+
+
+def koszul_betti(degrees) -> dict:
+    """Betti table {(i, a): b} of S/(f_1..f_c) for a regular sequence of
+    forms of the given degrees: the Koszul complex."""
+    out = {}
+    for i in range(len(degrees) + 1):
+        for subset in combinations(degrees, i):
+            key = (i, sum(subset))
+            out[key] = out.get(key, 0) + 1
+    return out
+
+
+def hilbert_from_betti(entries: dict, nvars: int, d: int) -> int:
+    """HF(d) of a module from its graded Betti numbers over S; 0 for d
+    below every shift."""
+    from math import comb
+    return sum((-1) ** i * b * comb(d - a + nvars - 1, nvars - 1)
+               for (i, a), b in entries.items() if d - a >= 0)
+
+
+def complete_intersection_cohomology(degrees, n: int, q: int, v: int) -> int:
+    """dim H^q(X, O_X(v)) for a complete intersection X in P^n cut out by
+    forms of the given degrees, dim X = n - c >= 1 (Hartshorne III Ex. 5.5):
+    h^0 is HF(S/I, v), h^q vanishes for 0 < q < dim X, and by Serre
+    duality with omega_X = O_X(sum d_i - n - 1),
+    h^{dim X}(O_X(v)) = HF(S/I, sum d_i - n - 1 - v)."""
+    betti = koszul_betti(degrees)
+    dim = n - len(degrees)
+    if q == 0:
+        return hilbert_from_betti(betti, n + 1, v)
+    if q == dim:
+        return hilbert_from_betti(betti, n + 1, sum(degrees) - n - 1 - v)
+    return 0
 
 
 def hilbert_polynomial(betti_entries: dict, n: int, v: int) -> int:

@@ -8,6 +8,7 @@ traced function or one of the parameters it reads would break
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LAYERS = ROOT / "bench" / "layers.py"
+WORKER = ROOT / "bench" / "worker.py"
 
 
 def _layers():
@@ -114,3 +116,20 @@ def test_relation_basis_is_counted_by_the_tracer():
     assert int(size) > 0
     assert untracked == size
     assert nonzero == "2"
+
+
+def test_traced_cli_child_runs_the_script():
+    """`bench/worker.py cli-child trace` calls `gext.cli.main` in process
+    with `standalone_mode=False` and reports the tracer's stats as the last
+    stderr line, which must count every JSON record the CLI renders."""
+    script = ROOT / "bench" / "scripts" / "elliptic_yoneda.gx"
+    proc = subprocess.run(
+        [sys.executable, "-B", str(WORKER), "cli-child", "trace", str(script)],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(proc.stdout)["results"]) == 2
+    last = proc.stderr.splitlines()[-1]
+    assert last.startswith("BENCH-STATS ")
+    stats = json.loads(last[len("BENCH-STATS "):])
+    assert stats["cli.record_payload.calls"] == 2

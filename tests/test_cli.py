@@ -5,12 +5,12 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import pytest
-from click.testing import CliRunner
 
 import gext.script
 from gext.cli import main, module_payload
@@ -46,8 +46,26 @@ def schema():
     return json.loads(text)
 
 
-def run_cli(args):
-    return CliRunner().invoke(main, args)
+@dataclass
+class CliResult:
+    exit_code: int
+    output: str   # stdout
+    stderr: str
+
+
+@pytest.fixture
+def run_cli(capsys):
+    """Run `main(argv)` in process: its stdout, stderr and exit code."""
+    def invoke(args):
+        capsys.readouterr()
+        try:
+            main(args)
+            code = 0
+        except SystemExit as exit_:
+            code = 0 if exit_.code is None else exit_.code
+        out, err = capsys.readouterr()
+        return CliResult(code, out, err)
+    return invoke
 
 
 def test_parse_script_statement_count():
@@ -134,7 +152,7 @@ def test_elliptic_dimension_record():
     assert records[0].payload == 1
 
 
-def test_cli_text_output(tmp_path):
+def test_cli_text_output(tmp_path, run_cli):
     f = tmp_path / "s.gx"
     f.write_text(QUARTIC_SCRIPT)
     result = run_cli(["run", str(f)])
@@ -150,7 +168,7 @@ def test_cli_text_output(tmp_path):
     assert "kk^1" in result.output
 
 
-def test_cli_determinism(tmp_path):
+def test_cli_determinism(tmp_path, run_cli):
     f = tmp_path / "s.gx"
     f.write_text(QUARTIC_SCRIPT)
     out1 = run_cli(["run", str(f)]).output
@@ -184,7 +202,7 @@ def test_cli_output_does_not_depend_on_hash_seed(tmp_path):
     assert len(json.loads(outs[0])["results"]) == 3
 
 
-def test_cli_json_schema(tmp_path):
+def test_cli_json_schema(tmp_path, run_cli):
     f = tmp_path / "s.gx"
     f.write_text(QUARTIC_SCRIPT + "compute betti(N);\n")
     result = run_cli(["run", str(f), "--json"])
@@ -200,7 +218,8 @@ def test_cli_json_schema(tmp_path):
     ("ZZ/32003[x,y,z]", "betti(K, 2)", None),
     ("ZZ/32003[x,y,z]", "betti(K)", 3),
 ])
-def test_json_pd_only_for_complete_resolutions(tmp_path, ring, call, pd):
+def test_json_pd_only_for_complete_resolutions(tmp_path, ring, call, pd,
+                                               run_cli):
     """The residue field K = R/(x, y, z): infinite resolution over the
     cubic, projective dimension 3 over S; a capped resolution gives no pd."""
     f = tmp_path / "s.gx"
@@ -214,7 +233,7 @@ def test_json_pd_only_for_complete_resolutions(tmp_path, ring, call, pd):
     assert doc["results"][0]["pd"] == pd
 
 
-def test_json_hilbert_agrees_with_library(tmp_path):
+def test_json_hilbert_agrees_with_library(tmp_path, run_cli):
     f = tmp_path / "s.gx"
     f.write_text("""\
 ring S = ZZ/32003[x,y,z];
@@ -230,7 +249,7 @@ compute sheafCohomologySum(0, 0, M);
         assert hilbert_function(module, int(d)) == dim
 
 
-def test_json_module_roundtrip(tmp_path):
+def test_json_module_roundtrip(tmp_path, run_cli):
     """A module JSON payload re-fed as a coker script reproduces itself."""
     f = tmp_path / "s.gx"
     f.write_text("""\
@@ -256,7 +275,7 @@ compute sheafCohomologySum(0, 0, R);
     assert doc2["results"][0]["module"] == payload
 
 
-def test_exit_code_parse_error(tmp_path):
+def test_exit_code_parse_error(tmp_path, run_cli):
     f = tmp_path / "bad.gx"
     f.write_text("ring R = ZZ/32003[x,y;\n")
     result = run_cli(["run", str(f)])
@@ -336,7 +355,7 @@ def test_polynomial_over_the_exponent_cap_fails_when_run(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def test_hilbert_past_the_exponent_cap(tmp_path):
+def test_hilbert_past_the_exponent_cap(tmp_path, run_cli):
     """hilbert counts standard monomials from the leads' Hilbert series
     and packs none of degree d, so a degree past the 127-per-exponent cap
     of the monomial encoding answers: h(200) = 3 * 200 on a plane
@@ -351,14 +370,58 @@ def test_hilbert_past_the_exponent_cap(tmp_path):
     assert doc["results"][0]["value"] == 600
 
 
-def test_exit_code_computation_error(tmp_path):
+def test_exit_code_computation_error(tmp_path, run_cli):
     f = tmp_path / "bad.gx"
     f.write_text("ring R = ZZ/32003[x];\ncompute dim(Q);\n")
     result = run_cli(["run", str(f)])
     assert result.exit_code == 2
 
 
-def test_prime_override_only_for_kk(tmp_path):
+@pytest.mark.parametrize("args", [
+    ["run", "{tmp}/missing.gx"],
+    ["run", "{tmp}"],
+    ["run", "--bogus", "{tmp}/s.gx"],
+    ["run", "--prime", "x", "{tmp}/s.gx"],
+    [],
+], ids=["missing-file", "directory", "unknown-option", "prime-not-int",
+        "no-command"])
+def test_command_line_misuse_is_a_usage_error(tmp_path, run_cli, args):
+    """Misuse of the command line exits 2 with a usage line on stderr and
+    nothing on stdout, before any script is read."""
+    (tmp_path / "s.gx").write_text("ring R = ZZ/7[x];\ncompute dim(R);\n")
+    result = run_cli([a.format(tmp=tmp_path) for a in args])
+    assert result.exit_code == 2
+    assert result.output == ""
+    assert result.stderr.startswith("usage: gext")
+    assert "Traceback" not in result.stderr
+
+
+def test_closed_stdout_exits_1_without_traceback(tmp_path):
+    """A reader that closes stdout early (`gext run S | head`) ends the run
+    with exit 1 and nothing on stderr."""
+    f = tmp_path / "s.gx"
+    f.write_text("ring R = ZZ/7[x];\ncompute dim(R);\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.Popen([sys.executable, "-m", "gext.cli", "run", str(f)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=src))
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=20)
+    assert proc.returncode == 1
+    assert err == b""
+
+
+def test_help_lists_the_command_and_its_options(run_cli):
+    top = run_cli(["--help"])
+    assert top.exit_code == 0
+    assert "run" in top.output
+    result = run_cli(["run", "--help"])
+    assert result.exit_code == 0
+    for word in ("--json", "--prime", "32003"):
+        assert word in result.output
+
+
+def test_prime_override_only_for_kk(tmp_path, run_cli):
     f = tmp_path / "s.gx"
     f.write_text("ring R = kk[x];\nmodule F = free(R, degrees=[0]);\n"
                  "compute hilbert(F, 1);\n")
@@ -402,7 +465,7 @@ def test_module_payload_shapes(elliptic_ring):
     assert len(payload["relations"]) == len(payload["generators"])
 
 
-def test_yoneda_via_script(tmp_path):
+def test_yoneda_via_script(tmp_path, run_cli):
     f = tmp_path / "y.gx"
     f.write_text("""\
 ring R = ZZ/32003[x,y,z] / (x^3 + y^3 - z^3);

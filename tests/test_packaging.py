@@ -1,6 +1,6 @@
-"""The only runtime dependency is click: every import in the package is
-of the standard library, click, or gext itself, and pyproject.toml
-declares click alone.  Every package of the test extra is imported by
+"""The package has no runtime dependency: every import in it is of the
+standard library or gext itself, and pyproject.toml declares no
+dependency.  Every package of the test extra is imported by
 the tests or the benchmark, the package's syntax is that of the oldest
 Python that `requires-python` admits, and `__all__` lists exactly the
 names that `__init__.py` imports."""
@@ -14,7 +14,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "gext"
-ALLOWED = set(sys.stdlib_module_names) | {"click", "gext"}
+ALLOWED = set(sys.stdlib_module_names) | {"gext"}
 
 
 def imported_roots(path: Path):
@@ -39,7 +39,7 @@ def pyproject():
         return tomllib.load(f)["project"]
 
 
-def test_package_imports_only_the_standard_library_and_click():
+def test_package_imports_only_the_standard_library():
     sources = sorted(PACKAGE.glob("*.py"))
     assert sources
     outside = {(path.name, name) for path in sources
@@ -47,8 +47,8 @@ def test_package_imports_only_the_standard_library_and_click():
     assert not outside
 
 
-def test_pyproject_declares_click_as_the_only_dependency():
-    assert pyproject()["dependencies"] == ["click>=8.0"]
+def test_pyproject_declares_no_dependency():
+    assert pyproject()["dependencies"] == []
 
 
 def test_every_test_extra_is_imported():

@@ -18,8 +18,9 @@ from gext.sheafext import (class_is_split, degree_zero_hom_coords,
                            extension_setup, nonsplit_extension_coords)
 
 from conftest import line_bundle
-from oracles import (hilbert_polynomial, monomial_exponents,
-                     projective_space_cotangent, projective_space_line_bundle)
+from oracles import (complete_intersection_cohomology, hilbert_polynomial,
+                     monomial_exponents, projective_space_cotangent,
+                     projective_space_line_bundle)
 from test_exactness import random_element, random_module
 
 P = 32003
@@ -179,6 +180,32 @@ def test_bott_formula_cotangent(n, twists):
            for q in range(n + 1) for d in twists}
     want = {(q, d): projective_space_cotangent(n, q, d) for (q, d) in got}
     assert got == want
+
+
+@pytest.mark.parametrize("n, degrees", [
+    (3, (4,)),      # a quartic K3 surface: h^2(O) = 1, h^2(O(-1)) = 4
+    (3, (3,)),      # a cubic surface: h^2(O(-1)) = 1
+    (4, (2,)),      # the quadric threefold: h^3(O(-3)) = 1
+    (4, (2, 2)),    # a (2,2) surface in P^4: h^2(O(-1)) = 1
+], ids=["quartic-K3", "cubic-surface", "quadric-threefold", "2-2-surface"])
+def test_complete_intersection_cohomology(n, degrees):
+    """h^q(X, O_X(v)) from Algorithm 3.4 on a smooth complete intersection
+    X of diagonal forms with seeded coefficients equals the Koszul and
+    Serre-duality closed form, for every q <= dim X and v from one below
+    the canonical twist sum(d_i) - n - 1 up to 1."""
+    rng = random.Random(f"ci:{n}:{degrees}")
+    names = tuple(f"x{i}" for i in range(n + 1))
+    forms = [" + ".join(f"{rng.randrange(1, P)}*{x}^{d}" for x in names)
+             for d in degrees]
+    O = ring_module(Ring(P, names, quotient=forms))
+    dim = n - len(degrees)
+    canonical = sum(degrees) - n - 1
+    got = {(q, v): sheaf_cohomology(q, twist(O, v))[0]
+           for q in range(dim + 1) for v in range(canonical - 1, 2)}
+    want = {(q, v): complete_intersection_cohomology(degrees, n, q, v)
+            for (q, v) in got}
+    assert got == want
+    assert want[(dim, canonical)] == 1
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -419,6 +446,24 @@ def test_yoneda_nonsplit_elliptic(elliptic_ring):
     assert len(E.generator_degrees) == 7
     assert E.presentation.source.rank == 9
     assert sheaf_cohomology(0, E)[0] == 1
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_yoneda_euler_sequence(n):
+    """On P^n the nonzero class of Ext^1(O, Omega) is the Euler sequence
+    0 -> Omega -> O(-1)^{n+1} -> O -> 0 (Hartshorne II.8), so the Yoneda
+    construction's E has E~ = O(-1)^{n+1}: h^q(E~(v)) = (n + 1) h^q(O(v - 1))
+    for every q, h^0(E~(v)) = (n + 1) C(v - 1 + n, n)."""
+    S = Ring(P, tuple(f"x{i}" for i in range(n + 1)))
+    O, omega = ring_module(S), cotangent_module(S)[0]
+    result = yoneda_extension(O, omega, nonsplit_extension_coords(O, omega))
+    assert result.verified == (True, True, True)
+    E = result.module
+    got = {(q, v): sheaf_cohomology(q, twist(E, v))[0]
+           for q in range(n + 1) for v in range(-n, 3)}
+    want = {(q, v): (n + 1) * projective_space_line_bundle(n, q, v - 1)
+            for (q, v) in got}
+    assert got == want
 
 
 def test_yoneda_split_elliptic(elliptic_ring):
