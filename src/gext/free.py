@@ -66,13 +66,18 @@ class ModuleElement:
         return [self.component(j) for j in range(self.ambient.rank)]
 
     def degree(self):
-        """Homogeneous degree (twists included), None if mixed or zero."""
-        ctx = self.ambient.ring.ctx
+        """Homogeneous degree (twists included), None if mixed or zero:
+        the first term's, unless a later term has another."""
+        shift = self.ambient.ring.ctx.degshift
         tw = self.ambient.twists
-        degs = {ctx.degree(m) + tw[j] for (j, m) in self.data}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
+        d = None
+        for j, m in self.data:
+            e = (m >> shift) + tw[j]
+            if d is None:
+                d = e
+            elif e != d:
+                return None
+        return d
 
     def is_homogeneous(self) -> bool:
         return not self.data or self.degree() is not None

@@ -8,18 +8,23 @@ signature runs (`SignatureRun`) give `syzygies`.
 A divisor is one entry [lead, tail, track, sig] of a `DivisorIndex`
 (component -> entries): a monic element with lead term (comp, lead), its
 other terms, its track (None when nothing is tracked) and its signature
-(None outside a signature run).  A tail term ((off, mono), coeff) stands
-at component comp + off: an entry does not depend on the component it
-is filed under, so one entry serves every component that holds the same
+(None outside a signature run).  The tail is one flat tuple
+(off_1, mono_1, coeff_1, off_2, ...) of the terms below the lead, read
+three at a time (`it = iter(tail); zip(it, it, it)`), in descending order
+except in a signature run, which top-reduces; the track is the flat
+tuple (gen_1, mono_1, coeff_1, ...) of the same shape, or None.  A flat
+tuple holds a term in three slots, where a term ((off, mono), coeff)
+would take two more tuples.  A tail term at offset off stands at
+component comp + off: an entry does not depend on the component it is
+filed under, so one entry serves every component that holds the same
 element shifted, the quotient divisors of every component
-(`Ring.quotient_divisors`) and the blocks of `block_copies` alike.  The
-reducer adds the component back, one add per tail term; the tail
-builders (`ModuleComputation._add_basis`, `SignatureRun._add`) subtract
-it, and `_autoreduce` and `GroebnerBasis.__iter__` convert at the
-boundary.  That entry is the only record of a basis element: neither the
-engine nor a finished `GroebnerBasis` keeps another list of its basis,
-and iterating over a `GroebnerBasis` builds its elements from their
-entries.
+(`Ring.quotient_divisors`) and the blocks of `block_copies` alike.  The reducer adds the component back, one add per tail term; the
+tail builders (`ModuleComputation._add_basis`, `SignatureRun._add`,
+through `_flat`) subtract it, and `_autoreduce` and
+`GroebnerBasis.__iter__` convert at the boundary.  That entry is the
+only record of a basis element: neither the engine nor a finished
+`GroebnerBasis` keeps another list of its basis, and iterating over a
+`GroebnerBasis` builds its elements from their entries.
 
 Every normal form is computed by one kernel, `normal_form_terms`, which
 reduces each term by the first entry of its component whose lead divides
@@ -216,10 +221,10 @@ MINUS_INF = float("-inf")
 
 class DivisorIndex(dict):
     """comp -> divisor entries [lead, tail, track, sig] for
-    `normal_form_terms`, tail terms at offsets from comp (module
-    docstring): the quotient divisors GB(I) e_comp first (filled in on
-    first lookup, with no track), then the divisors appended with `add`,
-    in insertion order.
+    `normal_form_terms`, the tail and track flat tuples, tail terms at
+    offsets from comp (module docstring): the quotient divisors GB(I)
+    e_comp first (filled in on first lookup, with no track), then the
+    divisors appended with `add`, in insertion order.
 
     The quotient divisors are one list per ring (`Ring.quotient_divisors`);
     each component of each index copies that list and shares its entries,
@@ -237,8 +242,9 @@ class DivisorIndex(dict):
         return entries
 
     def add(self, comp, lead, tail, track, sig=None):
-        """Append the monic divisor (comp, lead) + tail, where tail is a
-        tuple of ((offset from comp, mono), coeff); returns its entry."""
+        """Append the monic divisor (comp, lead) + tail, where tail is the
+        flat tuple (offset from comp, mono, coeff, ...); returns its
+        entry."""
         entry = [lead, tail, track, sig]
         self[comp].append(entry)
         return entry
@@ -250,9 +256,10 @@ def normal_form_terms(ambient: FreeModule, index: DivisorIndex, terms,
     its terms in descending order, when sig is None; else top-reduced.
 
     Each term is reduced by the first entry of index[comp] whose lead
-    divides it; the entry's tail terms lie at comp plus their offsets.
-    When `track` is a dict, that divisor's track times the multiplier is
-    subtracted from it in place; None tracks nothing.
+    divides it; the entry's tail, a flat tuple, holds its terms at comp
+    plus their offsets.  When `track` is a dict, that divisor's track (a
+    flat tuple too) times the multiplier is subtracted from it in place;
+    None tracks nothing.
 
     `sig` is the signature (comp, mono) of the element in a signature run
     (module docstring), None elsewhere.  A divisor with a signature then
@@ -295,7 +302,8 @@ def normal_form_terms(ambient: FreeModule, index: DivisorIndex, terms,
                 return out
             continue
         u = mono - lead     # gm times mono / lead is gm + u
-        for (gj, gm), gc in tail:
+        it = iter(tail)
+        for gj, gm, gc in zip(it, it, it):
             gj += comp
             m = gm + u
             if m & guards:
@@ -310,7 +318,8 @@ def normal_form_terms(ambient: FreeModule, index: DivisorIndex, terms,
             elif old:
                 del coeffs[k]
         if track is not None and dtrack:
-            for (gi, gm), gc in dtrack.items():
+            it = iter(dtrack)
+            for gi, gm, gc in zip(it, it, it):
                 m = gm + u
                 if m & guards:
                     raise ExponentOverflow("exponent overflow in product")
@@ -366,12 +375,24 @@ def _copy_index(fixed: DivisorIndex) -> DivisorIndex:
     return index
 
 
-def _multiples(ctx, items, u, comp=0):
-    """items ((i, mono), coeff) times the monomial u + one, where u is a
-    difference of packed monomials such as lcm - lead, at component
-    comp + i: comp is an entry's component for its tail, 0 for a track."""
+def _flat(items, comp, inv, p) -> tuple:
+    """The flat tuple (j - comp, mono, coeff * inv, ...) of term items
+    ((j, mono), coeff): an entry's tail, comp its component, or its
+    track, comp 0."""
+    out = []
+    for (j, m), c in items:
+        out += (j - comp, m, c * inv % p)
+    return tuple(out)
+
+
+def _multiples(ctx, flat, u, comp=0):
+    """The terms ((comp + i, mono), coeff) of a flat tuple (i, mono,
+    coeff, ...) times the monomial u + one, where u is a difference of
+    packed monomials such as lcm - lead: comp is an entry's component for
+    its tail, 0 for a track."""
     guards = ctx.guards
-    for (i, m), c in items:
+    it = iter(flat)
+    for i, m, c in zip(it, it, it):
         m += u
         if m & guards:
             raise ExponentOverflow("exponent overflow in product")
@@ -463,10 +484,9 @@ class ModuleComputation:
         items = iter(terms.items())
         (comp, lead), lc = next(items)
         inv = field_inverse(lc, p)
-        tail = tuple(((j - comp, m), (v * inv) % p) for (j, m), v in items)
         if track is not None:
-            track = {k: (v * inv) % p for k, v in track.items()}
-        self._index.add(comp, lead, tail, track)
+            track = _flat(track.items(), 0, inv, p)
+        self._index.add(comp, lead, _flat(items, comp, inv, p), track)
         n = len(self._leads)
         self._leads.append([])
         self._pending.append((self.ctx.degree(lead) + self.twists[comp], n,
@@ -509,10 +529,11 @@ class ModuleComputation:
                     else (old, new, comp, lcm, n)))
         del pending[:k]
 
-    def _subtract(self, target, items, u, comp=0):
-        """target -= (u + one) * items in place, items at comp + i."""
+    def _subtract(self, target, flat, u, comp=0):
+        """target -= (u + one) * flat in place, flat a flat tuple of terms
+        at comp + i."""
         p = self.p
-        for k, c in _multiples(self.ctx, items, u, comp):
+        for k, c in _multiples(self.ctx, flat, u, comp):
             nv = (target.get(k, 0) - c) % p
             if nv:
                 target[k] = nv
@@ -534,9 +555,9 @@ class ModuleComputation:
         self._subtract(terms, t[1], ut, comp)
         track = None
         if self.track:
-            track = dict(_multiples(self.ctx, s[2].items(), us))
+            track = dict(_multiples(self.ctx, s[2], us))
             if t[2]:
-                self._subtract(track, t[2].items(), ut)
+                self._subtract(track, t[2], ut)
         self._insert(terms, track)
 
     def run(self, stop_degree=INF) -> None:
@@ -617,7 +638,7 @@ class SignatureRun:
             else:                   # u times the element of the entry
                 terms = {(comp, lead): 1}
                 terms.update(_multiples(ctx, entry[1], u, comp))
-                track = dict(_multiples(ctx, entry[2].items(), u))
+                track = dict(_multiples(ctx, entry[2], u))
             terms = normal_form_terms(ambient, index, terms, track, sig)
             if not terms:
                 self.syzygy_tracks.append(track)
@@ -656,9 +677,8 @@ class SignatureRun:
         items = iter(terms.items())
         (comp, lead), lc = next(items)
         inv = field_inverse(lc, p)
-        tail = tuple(((j - comp, m), (v * inv) % p) for (j, m), v in items)
-        track = {k: (v * inv) % p for k, v in track.items()}
-        new = self._index.add(comp, lead, tail, track, sig)
+        new = self._index.add(comp, lead, _flat(items, comp, inv, p),
+                              _flat(track.items(), 0, inv, p), sig)
         sc, sm = sig
         self._signed.setdefault(sc, []).append((sm, comp, lead))
         ctx = self.ctx
@@ -709,8 +729,9 @@ class GroebnerBasis:
                 for entry in entries[nq:]]
 
     def __iter__(self):
+        ctx = self.ambient.ring.ctx
         for comp, (lead, tail, _, _) in self._entries():
-            terms = {(comp + j, m): c for (j, m), c in tail}
+            terms = dict(_multiples(ctx, tail, 0, comp))
             terms[(comp, lead)] = 1
             yield ModuleElement(self.ambient, terms)
 
@@ -825,9 +846,9 @@ def _autoreduce(comp: ModuleComputation) -> GroebnerBasis:
     # lead is never smaller than it in a degree-compatible order.
     for c, entry in added:
         # later reductions use the reduced tail
-        tail = normal_form_terms(comp.ambient, index, {
-            (c + j, m): v for (j, m), v in entry[1]}, None)
-        entry[1] = tuple(((j - c, m), v) for (j, m), v in tail.items())
+        tail = normal_form_terms(comp.ambient, index,
+                                 dict(_multiples(ctx, entry[1], 0, c)), None)
+        entry[1] = _flat(tail.items(), c, 1, comp.p)
     return GroebnerBasis(comp.ambient, index)
 
 
@@ -899,12 +920,15 @@ def generators_and_syzygies(gens, rels=(), ambient: FreeModule = None):
 def _syzygy_matrix(comp: ModuleComputation, degrees) -> GradedMatrix:
     """The syzygy tracks of a finished tracked run, then a basis vector
     for each zero generator (degree None), as columns over the generators'
-    degrees, 0 for a zero one."""
+    degrees, 0 for a zero one.  Each column is homogeneous, so its degree
+    is read off one term."""
     ring = comp.ambient.ring
     gmod = FreeModule(ring, tuple(0 if d is None else d for d in degrees))
     cols = [ModuleElement(gmod, tr) for tr in comp.syzygy_tracks]
     cols += [gmod.basis_element(i) for i, d in enumerate(degrees) if d is None]
-    src = FreeModule(ring, tuple(c.degree() for c in cols))
+    shift, twists = ring.ctx.degshift, gmod.twists
+    src = FreeModule(ring, tuple((m >> shift) + twists[j] for j, m in (
+        next(iter(c.data)) for c in cols)))
     return GradedMatrix(src, gmod, cols, check=False)
 
 
@@ -941,5 +965,6 @@ def ideal_groebner(ring, polys):
             raise NotHomogeneous("ideal generators must be homogeneous")
         gens.append(ModuleElement(fm, {(0, m): c for m, c in f.terms.items()}))
     gb = groebner_basis(gens, ambient=fm)
-    return tuple((lead, [(lead, 1)] + [(m, c) for (_, m), c in tail])
+    return tuple((lead, [(lead, 1)] + [(m, c) for (_, m), c
+                                       in _multiples(ring.ctx, tail, 0)])
                  for lead, tail, _, _ in gb._index[0])

@@ -171,16 +171,18 @@ class Ring:
 
     def quotient_divisors(self) -> list:
         """The divisor entries [lead, tail, None, None] of GB(I) that begin
-        every component of every `groebner.DivisorIndex`: a tail term
-        stores its component as an offset from the entry's, here 0, so
-        one list serves every component.
+        every component of every `groebner.DivisorIndex`: the tail is the
+        flat tuple (0, mono, coeff, ...) of the terms below the lead, each
+        with its component stored as an offset from the entry's, here 0,
+        so one list serves every component.
 
         Built once per ring and shared: an index copies the list and never
         mutates its entries.
         """
         if self._quotient_divisors is None:
             self._quotient_divisors = [
-                [lead, tuple(((0, m), c) for m, c in qterms[1:]), None, None]
+                [lead, tuple(x for m, c in qterms[1:] for x in (0, m, c)),
+                 None, None]
                 for lead, qterms in self.quotient_groebner()]
         return self._quotient_divisors
 

@@ -13,8 +13,9 @@ from gext import (AlgebraError, Ring, RingMismatch, cokernel,
                   free_module_of, groebner_basis, minimal_generators,
                   normal_form, parse_polynomial, subquotient, syzygies)
 from gext.free import FreeModule, GradedMatrix, ModuleElement
-from gext.groebner import (_computation, _syzygy_matrix,
-                           generators_and_syzygies, normal_form_terms)
+from gext.groebner import (SignatureRun, _computation, _syzygy_matrix,
+                           generators_and_syzygies, normal_form_terms,
+                           relation_basis)
 from gext.homext import express_in_generators
 from gext.monomial import ExponentOverflow
 
@@ -532,6 +533,64 @@ def test_groebner_basis_leads_give_the_initial_module(seed, quotient):
                 initial_module(gens, rels, fm, d), d
 
 
+def assert_leads_give_the_initial_module(basis, gens, ambient):
+    """basis's leads are minimal, and with the quotient leads GB(I) e_j
+    they generate in(span(gens) + I*F) in every degree from the lowest
+    twist up to the largest lead degree + 2, against the dense oracle:
+    no other lead of its component divides a lead of basis."""
+    ring = ambient.ring
+    ctx = ring.ctx
+    own = basis.lead_terms()
+    leads = own + [(j, q) for j in range(ambient.rank)
+                   for q, _ in ring.quotient_groebner()]
+    for i, (c, m) in enumerate(own):
+        assert not any(j == c and k != i and ctx.divides(q, m)
+                       for k, (j, q) in enumerate(leads)), (c, m)
+    top = max(ambient.twists[j] + ctx.degree(m) for j, m in leads)
+    for d in range(min(ambient.twists), top + 3):
+        assert lead_multiples(leads, ambient, d) == \
+            initial_module(gens, (), ambient, d), d
+
+
+@pytest.mark.parametrize("quotient", [(), ("x^3 + y^3 - z^3",)])
+@pytest.mark.parametrize("seed", range(3))
+def test_bases_built_without_a_run_give_the_initial_module(seed, quotient):
+    """The three bases that no engine run builds, each checked against the
+    dense oracle by assert_leads_give_the_initial_module: a relation basis
+    read over S (GroebnerBasis.over_base, the basis of N + I*F), its block
+    copies with the blocks' twists shifted by constants (block_copies),
+    and groebner_basis(gens, rels=basis), which passes the relation
+    entries through (_autoreduce)."""
+    rng = random.Random(2900 + seed)
+    ring = Ring(P, ("x", "y", "z"), quotient=list(quotient))
+    fm = FreeModule(ring, tuple(rng.choice([0, 0, 1]) for _ in range(2)))
+    rels = [random_module_element(fm, rng.choice([1, 2, 2, 3]), rng)
+            for _ in range(3)]
+    rels = [r for r in rels if not r.is_zero()]
+    assert rels
+    gb = groebner_basis(rels, ambient=fm)
+
+    base = FreeModule(ring.base, fm.twists)
+    preimage = [ModuleElement(base, r.data) for r in rels]
+    preimage += [ModuleElement(base, {(j, m): c for m, c in f.terms.items()})
+                 for f in ring.quotient for j in range(fm.rank)]
+    assert_leads_give_the_initial_module(gb.over_base(base), preimage, base)
+
+    shifts = (0, 2, -1)
+    blocks = FreeModule(ring, tuple(a + s for s in shifts for a in fm.twists))
+    copies = [ModuleElement(blocks, {(j + k * fm.rank, m): c
+                                     for (j, m), c in r.data.items()})
+              for k in range(len(shifts)) for r in rels]
+    assert_leads_give_the_initial_module(
+        gb.block_copies(blocks, len(shifts)), copies, blocks)
+
+    gens = [random_module_element(fm, rng.choice([2, 3]), rng)
+            for _ in range(2)]
+    gens = [g for g in gens if not g.is_zero()]
+    assert_leads_give_the_initial_module(
+        groebner_basis(gens, ambient=fm, rels=gb), gens + rels, fm)
+
+
 def test_minimal_intake_of_one_degree_queues_no_pair():
     """Pairs are queued only when a run can reach them: every pair of an
     element lies above its degree, so a minimal intake whose generators
@@ -645,8 +704,9 @@ def test_normal_forms_descend_in_term_order(seed, quotient):
     """normal_form_terms returns its terms in descending
     FreeModule.term_key order, so the first term of a normal form is its
     lead: each basis element the engine adds has a lead above every term
-    of its tail, each tail term read at the entry's component plus its
-    offset.  Four components with mixed twists, inhomogeneous inputs."""
+    of its tail, each tail term read from the flat tuple (off, mono,
+    coeff, ...) at the entry's component plus its offset.  Four
+    components with mixed twists, inhomogeneous inputs."""
     rng = random.Random(1700 + seed)
     ring = Ring(P, ("x", "y", "z"), quotient=list(quotient))
     fm = FreeModule(ring, (0, 2, -1, 1))
@@ -658,8 +718,9 @@ def test_normal_forms_descend_in_term_order(seed, quotient):
     assert any(entries[nq:] for entries in comp._index.values())
     for c, entries in comp._index.items():
         for lead, tail, _, _ in entries[nq:]:
+            it = iter(tail)
             assert all(fm.term_key(c + j, m) < fm.term_key(c, lead)
-                       for (j, m), _ in tail)
+                       for j, m, _ in zip(it, it, it))
     gb = groebner_basis(gens, ambient=fm)
     for _ in range(6):
         v = fm.zero_element()
@@ -670,6 +731,78 @@ def test_normal_forms_descend_in_term_order(seed, quotient):
                     for k in normal_form_terms(fm, index, v.data, None)]
             assert keys == sorted(keys, reverse=True)
             assert len(set(keys)) == len(keys)
+
+
+def flat_terms(flat, comp=0):
+    """The terms {(comp + i, mono): coeff} of a flat tuple (i, mono,
+    coeff, ...), sliced apart, in order."""
+    offs, monos, coeffs = flat[0::3], flat[1::3], flat[2::3]
+    return {(comp + i, m): c for i, m, c in zip(offs, monos, coeffs)}
+
+
+def track_image(gens, track):
+    """sum coeff * mono * gens[i] over a track {(i, mono): coeff}, reduced
+    modulo the quotient ideal."""
+    out = gens[0].ambient.zero_element()
+    for (i, m), c in track.items():
+        out = out + gens[i].monomial_mul(m, c)
+    return out.reduced()
+
+
+@pytest.mark.parametrize("quotient", [(), ("x^3 + y^3 - z^3",)])
+@pytest.mark.parametrize("seed", range(3))
+def test_flat_entries_round_trip(seed, quotient):
+    """A divisor entry holds its tail and its track as flat tuples (off,
+    mono, coeff, ...).  In an untracked run (groebner_basis), a tracked
+    Buchberger run and a signature run, every new entry's tail has 3k
+    slots, every term of it below the lead; a tracked entry's track has
+    3k slots and maps to the entry's element (lead plus tail) modulo the
+    quotient ideal, an untracked one is None.  GroebnerBasis.__iter__
+    builds each element from its entry's sliced terms, in the same order,
+    and the coordinates of express_in_generators give back each element
+    of the span they were asked for."""
+    rng = random.Random(2700 + seed)
+    ring = Ring(P, ("x", "y", "z"), quotient=list(quotient))
+    fm = FreeModule(ring, (0, 1, 0))
+    gens = [random_module_element(fm, rng.choice([1, 2, 2, 3]), rng)
+            for _ in range(3)]
+    gens = [g for g in gens if not g.is_zero()]
+    nq = len(ring.quotient_groebner())
+    gb = groebner_basis(gens, ambient=fm)
+    _, order, tracked = _computation(gens, (), fm, track=True)
+    tracked.add_all(order)
+    gfree = FreeModule(ring, tuple(g.degree() for g in gens))
+    signed = SignatureRun(fm, (), relation_basis((), gfree))
+    signed.add(order)
+    signed.run()
+    for index, with_track in ((gb._index, False), (tracked._index, True),
+                              (signed._index, True)):
+        assert any(entries[nq:] for entries in index.values())
+        for c, entries in index.items():
+            for lead, tail, track, _ in entries[nq:]:
+                terms = flat_terms(tail, c)
+                assert 3 * len(terms) == len(tail)
+                assert all(fm.term_key(*k) < fm.term_key(c, lead)
+                           for k in terms)
+                if not with_track:
+                    assert track is None
+                    continue
+                assert 3 * len(flat_terms(track)) == len(track)
+                element = ModuleElement(fm, {(c, lead): 1, **terms})
+                assert track_image(gens, flat_terms(track)) == \
+                    element.reduced()
+    entries = gb._entries()
+    elements = list(gb)
+    assert len(elements) == len(entries)
+    for (c, (lead, tail, _, _)), g in zip(entries, elements):
+        assert list(g.data.items()) == \
+            list({**flat_terms(tail, c), (c, lead): 1}.items())
+    targets = [random_span_element(gens, d, rng).reduced()
+               for d in (2, 3, 3, 4)]
+    coords = express_in_generators(gens, fm, targets)
+    assert len(coords) == len(targets)
+    for target, coord in zip(targets, coords):
+        assert track_image(gens, coord) == target
 
 
 def random_span_element(gens, degree, rng):

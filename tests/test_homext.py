@@ -266,14 +266,15 @@ def test_shared_quotient_divisors_stay_pristine(quartic_ring):
     into each of its components and shares its entries, so no engine run
     may change them: after Ext computations over the rational quartic,
     the cached list equals a fresh build from quotient_groebner(), with
-    every tail term at offset 0 from its entry's component."""
+    every tail term of the flat tuple (off, mono, coeff, ...) at offset 0
+    from its entry's component."""
     R = ring_module(quartic_ring)
     for r in (1, 2):
         ext_module(1, truncate_module(R, r), R)
     cached = quartic_ring._quotient_divisors
     assert cached is quartic_ring.quotient_divisors()
     assert cached == [
-        [lead, tuple(((0, m), c) for m, c in terms[1:]), None, None]
+        [lead, tuple(x for m, c in terms[1:] for x in (0, m, c)), None, None]
         for lead, terms in quartic_ring.quotient_groebner()]
 
 

@@ -1,21 +1,26 @@
 """Global Ext, sheaf cohomology, truncation bounds and Yoneda extensions."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from gext import (AlgebraError, Ring, cokernel, cotangent_module,
+from gext import (AlgebraError, Polynomial, Ring, cokernel, cotangent_module,
                   ext_module, free_module_of, global_ext, global_ext_sum,
                   hilbert_function, krull_dim, prune, ring_module,
                   sheaf_cohomology, sheaf_cohomology_sum,
                   truncate_module, truncation_bound, twist, vanishing_bound,
                   yoneda_extension, zero_module)
 from gext import homext, sheafext
-from gext.free import FreeModule, GradedMatrix
+from gext.free import FreeModule, GradedMatrix, ModuleElement
 from gext.groebner import MINUS_INF, groebner_basis
 from gext.resolve import betti_stats
 from gext.sheafext import (class_is_split, degree_zero_hom_coords,
-                           extension_setup, nonsplit_extension_coords)
+                           extension_setup, nonsplit_extension_coords,
+                           s_betti)
 
 from conftest import line_bundle
 from oracles import (complete_intersection_cohomology, hilbert_polynomial,
@@ -533,3 +538,98 @@ def test_yoneda_rejects_nonzero_degree(elliptic_ring):
         pytest.skip("no nonzero-degree generator available")
     with pytest.raises(AlgebraError):
         yoneda_extension(Rm, Rm, bad)
+
+
+# -- memory and variable order -------------------------------------------------
+
+MEMORY_PROBE = """
+import tracemalloc
+from gext import (Ring, cotangent_module, global_ext_sum, hilbert_function,
+                  ring_module)
+R = Ring(32003, ("w", "x", "y", "z"),
+         quotient=["w*y - x^2", "w*z - x*y", "x*z - y^2"])
+omega = cotangent_module(R)[0]
+omega.s_resolution()
+Rm = ring_module(R)
+tracemalloc.start()
+ext = global_ext_sum(1, 0, Rm, omega)
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+print(peak, hilbert_function(ext, 0), hilbert_function(ext, 1))
+"""
+
+
+def test_twisted_cubic_omega_side_peak_memory():
+    """The Omega side of the twisted cubic, global_ext_sum(1, 0, R, Omega)
+    with Omega's S-resolution built first, allocates at most 330,000
+    bytes at its tracemalloc peak, measured in a fresh interpreter (what
+    an earlier computation leaves in Python's free lists would lower it).
+    It peaks at 300,636 bytes with divisor tails and tracks held as flat
+    tuples (off, mono, coeff, ...), and at 358,360 when each tail term
+    was a nested tuple ((off, mono), coeff) and each stored track a dict
+    (Python 3.11, hash seeds 0-3).  Its answer is h^1(Omega(v)) = 1, 0
+    for v = 0, 1."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", MEMORY_PROBE],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src,
+                                   PYTHONHASHSEED="0"))
+    assert proc.returncode == 0, proc.stderr
+    peak, h0, h1 = map(int, proc.stdout.split())
+    assert (h0, h1) == (1, 0)
+    assert peak <= 330_000, peak
+
+
+QUOTIENTS = [(), ("x^3 + y^3 - z^3",), ("x^2*y + y^2*z + z^2*x",)]
+
+
+def moved_term(ctx, m, c, perm, scale):
+    """The image (monomial, coefficient) of the term c * m under
+    x_i -> scale[i] * x_perm[i]."""
+    new = [0] * ctx.nvars
+    for i, e in enumerate(ctx.decode(m)):
+        new[perm[i]] += e
+        c = c * pow(scale[i], e, P) % P
+    return ctx.encode(new), c
+
+
+def order_invariants(module):
+    """Krull dimension, Hilbert function, S-resolution Betti degrees, and
+    the Hilbert function of global_ext_sum(m, 0, module, R) for m = 0..2."""
+    R = ring_module(module.ring)
+    betti = s_betti(module)
+    return (krull_dim(module),
+            [hilbert_function(module, d) for d in range(-1, 6)],
+            [betti.degrees(i) for i in range(4)],
+            [[hilbert_function(global_ext_sum(m, 0, module, R), d)
+              for d in range(4)] for m in range(3)])
+
+
+@pytest.mark.parametrize("seed", [0, 9, 21, 10, 22, 28, 5, 14])
+def test_answers_do_not_depend_on_the_variable_order(seed):
+    """A seeded module over S, S/(x^3 + y^3 - z^3) or
+    S/(x^2 y + y^2 z + z^2 x) (by seed mod 3), and its image under a
+    seeded permutation of the variables with nonzero rescaling, with the
+    quotient ideal mapped the same way, have the same order_invariants.
+    The seeds give modules of Krull dimension 1-3, each with a nonzero
+    Ext^1 or Ext^2 (a module of dimension 0 returns zero Ext at once)."""
+    rng = random.Random(f"variable-order:{seed}")
+    ring = Ring(P, ("x", "y", "z"), quotient=list(QUOTIENTS[seed % 3]))
+    module = random_module(ring, rng, ranks=(2, 3))
+    perm = rng.sample(range(3), 3)
+    scale = [rng.randrange(1, P) for _ in range(3)]
+    ctx = ring.ctx
+    image = Ring(P, ring.variables, quotient=[
+        Polynomial(ring.base, dict(moved_term(ctx, m, c, perm, scale)
+                                   for m, c in f.terms.items()))
+        for f in ring.quotient])
+    pres = module.presentation
+    cover = FreeModule(image, pres.target.twists)
+    cols = [ModuleElement(cover, {
+        (j, mm): cc for (j, m), c in col.data.items()
+        for mm, cc in [moved_term(ctx, m, c, perm, scale)]}).reduced()
+        for col in pres.columns]
+    moved = cokernel(GradedMatrix(FreeModule(image, pres.source.twists),
+                                  cover, cols, check=False))
+    assert krull_dim(module) > 0
+    assert order_invariants(moved) == order_invariants(module)
