@@ -18,10 +18,11 @@ would take two more tuples.  A tail term at offset off stands at
 component comp + off: an entry does not depend on the component it is
 filed under, so one entry serves every component that holds the same
 element shifted, the quotient divisors of every component
-(`Ring.quotient_divisors`) and the blocks of `block_copies` alike.  The reducer adds the component back, one add per tail term; the
-tail builders (`ModuleComputation._add_basis`, `SignatureRun._add`,
-through `_flat`) subtract it, and `_autoreduce` and
-`GroebnerBasis.__iter__` convert at the boundary.  That entry is the
+(`Ring.quotient_groebner`) and the blocks of `block_copies` alike.  The
+reducer adds the component back, one add per tail term; the tail
+builders (`ModuleComputation._add_basis`, `SignatureRun._add`, through
+`_flat`) subtract it, and `_autoreduce` and `GroebnerBasis.__iter__`
+convert at the boundary.  That entry is the
 only record of a basis element: neither the engine nor a finished
 `GroebnerBasis` keeps another list of its basis, and iterating over a
 `GroebnerBasis` builds its elements from their entries.
@@ -100,24 +101,25 @@ by the product criterion, so it lifts.  (4) The tracks map e_b to the
 track of b, zero for a fixed entry.  On a lift this gives the syzygy a
 reduced pair emitted, or zero when it made a new element; zero for a
 product pair (over R) and for fixed pairs.  Every syzygy c of the
-generators modulo the fixed entries is such an image, of sum c_j
-(generator j written by the entries), plus columns the intake emitted.
-So the emitted columns generate the syzygies modulo the relations.
+kept elements modulo the fixed entries is such an image, of sum
+c_k e_{b_k}, where entry b_k is the k-th kept element, of track k.  So
+the emitted columns generate the syzygies modulo the relations.
 
-Generators enter a Buchberger run by one of two intakes, in (degree,
-index) order, tracked when the run is; its heap holds only S-pairs.  The
-complete intake (`groebner_basis`, `express_in_generators`) processes
-the pairs up to a generator's degree d, then inserts it, tracked as its
-index, reduced modulo the basis so far.  The minimal intake
-(`minimal_generators`, `generators_and_syzygies`) first reduces a
-generator against the basis so far: a zero remainder proves it
-redundant.  Only a nonzero remainder makes the engine process the pairs
-of degree <= d; reduced again if that grew the basis, it is kept if
-still nonzero, the k-th kept element tracked as k.  A remainder fully
-reduced against a basis complete through degree d is unique, so the kept
-elements and the order in which the basis grows are those of the
-complete intake run on them, and pairs above the last kept generator
-wait until they are asked for.
+Generators enter a Buchberger run by one intake (`add_minimal`), in
+(degree, index) order; the heap holds only S-pairs.  A generator of
+degree d is first reduced against the basis so far: a zero remainder
+proves it redundant.  Only a nonzero remainder makes the engine process
+the pairs of degree <= d; reduced again if that grew the basis, it is
+kept if still nonzero, the k-th kept element tracked as k.  A remainder
+fully reduced against a basis complete through degree d is unique, so
+the basis grows as it would if each generator were inserted after the
+pairs up to its degree.  Pairs above the last kept generator wait until
+`run` asks for them: `groebner_basis`, `generators_and_syzygies` and
+`express_in_generators` call it after the intake, `minimal_generators`
+does not.  A tracked run also keeps the track of each kept element's
+own reduction, which writes it as its generator plus earlier kept
+elements: `express_in_generators` substitutes these to turn coordinates
+over the kept elements into coordinates over the generators.
 
 Pairs are queued only when a run can reach them.  A new element n waits
 with its degree and the number of entries before it in its component;
@@ -128,8 +130,8 @@ n lies above n's degree: it is on the heap before the run can take it,
 and n's product-criterion records are made before any pair of n is
 taken.  Keys tie on (degree, n, lcm) only among n's own pairs, queued
 together in partner order; so the pairs taken, and their order, are
-those of queueing every pair as n is added.  A minimal intake whose run
-ends at its last generator never builds the pairs of that degree.
+those of queueing every pair as n is added.  An intake whose run ends
+at its last generator never builds the pairs of that degree.
 
 Signature runs (`syzygies`; Gao, Volny and Wang, Math. Comp. 85 (2016);
 Eder and Faugere, J. Symb. Comp. 80 (2017)).  Let E have a unit e_j per
@@ -226,19 +228,20 @@ class DivisorIndex(dict):
     e_comp first (filled in on first lookup, with no track), then the
     divisors appended with `add`, in insertion order.
 
-    The quotient divisors are one list per ring (`Ring.quotient_divisors`);
-    each component of each index copies that list and shares its entries,
-    which nothing mutates."""
+    The quotient divisors are one list per ring (`Ring.quotient_groebner`),
+    read once per index; each component of each index copies that list
+    and shares its entries, which nothing mutates."""
 
-    __slots__ = ("ring", "nq")
+    __slots__ = ("ring", "quotient", "nq")
 
     def __init__(self, ring):
         super().__init__()
         self.ring = ring
-        self.nq = len(ring.quotient_groebner())   # quotient divisors per comp
+        self.quotient = ring.quotient_groebner()
+        self.nq = len(self.quotient)   # quotient divisors per comp
 
     def __missing__(self, comp):
-        entries = self[comp] = list(self.ring.quotient_divisors())
+        entries = self[comp] = list(self.quotient)
         return entries
 
     def add(self, comp, lead, tail, track, sig=None):
@@ -405,12 +408,12 @@ class ModuleComputation:
     into one by `relation_basis`), whose elements are fixed entries of
     `_index` after the quotient divisors, with no track.
 
-    Generators enter through `add_all` or `add_minimal`, the two intakes
-    of the module docstring.  The heap `events` holds only S-pairs: two
-    new elements, or a new element and a fixed entry, queued by `_queue`
-    once a run can reach them.  In a tracked run
-    the track of each pair that reduces to zero is a syzygy, kept in
-    `syzygy_tracks`.
+    Generators enter through `add_minimal`, the intake of the module
+    docstring.  The heap `events` holds only S-pairs: two new elements, or
+    a new element and a fixed entry, queued by `_queue` once a run can
+    reach them.  In a tracked run the track of each pair that reduces to
+    zero is a syzygy, kept in `syzygy_tracks`, and `reductions[k]` is the
+    track of the k-th kept generator's intake reduction.
     """
 
     def __init__(self, ambient: FreeModule, rels=(), track=False):
@@ -432,50 +435,34 @@ class ModuleComputation:
         # (degree, n, comp, position in the component's entries)
         self._pending: list = []
         self.syzygy_tracks: list[dict] = []
-
-    # -- the two intakes ------------------------------------------------------
-
-    def add_all(self, order):
-        """The complete intake of the generators in `order` (from
-        `_computation`), then every remaining pair: each generator is
-        reduced modulo the basis so far, after the pairs up to its
-        degree."""
-        one = self.ctx.one
-        for d, idx, g in order:
-            self.run(d)
-            self._insert(g.data, {(idx, one): 1} if self.track else None)
-        self.run()
+        self.reductions: list[tuple] = []
 
     def add_minimal(self, order):
-        """The minimal intake of the generators in `order` (from
-        `_computation`): (indices, reduced elements) of the kept ones.
+        """The intake of the generators in `order` (from `_computation`):
+        (indices, reduced elements) of the kept ones, the k-th tracked as
+        k.  In a tracked run the k-th is gens[indices[k]] plus
+        reductions[k], a flat track over the kept elements before it.
         Pairs above the last one kept stay pending."""
         ambient, index = self.ambient, self._index
         indices, elements = [], []
         for d, idx, g in order:
-            terms = normal_form_terms(ambient, index, g.data, None)
+            track = {} if self.track else None
+            terms = normal_form_terms(ambient, index, g.data, track)
             if terms:
                 size = len(self._leads)
                 self.run(d)
                 if len(self._leads) > size:   # else terms is still reduced
-                    terms = normal_form_terms(ambient, index, terms, None)
+                    terms = normal_form_terms(ambient, index, terms, track)
             if terms:
-                self._add_basis(terms, {(len(indices), self.ctx.one): 1}
-                                if self.track else None)
+                if track is not None:
+                    self.reductions.append(_flat(track.items(), 0, 1, self.p))
+                    track = {(len(indices), self.ctx.one): 1}
+                self._add_basis(terms, track)
                 indices.append(idx)
                 elements.append(ModuleElement(ambient, terms))
         return indices, elements
 
     # -- basis growth -------------------------------------------------------
-
-    def _insert(self, terms, track):
-        """Reduce terms, updating track (a dict or None) in place.  A nonzero
-        normal form joins the basis; otherwise the track is a syzygy."""
-        terms = normal_form_terms(self.ambient, self._index, terms, track)
-        if terms:
-            self._add_basis(terms, track)
-        elif track:
-            self.syzygy_tracks.append(track)
 
     def _add_basis(self, terms, track):
         """Add a normal form, its first term, the greatest, the lead; its
@@ -558,7 +545,12 @@ class ModuleComputation:
             track = dict(_multiples(self.ctx, s[2], us))
             if t[2]:
                 self._subtract(track, t[2], ut)
-        self._insert(terms, track)
+        # a nonzero normal form joins the basis; else the track is a syzygy
+        terms = normal_form_terms(self.ambient, self._index, terms, track)
+        if terms:
+            self._add_basis(terms, track)
+        elif track:
+            self.syzygy_tracks.append(track)
 
     def run(self, stop_degree=INF) -> None:
         """Process the pairs of degree <= stop_degree; within a degree by
@@ -816,7 +808,8 @@ def groebner_basis(gens, ambient: FreeModule = None, rels=()) -> GroebnerBasis:
     Over a quotient ring the ideal relations are adjoined implicitly.
     """
     _, order, comp = _computation(gens, rels, ambient)
-    comp.add_all(order)
+    comp.add_minimal(order)
+    comp.run()
     return _autoreduce(comp)
 
 
@@ -941,30 +934,27 @@ def express_in_generators(gens, ambient: FreeModule, elements, rels=()):
     element; raises if an element is not in the span.
     """
     _, order, comp = _computation(gens, rels, ambient, track=True)
-    comp.add_all(order)
-    p = comp.p
+    indices, _ = comp.add_minimal(order)
+    comp.run()
+    ctx, p = comp.ctx, comp.p
     out = []
     for v in elements:
         track = {}
         if normal_form_terms(comp.ambient, comp._index, v.data, track):
             raise AlgebraError("element not in the span of the generators")
-        out.append({k: (p - c) % p for k, c in track.items()})
+        # v is -track over the kept elements; the k-th is gens[indices[k]]
+        # plus reductions[k] over those before it: substitute, last first
+        for k, reduction in reversed(list(enumerate(comp.reductions))):
+            if not reduction:
+                continue
+            for m, c in [(m, c) for (j, m), c in track.items() if j == k]:
+                for key, rc in _multiples(ctx, reduction, m - ctx.one):
+                    nv = (track.get(key, 0) + c * rc) % p
+                    if nv:
+                        track[key] = nv
+                    else:
+                        del track[key]
+        out.append({(indices[k], m): (p - c) % p
+                    for (k, m), c in track.items()})
     return out
 
-
-def ideal_groebner(ring, polys):
-    """Reduced monic GB of an ideal in the base ring, as (lead, terms) pairs
-    with terms sorted descending."""
-    fm = FreeModule(ring, (0,))
-    gens = []
-    for f in polys:
-        f = ring.polynomial(f)
-        if f.is_zero():
-            continue
-        if not f.is_homogeneous():
-            raise NotHomogeneous("ideal generators must be homogeneous")
-        gens.append(ModuleElement(fm, {(0, m): c for m, c in f.terms.items()}))
-    gb = groebner_basis(gens, ambient=fm)
-    return tuple((lead, [(lead, 1)] + [(m, c) for (_, m), c
-                                       in _multiples(ring.ctx, tail, 0)])
-                 for lead, tail, _, _ in gb._index[0])

@@ -79,8 +79,7 @@ class Ring:
         self.variables = variables
         self.nvars = len(variables)
         self.ctx: MonomialContext = context(self.nvars)
-        self._quotient_gb = None
-        self._quotient_divisors = None     # divisor entries of GB(I)
+        self._quotient_gb = None    # divisor entries of GB(I)
         self._module = None     # R as a module over itself: gmod.ring_module
         if quotient:
             base = Ring(p, variables)
@@ -156,35 +155,28 @@ class Ring:
             return parse_polynomial(self, value)
         raise TypeError(f"cannot coerce {value!r} to a polynomial")
 
-    def quotient_groebner(self):
-        """Reduced Groebner basis of the quotient ideal, as (lead, terms) pairs.
-
-        terms are sorted descending.  Cached; empty for a polynomial ring.
-        """
-        if self._quotient_gb is None:
-            if not self.quotient:
-                self._quotient_gb = ()
-            else:
-                from .groebner import ideal_groebner
-                self._quotient_gb = ideal_groebner(self.base, self.quotient)
-        return self._quotient_gb
-
-    def quotient_divisors(self) -> list:
-        """The divisor entries [lead, tail, None, None] of GB(I) that begin
-        every component of every `groebner.DivisorIndex`: the tail is the
-        flat tuple (0, mono, coeff, ...) of the terms below the lead, each
-        with its component stored as an offset from the entry's, here 0,
-        so one list serves every component.
+    def quotient_groebner(self) -> list:
+        """The reduced Groebner basis GB(I) of the quotient ideal, as the
+        divisor entries [lead, tail, None, None] that begin every component
+        of every `groebner.DivisorIndex`: component 0 of the base ring's
+        `groebner_basis` run, the tail the flat tuple (0, mono, coeff, ...)
+        of the terms below the lead, in descending order.  A tail term's
+        component is an offset from its entry's, here 0, so one list serves
+        every component.
 
         Built once per ring and shared: an index copies the list and never
-        mutates its entries.
+        mutates its entries.  Empty for a polynomial ring.
         """
-        if self._quotient_divisors is None:
-            self._quotient_divisors = [
-                [lead, tuple(x for m, c in qterms[1:] for x in (0, m, c)),
-                 None, None]
-                for lead, qterms in self.quotient_groebner()]
-        return self._quotient_divisors
+        if self._quotient_gb is None:
+            self._quotient_gb = []
+            if self.quotient:
+                from .free import FreeModule, ModuleElement
+                from .groebner import groebner_basis
+                fm = FreeModule(self.base, (0,))
+                self._quotient_gb = groebner_basis(
+                    [ModuleElement(fm, {(0, m): c for m, c in f.terms.items()})
+                     for f in self.quotient], ambient=fm)._index[0]
+        return self._quotient_gb
 
     def reduce_terms(self, terms: dict) -> dict:
         """Reduce a term dict modulo the quotient ideal (no-op over S)."""

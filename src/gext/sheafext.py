@@ -10,8 +10,9 @@ scalars _S N (`s_betti`, from the S-resolution cached on N,
 the Hilbert series numerators of the leads of N's relation basis).
 `global_ext_sum` asks `homext.ext_at_least` for Ext^m_R(M_{>=r}, N) in
 degrees >= e only, so no degree below e is presented.  Its result is
-the zero module (m < 0, or the dim-0 shortcut) or comes from
-`subquotient`, so it is already minimal and is not pruned again.
+the zero module (m < 0, or the dim-0 shortcut: a source or target of
+finite length) or comes from `subquotient`, so it is already minimal and
+is not pruned again.
 """
 
 from __future__ import annotations
@@ -98,8 +99,10 @@ def global_ext_sum(m: int, e: int, source: GradedModule,
     degrees and Hilbert function of the full Ext^m truncated at e."""
     if source.ring != target.ring:
         raise RingMismatch("modules over different rings")
-    if m < 0 or krull_dim(source) <= 0 or krull_dim(target) == MINUS_INF:
-        return zero_module(source.ring)  # Remark dim0 (incl. zero modules)
+    if m < 0 or krull_dim(source) <= 0 or krull_dim(target) <= 0:
+        # Remark dim0: a finite-length module (a zero one included) has
+        # the zero sheaf, so every Ext group vanishes
+        return zero_module(source.ring)
     tb = truncation_bound(m, e, target)  # r = -inf when pd < n - ell
     return ext_at_least(m, e, truncate_module(source, tb.r), target)
 

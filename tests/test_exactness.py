@@ -61,13 +61,14 @@ def test_resolution_of_random_module_is_exact(seed, quotient):
 
 def old_recipe(previous: GradedMatrix):
     """The next differential's columns as free_resolution once built them:
-    the syzygies of the previous columns from the Buchberger engine's
-    tracked complete intake (what `syzygies` ran before its signature
-    run), then minimal generators of those syzygies.  The reference for
-    iterated subquotient."""
+    the syzygies of the previous columns from a tracked Buchberger run
+    (what `syzygies` ran before its signature run; the columns of a
+    minimal differential are kept as they are), then minimal generators
+    of those syzygies.  The reference for iterated subquotient."""
     degrees, order, comp = _computation(previous.columns, (),
                                         previous.target, track=True)
-    comp.add_all(order)
+    comp.add_minimal(order)
+    comp.run()
     syz = _syzygy_matrix(comp, degrees)
     _, cols = minimal_generators(syz.columns, ambient=previous.source)
     return cols

@@ -511,7 +511,7 @@ def test_groebner_basis_leads_give_the_initial_module(seed, quotient):
     back."""
     rng = random.Random(2400 + seed)
     ring = Ring(P, ("x", "y", "z"), quotient=list(quotient))
-    quotient_leads = [lead for lead, _ in ring.quotient_groebner()]
+    quotient_leads = [entry[0] for entry in ring.quotient_groebner()]
     fm = FreeModule(ring, tuple(rng.choice([-1, 0, 0, 1])
                                 for _ in range(rng.choice([1, 2, 3]))))
     lo = min(fm.twists)
@@ -542,7 +542,7 @@ def assert_leads_give_the_initial_module(basis, gens, ambient):
     ctx = ring.ctx
     own = basis.lead_terms()
     leads = own + [(j, q) for j in range(ambient.rank)
-                   for q, _ in ring.quotient_groebner()]
+                   for q, _, _, _ in ring.quotient_groebner()]
     for i, (c, m) in enumerate(own):
         assert not any(j == c and k != i and ctx.divides(q, m)
                        for k, (j, q) in enumerate(leads)), (c, m)
@@ -593,10 +593,10 @@ def test_bases_built_without_a_run_give_the_initial_module(seed, quotient):
 
 def test_minimal_intake_of_one_degree_queues_no_pair():
     """Pairs are queued only when a run can reach them: every pair of an
-    element lies above its degree, so a minimal intake whose generators
-    share one degree keeps the independent ones and returns with an empty
-    heap; the run that follows queues and takes their pairs (each taken
-    pair records its lcm on its newer element)."""
+    element lies above its degree, so an intake whose generators share
+    one degree keeps the independent ones and returns with an empty heap;
+    the run that follows queues and takes their pairs (each taken pair
+    records its lcm on its newer element)."""
     ring = Ring(P, ("x", "y", "z"))
     fm, gens = ideal_elements(ring, ["x^2", "x*y", "y^2", "x^2 + x*y",
                                      "y*z - x^2"])
@@ -656,9 +656,9 @@ def terms_of(elements):
 def test_one_run_presentation_matches_the_two_runs(seed, quotient, rels_as):
     """generators_and_syzygies, the one tracked run behind subquotient,
     keeps the elements that minimal_generators(gens, rels) keeps and
-    returns the columns of the engine's tracked complete intake on them
-    (the run behind express_in_generators), term for term and in the same
-    order; those span what syzygies(kept, rels) spans; subquotient
+    returns the columns of a second tracked run on those kept elements
+    (which keeps every one of them as it is), term for term and in the
+    same order; those span what syzygies(kept, rels) spans; subquotient
     presents them with those columns minimalized.  The inputs are those
     of test_syzygies_modulo_relations, plus a redundant and a zero
     generator."""
@@ -678,7 +678,8 @@ def test_one_run_presentation_matches_the_two_runs(seed, quotient, rels_as):
 
     _, kept = minimal_generators(gens, rels=rels, ambient=fm)
     degrees, order, comp = _computation(kept, rels, fm, track=True)
-    comp.add_all(order)
+    comp.add_minimal(order)
+    comp.run()
     syz = _syzygy_matrix(comp, degrees)
     one_kept, one_syz = generators_and_syzygies(gens, rels=rels, ambient=fm)
     assert kept and len(kept) < len(gens)
@@ -713,7 +714,8 @@ def test_normal_forms_descend_in_term_order(seed, quotient):
     gens = [random_module_element(fm, rng.choice([1, 2, 3]), rng)
             for _ in range(3)]
     _, order, comp = _computation(gens, (), fm, track=True)
-    comp.add_all(order)
+    comp.add_minimal(order)
+    comp.run()
     nq = len(ring.quotient_groebner())
     assert any(entries[nq:] for entries in comp._index.values())
     for c, entries in comp._index.items():
@@ -757,10 +759,13 @@ def test_flat_entries_round_trip(seed, quotient):
     Buchberger run and a signature run, every new entry's tail has 3k
     slots, every term of it below the lead; a tracked entry's track has
     3k slots and maps to the entry's element (lead plus tail) modulo the
-    quotient ideal, an untracked one is None.  GroebnerBasis.__iter__
-    builds each element from its entry's sliced terms, in the same order,
-    and the coordinates of express_in_generators give back each element
-    of the span they were asked for."""
+    quotient ideal, an untracked one is None: over the kept elements in
+    the Buchberger run, the k-th of them gens[indices[k]] plus its flat
+    track reductions[k] over those before it, and over gens in the
+    signature run.  GroebnerBasis.__iter__ builds each element from its
+    entry's sliced terms, in the same order, and the coordinates of
+    express_in_generators give back each element of the span they were
+    asked for."""
     rng = random.Random(2700 + seed)
     ring = Ring(P, ("x", "y", "z"), quotient=list(quotient))
     fm = FreeModule(ring, (0, 1, 0))
@@ -770,13 +775,19 @@ def test_flat_entries_round_trip(seed, quotient):
     nq = len(ring.quotient_groebner())
     gb = groebner_basis(gens, ambient=fm)
     _, order, tracked = _computation(gens, (), fm, track=True)
-    tracked.add_all(order)
+    indices, kept = tracked.add_minimal(order)
+    tracked.run()
+    for k, (i, element) in enumerate(zip(indices, kept)):
+        reduction = flat_terms(tracked.reductions[k])
+        assert 3 * len(reduction) == len(tracked.reductions[k])
+        assert all(j < k for j, _ in reduction)
+        assert element == (gens[i] + track_image(kept, reduction)).reduced()
     gfree = FreeModule(ring, tuple(g.degree() for g in gens))
     signed = SignatureRun(fm, (), relation_basis((), gfree))
     signed.add(order)
     signed.run()
-    for index, with_track in ((gb._index, False), (tracked._index, True),
-                              (signed._index, True)):
+    for index, tracked_over in ((gb._index, None), (tracked._index, kept),
+                                (signed._index, gens)):
         assert any(entries[nq:] for entries in index.values())
         for c, entries in index.items():
             for lead, tail, track, _ in entries[nq:]:
@@ -784,12 +795,12 @@ def test_flat_entries_round_trip(seed, quotient):
                 assert 3 * len(terms) == len(tail)
                 assert all(fm.term_key(*k) < fm.term_key(c, lead)
                            for k in terms)
-                if not with_track:
+                if tracked_over is None:
                     assert track is None
                     continue
                 assert 3 * len(flat_terms(track)) == len(track)
                 element = ModuleElement(fm, {(c, lead): 1, **terms})
-                assert track_image(gens, flat_terms(track)) == \
+                assert track_image(tracked_over, flat_terms(track)) == \
                     element.reduced()
     entries = gb._entries()
     elements = list(gb)
@@ -806,11 +817,12 @@ def test_flat_entries_round_trip(seed, quotient):
 
 
 def random_span_element(gens, degree, rng):
-    """Random degree-`degree` combination sum h_i gens_i (possibly zero)."""
+    """Random degree-`degree` combination sum h_i gens_i (possibly zero)
+    of the nonzero gens."""
     ambient = gens[0].ambient
     out = ambient.zero_element()
     for g in gens:
-        if g.degree() <= degree:
+        if not g.is_zero() and g.degree() <= degree:
             h = random_homogeneous(ambient.ring, degree - g.degree(), rng)
             out = out + g.poly_mul(h)
     return out
@@ -886,12 +898,13 @@ def test_normal_form_higher_rank(seed, quotient):
     for i, a in enumerate(els):
         (comp, _), _ = a.lead_term()
         partners = [b for b in els[i + 1:] if b.lead_term()[0][0] == comp]
-        partners += [ModuleElement(fm, {(comp, m): c for m, c in qterms})
-                     for _, qterms in ring.quotient_groebner()]
+        partners += [ModuleElement(fm, {(comp, q): 1,
+                                        **flat_terms(tail, comp)})
+                     for q, tail, _, _ in ring.quotient_groebner()]
         for b in partners:
             assert gb.contains(s_pair(a, b))
     leads = gb.lead_terms()
-    qleads = [lead for lead, _ in ring.quotient_groebner()]
+    qleads = [entry[0] for entry in ring.quotient_groebner()]
     degs = [g.degree() for g in gens]
     module = cokernel(GradedMatrix(FreeModule(ring, degs), fm, gens))
     seen = set()
@@ -935,7 +948,10 @@ def test_express_in_generators_certificates(seed, quotient):
     """Membership certificates: for v = sum h_i gens_i + (a combination of
     rels), the returned coefficients recombine to an element that differs
     from v by an element of span(rels) (+ I*F over S/I); an element outside
-    span(gens) + span(rels) raises AlgebraError."""
+    span(gens) + span(rels) raises AlgebraError.  The gens are also given
+    padded with a zero generator and the redundant x * gens[0] ahead of
+    them, and a new generator of the degree of x * gens[0] after them, so
+    that the k-th kept generator is not gens[k]."""
     rng = random.Random(1300 + seed)
     ring = Ring(P, ("x", "y", "z"), quotient=list(quotient))
     fm = FreeModule(ring, (0,) if seed % 2 == 0 else (0, 1))
@@ -943,27 +959,32 @@ def test_express_in_generators_certificates(seed, quotient):
             for _ in range(fm.rank + 1)]
     gens = [g for g in gens if not g.is_zero()]
     assert gens
-    for rels in ([], [r for r in (random_module_element(fm, 2, rng),
-                                  random_module_element(fm, 3, rng))
-                      if not r.is_zero()]):
-        gb_rels = groebner_basis(rels, ambient=fm)
-        gb_all = groebner_basis(gens + rels, ambient=fm)
-        outside = 0
-        for d in range(2, 5):
-            v = random_span_element(gens, d, rng)
-            if rels:
-                v = v + random_span_element(rels, d, rng)
-            (coeffs,) = express_in_generators(gens, fm, [v], rels=rels)
-            back = fm.zero_element()
-            for (i, m), c in coeffs.items():
-                back = back + gens[i].monomial_mul(m, c)
-            assert gb_rels.contains(back - v)
-            w = v + random_module_element(fm, d, rng)
-            if not gb_all.contains(w):
-                outside += 1
-                with pytest.raises(AlgebraError):
-                    express_in_generators(gens, fm, [w], rels=rels)
-        assert outside
+    for padded in (False, True):
+        if padded:
+            gens = [fm.zero_element(),
+                    gens[0].monomial_mul(ring.ctx.variable(0)), *gens,
+                    random_module_element(fm, gens[0].degree() + 1, rng)]
+        for rels in ([], [r for r in (random_module_element(fm, 2, rng),
+                                      random_module_element(fm, 3, rng))
+                          if not r.is_zero()]):
+            gb_rels = groebner_basis(rels, ambient=fm)
+            gb_all = groebner_basis(gens + rels, ambient=fm)
+            outside = 0
+            for d in range(2, 5):
+                v = random_span_element(gens, d, rng)
+                if rels:
+                    v = v + random_span_element(rels, d, rng)
+                (coeffs,) = express_in_generators(gens, fm, [v], rels=rels)
+                back = fm.zero_element()
+                for (i, m), c in coeffs.items():
+                    back = back + gens[i].monomial_mul(m, c)
+                assert gb_rels.contains(back - v)
+                w = v + random_module_element(fm, d, rng)
+                if not gb_all.contains(w):
+                    outside += 1
+                    with pytest.raises(AlgebraError):
+                        express_in_generators(gens, fm, [w], rels=rels)
+            assert outside
 
 
 def sympy_poly(sympy, syms, f):
@@ -1023,7 +1044,7 @@ def test_groebner_basis_over_quotient_matches_sympy(seed):
         [ModuleElement(fm, {(0, m): c for m, c in f.terms.items()})
          for f in polys], ambient=fm)
     leads = ({m for _, m in gb.lead_terms()}
-             | {lead for lead, _ in ring.quotient_groebner()})
+             | {entry[0] for entry in ring.quotient_groebner()})
     minimal = {ctx.decode(m) for m in leads
                if not any(o != m and ctx.divides(o, m) for o in leads)}
     theirs = sympy.groebner(

@@ -217,7 +217,7 @@ def test_block_copies_share_entries(seed, quotient):
     gens = [_random_element(cover, rng.choice([2, 3]), rng) for _ in range(3)]
     gens = [g for g in gens if not g.is_zero()]
     modulo = groebner_basis(gens, cover, rels=blocks)
-    shared = ring.quotient_divisors()
+    shared = ring.quotient_groebner()
     assert len(shared) == nq
     for index in (own, blocks._index, modulo._index):
         assert index
@@ -265,17 +265,22 @@ def test_shared_quotient_divisors_stay_pristine(quartic_ring):
     """Every divisor index copies the ring's one list of quotient divisors
     into each of its components and shares its entries, so no engine run
     may change them: after Ext computations over the rational quartic,
-    the cached list equals a fresh build from quotient_groebner(), with
-    every tail term of the flat tuple (off, mono, coeff, ...) at offset 0
-    from its entry's component."""
+    the cached list equals the entries of a fresh groebner_basis of the
+    quotient ideal in the base ring, with every tail term of the flat
+    tuple (off, mono, coeff, ...) at offset 0 from its entry's
+    component."""
     R = ring_module(quartic_ring)
     for r in (1, 2):
         ext_module(1, truncate_module(R, r), R)
-    cached = quartic_ring._quotient_divisors
-    assert cached is quartic_ring.quotient_divisors()
-    assert cached == [
-        [lead, tuple(x for m, c in terms[1:] for x in (0, m, c)), None, None]
-        for lead, terms in quartic_ring.quotient_groebner()]
+    cached = quartic_ring._quotient_gb
+    assert cached is quartic_ring.quotient_groebner()
+    base = FreeModule(quartic_ring.base, (0,))
+    fresh = groebner_basis(
+        [ModuleElement(base, {(0, m): c for m, c in f.terms.items()})
+         for f in quartic_ring.quotient], ambient=base)
+    assert cached == fresh._index[0]
+    assert all(tail[0::3] == (0,) * (len(tail) // 3) and track is None
+               and sig is None for _, tail, track, sig in cached)
 
 
 def test_known_kernel_shrinks_the_hom_kernel_run(monkeypatch, quartic_ring):

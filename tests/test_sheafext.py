@@ -107,9 +107,9 @@ def test_negative_m_is_zero(quartic_base, quartic_cokernel):
 
 
 def test_dim_zero_shortcut_computes_no_ext(monkeypatch, p2_ring):
-    """Remark dim0: a finite-length source, or a zero target, gives the
-    zero module without asking `ext_at_least` for anything; a source of
-    dimension 1 on P^2 (a point) does ask it."""
+    """Remark dim0: a finite-length source or target, a zero one included,
+    gives the zero module without asking `ext_at_least` for anything; a
+    source of dimension 1 on P^2 (a point) does ask it."""
     calls = []
     ext_at_least = homext.ext_at_least
 
@@ -127,6 +127,7 @@ def test_dim_zero_shortcut_computes_no_ext(monkeypatch, p2_ring):
     for m in range(3):
         assert global_ext_sum(m, 0, origin, O).is_zero()
         assert global_ext_sum(m, 0, O, zero_module(p2_ring)).is_zero()
+        assert global_ext_sum(m, 0, O, origin).is_zero()
     assert calls == []
     assert not global_ext_sum(2, 0, point, O).is_zero()
     assert len(calls) == 1
