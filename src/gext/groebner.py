@@ -937,16 +937,16 @@ def express_in_generators(gens, ambient: FreeModule, elements, rels=()):
     indices, _ = comp.add_minimal(order)
     comp.run()
     ctx, p = comp.ctx, comp.p
+    # the k-th kept element is gens[indices[k]] plus reductions[k] over
+    # those before it: substituted into a track, last first
+    substitutions = [(k, r) for k, r in enumerate(comp.reductions) if r][::-1]
     out = []
     for v in elements:
         track = {}
         if normal_form_terms(comp.ambient, comp._index, v.data, track):
             raise AlgebraError("element not in the span of the generators")
-        # v is -track over the kept elements; the k-th is gens[indices[k]]
-        # plus reductions[k] over those before it: substitute, last first
-        for k, reduction in reversed(list(enumerate(comp.reductions))):
-            if not reduction:
-                continue
+        # v is -track over the kept elements
+        for k, reduction in substitutions:
             for m, c in [(m, c) for (j, m), c in track.items() if j == k]:
                 for key, rc in _multiples(ctx, reduction, m - ctx.one):
                     nv = (track.get(key, 0) + c * rc) % p
