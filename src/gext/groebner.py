@@ -41,18 +41,25 @@ forms of quotient-ring elements.
 
 Each component's entries begin with *fixed* divisors, which carry no
 track: first the quotient divisors GB(I) e_comp of R = S/I, one list
-built once per ring whose entries every component of every index shares,
-then the elements of the Groebner basis of the relations (the ambient
-submodule the computation works modulo), entered once, up front.  The
-engine forms no S-pair among fixed entries: they already form a Groebner
-basis, so by Buchberger's criterion those pairs reduce to zero.  Pairs
-are formed only between each new element and the fixed entries, and
-among new elements.  The finished basis does not redo the fixed entries
-either: `_autoreduce` passes the relation entries through as they came,
-dropping only those whose lead a new lead divides, and sorts and
-tail-reduces the new elements alone.  Those tails are the only entries
-ever changed after they are built (by `_autoreduce`, before it returns),
-so fixed entries are shared between indexes.
+built once per ring, then the elements of the Groebner basis of the
+relations (the ambient submodule the computation works modulo), entered
+once, up front.  The engine forms no S-pair among fixed entries: they
+already form a Groebner basis, so by Buchberger's criterion those pairs
+reduce to zero.  Pairs are formed only between each new element and the
+fixed entries, and among new elements.  The finished basis does not redo
+the fixed entries either: `_autoreduce` passes the relation entries
+through as they came, dropping only those whose lead a new lead divides,
+and sorts and tail-reduces the new elements alone.  Those tails are the
+only entries ever changed after they are built (by `_autoreduce`, before
+it returns), so fixed entries are shared between indexes.
+
+Component lists are shared too, copy-on-write, and only `DivisorIndex`
+copies one: a component no divisor was added to holds the ring's
+quotient list itself; a run's index, the blocks of `block_copies` and a
+component of `_autoreduce`'s basis where no new element lands hold the
+relation basis's own lists; `DivisorIndex.add` copies a list the first
+time it appends to it.  So no list that another index or the ring holds
+is ever written to.
 
 Schreyer leads (Buchberger runs).  Number the entries in insertion
 order, fixed entries first, and give entry b the unit e_b of a free
@@ -228,28 +235,37 @@ class DivisorIndex(dict):
     e_comp first (filled in on first lookup, with no track), then the
     divisors appended with `add`, in insertion order.
 
-    The quotient divisors are one list per ring (`Ring.quotient_groebner`),
-    read once per index; each component of each index copies that list
-    and shares its entries, which nothing mutates."""
+    Component lists are shared copy-on-write, and this class alone copies
+    one.  A missing component stores the ring's one list of quotient
+    divisors (`Ring.quotient_groebner`) itself, and a list assigned from
+    outside (`_copy_index`, `block_copies`, `_autoreduce`) is taken as it
+    is.  `add` copies a component's list the first time it appends to it;
+    `owned` holds the components whose lists it has made, so no list that
+    another index (or the ring) holds is ever written to."""
 
-    __slots__ = ("ring", "quotient", "nq")
+    __slots__ = ("ring", "quotient", "nq", "owned")
 
     def __init__(self, ring):
         super().__init__()
         self.ring = ring
         self.quotient = ring.quotient_groebner()
         self.nq = len(self.quotient)   # quotient divisors per comp
+        self.owned: set = set()
 
     def __missing__(self, comp):
-        entries = self[comp] = list(self.quotient)
+        entries = self[comp] = self.quotient
         return entries
 
     def add(self, comp, lead, tail, track, sig=None):
         """Append the monic divisor (comp, lead) + tail, where tail is the
         flat tuple (offset from comp, mono, coeff, ...); returns its
-        entry."""
+        entry.  The first append to a component copies its list."""
         entry = [lead, tail, track, sig]
-        self[comp].append(entry)
+        if comp in self.owned:
+            self[comp].append(entry)
+        else:
+            self[comp] = self[comp] + [entry]
+            self.owned.add(comp)
         return entry
 
 
@@ -370,11 +386,11 @@ def _computation(gens, rels, ambient, track=False):
 
 
 def _copy_index(fixed: DivisorIndex) -> DivisorIndex:
-    """A new index that begins with the entries of `fixed` (those of a
-    relation basis), shared, for a run to append its own to."""
+    """A new index that holds the component lists of `fixed` (those of a
+    relation basis) themselves, for a run to append its own to: `add`
+    copies a list before the run's first element lands in it."""
     index = DivisorIndex(fixed.ring)
-    for comp, entries in fixed.items():
-        index[comp] = list(entries)
+    index.update(fixed)
     return index
 
 
@@ -752,15 +768,14 @@ class GroebnerBasis:
         basis's twists shifted by one constant: pairs form only within a
         component, and the shift preserves the term order inside a block.
         An entry's tail is stored relative to its component, so each block
-        appends this basis's own entry objects: no entry is built.
+        holds this basis's own component lists: no entry or list is built.
         """
         nb = self.ambient.rank
-        nq = self._index.nq
         index = DivisorIndex(ambient.ring)
         for k in range(copies):
             off = k * nb
             for comp, entries in self._index.items():
-                index[comp + off] += entries[nq:]
+                index[comp + off] = entries
         return GroebnerBasis(ambient, index)
 
     def over_base(self, ambient: FreeModule) -> "GroebnerBasis":
@@ -817,7 +832,8 @@ def _autoreduce(comp: ModuleComputation) -> GroebnerBasis:
     """The finished basis of a run, on a new index.  In each component: the
     fixed relation entries as the run was given them, less those whose lead
     the lead of a new element divides, then the new elements in (degree,
-    lead) order, tail-reduced.
+    lead) order, tail-reduced.  A component where no new element lands
+    keeps the fixed list itself.
 
     No new lead divides another lead of the run: each new element is a
     normal form modulo every entry before it, and they come in
@@ -827,11 +843,15 @@ def _autoreduce(comp: ModuleComputation) -> GroebnerBasis:
     index = DivisorIndex(comp.ambient.ring)
     added = []
     for c, entries in comp._index.items():
-        nfixed = len(comp._fixed[c])
-        new = sorted(entries[nfixed:], key=lambda e: (ctx.degree(e[0]), -e[0]))
-        leads = [e[0] for e in new]
-        index[c].extend(e for e in entries[nq:nfixed]
-                        if not any(ctx.divides(lead, e[0]) for lead in leads))
+        fixed = comp._fixed[c]
+        new = sorted(entries[len(fixed):],
+                     key=lambda e: (ctx.degree(e[0]), -e[0]))
+        if new:
+            leads = [e[0] for e in new]
+            fixed = fixed[:nq] + [
+                e for e in fixed[nq:]
+                if not any(ctx.divides(lead, e[0]) for lead in leads)]
+        index[c] = fixed
         added += [(c, index.add(c, lead, tail, None))
                   for lead, tail, _, _ in new]
     # One index for all tails: b never divides its own tail, whose terms lie
@@ -875,6 +895,10 @@ def syzygies(gens, rels=(), ambient: FreeModule = None,
     The result is a GradedMatrix into the free module on the degrees of
     gens (degree 0 for a zero generator).  Over the base polynomial ring
     with no rels, gens . result = 0 exactly.
+
+    No generator is held here past its job: once the run has queued them,
+    its heap holds the only reference this function keeps, so a caller
+    that passes gens without keeping them frees each when it is taken.
     """
     ambient, degrees, order = _graded(gens, ambient)
     gfree = FreeModule(ambient.ring,
@@ -885,6 +909,7 @@ def syzygies(gens, rels=(), ambient: FreeModule = None,
         raise RingMismatch("known syzygies in a module of the wrong rank")
     run = SignatureRun(ambient, rels, known)
     run.add(order)
+    del gens, order     # each generator is freed once its job is taken
     run.run()
     return _syzygy_matrix(run, degrees)
 

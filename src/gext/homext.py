@@ -144,9 +144,9 @@ def _homology(free: FreeModule, d_in, d_out, target: GradedModule,
         gens = [cover.basis_element(j) for j in range(cover.rank)]
     else:
         next_cover, next_rels = hom_of_free(d_out.source, target)
-        delta = induced_columns(d_out, target, next_cover)
         gens = [ModuleElement(cover, c.data) for c in syzygies(
-            delta, rels=next_rels, ambient=next_cover, known=known).columns]
+            induced_columns(d_out, target, next_cover), rels=next_rels,
+            ambient=next_cover, known=known).columns]
     return subquotient(_raise(gens, known, cover, low), known, cover)
 
 

@@ -164,8 +164,9 @@ class Ring:
         component is an offset from its entry's, here 0, so one list serves
         every component.
 
-        Built once per ring and shared: an index copies the list and never
-        mutates its entries.  Empty for a polynomial ring.
+        Built once per ring and shared: an index holds this list itself
+        in each component until it adds a divisor there, copies it then,
+        and never mutates its entries.  Empty for a polynomial ring.
         """
         if self._quotient_gb is None:
             self._quotient_gb = []

@@ -17,7 +17,8 @@ from gext import homext
 from gext.free import FreeModule, GradedMatrix, ModuleElement
 from gext.groebner import syzygies
 from gext.homext import ext_at_least, hom_of_free
-from gext.sheafext import cotangent_module, truncation_bound
+from gext.sheafext import (cotangent_module, global_ext_sum,
+                           truncation_bound)
 
 from oracles import monomial_exponents, quotient_coordinates, rank_mod_p
 
@@ -225,6 +226,43 @@ def test_block_copies_share_entries(seed, quotient):
             assert all(a is b for a, b in zip(entries[:nq], shared))
 
 
+def test_shared_divisor_lists_are_never_written_through():
+    """Divisor indexes share component lists copy-on-write: a run's index
+    and block_copies hold the relation basis's own lists, and a missing
+    component holds the ring's quotient list itself, until the first
+    append copies it.  On the twisted cubic, global_ext_sum(1, 0, R,
+    Omega) and hom_module(Omega, R) run many engines over Omega's relation
+    basis and the quotient divisors; afterwards both hold the same entry
+    objects, with the same fields, in the same order.  block_copies(.., 2)
+    holds Omega's component lists themselves, block by block."""
+    ring = Ring(P, ("w", "x", "y", "z"),
+                quotient=["w*y - x^2", "w*z - x*y", "x*z - y^2"])
+    omega = cotangent_module(ring)[0]
+    gb = omega.relations_gb()
+    nb = omega.cover.rank
+
+    def snapshot():
+        lists = [ring.quotient_groebner()] + [gb._index[c] for c in range(nb)]
+        return [[(e, list(e)) for e in entries] for entries in lists]
+
+    before = snapshot()
+    assert ring.quotient_groebner() and len(before[1]) > len(before[0])
+    R = ring_module(ring)
+    ext = global_ext_sum(1, 0, R, omega)
+    assert [hilbert_function(ext, d) for d in range(2)] == [1, 0]
+    hom_module(omega, R)
+    after = snapshot()
+    assert len(after) == len(before)
+    for old, new in zip(before, after):
+        assert len(new) == len(old)
+        assert all(a is b and fa == fb for (a, fa), (b, fb) in zip(old, new))
+    cover = FreeModule(ring, omega.cover.twists * 2)
+    blocks = gb.block_copies(cover, 2)
+    for k in range(2):
+        for i in range(nb):
+            assert blocks._index[k * nb + i] is gb._index[i]
+
+
 def test_raise_reads_a_zero_generator_degree_in_the_cover():
     """M = R(-2) + R/(x), N = R, m = 0: the row of d_1 for the free summand
     is zero, so the kernel run gets a zero generator and emits its basis
@@ -262,9 +300,9 @@ def test_raise_with_a_free_summand(seed, quotient):
 
 
 def test_shared_quotient_divisors_stay_pristine(quartic_ring):
-    """Every divisor index copies the ring's one list of quotient divisors
-    into each of its components and shares its entries, so no engine run
-    may change them: after Ext computations over the rational quartic,
+    """Every divisor index begins each of its components with the ring's
+    one list of quotient divisors, shared until its first append copies
+    it, so no engine run may change them: after Ext computations over the rational quartic,
     the cached list equals the entries of a fresh groebner_basis of the
     quotient ideal in the base ring, with every tail term of the flat
     tuple (off, mono, coeff, ...) at offset 0 from its entry's

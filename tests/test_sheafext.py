@@ -562,11 +562,13 @@ print(peak, hilbert_function(ext, 0), hilbert_function(ext, 1))
 
 def test_twisted_cubic_omega_side_peak_memory():
     """The Omega side of the twisted cubic, global_ext_sum(1, 0, R, Omega)
-    with Omega's S-resolution built first, allocates at most 330,000
+    with Omega's S-resolution built first, allocates at most 260,000
     bytes at its tracemalloc peak, measured in a fresh interpreter (what
     an earlier computation leaves in Python's free lists would lower it).
-    It peaks at 300,636 bytes with divisor tails and tracks held as flat
-    tuples (off, mono, coeff, ...), and at 358,360 when each tail term
+    It peaks at 200,340 bytes with divisor lists shared copy-on-write and
+    each kernel generator freed once its job is taken; at 300,612 when
+    every index copied its component lists and the kernel run kept its
+    generators to its end; and at 358,360 when, besides, each tail term
     was a nested tuple ((off, mono), coeff) and each stored track a dict
     (Python 3.11, hash seeds 0-3).  Its answer is h^1(Omega(v)) = 1, 0
     for v = 0, 1."""
@@ -578,7 +580,7 @@ def test_twisted_cubic_omega_side_peak_memory():
     assert proc.returncode == 0, proc.stderr
     peak, h0, h1 = map(int, proc.stdout.split())
     assert (h0, h1) == (1, 0)
-    assert peak <= 330_000, peak
+    assert peak <= 260_000, peak
 
 
 QUOTIENTS = [(), ("x^3 + y^3 - z^3",), ("x^2*y + y^2*z + z^2*x",)]
