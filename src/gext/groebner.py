@@ -25,7 +25,13 @@ builders (`ModuleComputation._add_basis`, `SignatureRun._add`, through
 convert at the boundary.  That entry is the
 only record of a basis element: neither the engine nor a finished
 `GroebnerBasis` keeps another list of its basis, and iterating over a
-`GroebnerBasis` builds its elements from their entries.
+`GroebnerBasis` builds its elements from their entries.  `_flat` is the
+one writer of the tails and tracks a run stores, and of a tracked run's
+`reductions`; it stores one int object per monomial value and per
+coefficient value, taken from two tables (value -> object) that each run
+owns and drops when it ends.  A run's terms repeat few values, so its
+entries share their monomials and coefficients rather than each holding
+copies; no table outlives its run.
 
 Every normal form is computed by one kernel, `normal_form_terms`, which
 reduces each term by the first entry of its component whose lead divides
@@ -394,13 +400,24 @@ def _copy_index(fixed: DivisorIndex) -> DivisorIndex:
     return index
 
 
-def _flat(items, comp, inv, p) -> tuple:
+def _flat(run, items, comp, inv) -> tuple:
     """The flat tuple (j - comp, mono, coeff * inv, ...) of term items
     ((j, mono), coeff): an entry's tail, comp its component, or its
-    track, comp 0."""
+    track, comp 0, for `run` (a `ModuleComputation` or `SignatureRun`).
+
+    The one writer of the tails, tracks and `reductions` a run stores.
+    Each monomial and each coefficient is stored as the object the run's
+    own table (`_monos`, `_coeffs`: value -> object) holds for its value,
+    so the many equal terms of a run share their int objects.  The tables
+    go with the run; a returned basis keeps only the objects its entries
+    hold."""
+    p = run.p
+    mono = run._monos.setdefault
+    coeff = run._coeffs.setdefault
     out = []
     for (j, m), c in items:
-        out += (j - comp, m, c * inv % p)
+        c = c * inv % p
+        out += (j - comp, mono(m, m), coeff(c, c))
     return tuple(out)
 
 
@@ -429,7 +446,8 @@ class ModuleComputation:
     a new element and a fixed entry, queued by `_queue` once a run can
     reach them.  In a tracked run the track of each pair that reduces to
     zero is a syzygy, kept in `syzygy_tracks`, and `reductions[k]` is the
-    track of the k-th kept generator's intake reduction.
+    track of the k-th kept generator's intake reduction.  `_monos` and
+    `_coeffs` are the run's tables for `_flat`, freed with it.
     """
 
     def __init__(self, ambient: FreeModule, rels=(), track=False):
@@ -452,6 +470,9 @@ class ModuleComputation:
         self._pending: list = []
         self.syzygy_tracks: list[dict] = []
         self.reductions: list[tuple] = []
+        # value -> the one object `_flat` stores for it
+        self._monos: dict = {}
+        self._coeffs: dict = {}
 
     def add_minimal(self, order):
         """The intake of the generators in `order` (from `_computation`):
@@ -471,7 +492,7 @@ class ModuleComputation:
                     terms = normal_form_terms(ambient, index, terms, track)
             if terms:
                 if track is not None:
-                    self.reductions.append(_flat(track.items(), 0, 1, self.p))
+                    self.reductions.append(_flat(self, track.items(), 0, 1))
                     track = {(len(indices), self.ctx.one): 1}
                 self._add_basis(terms, track)
                 indices.append(idx)
@@ -483,13 +504,12 @@ class ModuleComputation:
     def _add_basis(self, terms, track):
         """Add a normal form, its first term, the greatest, the lead; its
         pairs wait in `_pending` until a run can reach them (`_queue`)."""
-        p = self.p
         items = iter(terms.items())
         (comp, lead), lc = next(items)
-        inv = field_inverse(lc, p)
+        inv = field_inverse(lc, self.p)
         if track is not None:
-            track = _flat(track.items(), 0, inv, p)
-        self._index.add(comp, lead, _flat(items, comp, inv, p), track)
+            track = _flat(self, track.items(), 0, inv)
+        self._index.add(comp, lead, _flat(self, items, comp, inv), track)
         n = len(self._leads)
         self._leads.append([])
         self._pending.append((self.ctx.degree(lead) + self.twists[comp], n,
@@ -588,7 +608,11 @@ class SignatureRun:
 
     The heap `events` holds J-pairs and generators by (degree, signature,
     lead, sequence), all integers.  A reduction to zero appends its track
-    to `syzygy_tracks` and its signature to the syzygy leads."""
+    to `syzygy_tracks` and its signature to the syzygy leads: `_syz` keeps
+    those column signatures alone, as `_is_syzygy` reads the divisor leads
+    of `known` from its entries in place.  Like a `ModuleComputation`, the
+    run owns the tables through which `_flat` stores one object per
+    monomial and coefficient value; they are freed with the run."""
 
     def __init__(self, ambient: FreeModule, rels, known: GroebnerBasis):
         self.ambient = ambient
@@ -598,20 +622,24 @@ class SignatureRun:
         self.twists = ambient.twists
         self._index = _copy_index(relation_basis(rels, ambient)._index)
         self._known = known
-        self._syz: dict = {}      # E comp -> syzygy leads (monomials)
+        self._syz: dict = {}      # E comp -> the columns' signature monos
         self._signed: dict = {}   # E comp -> (sig mono, comp, lead)
         self.events: list = []
         self._seq = itertools.count()
         self.syzygy_tracks: list[dict] = []
+        # value -> the one object `_flat` stores for it
+        self._monos: dict = {}
+        self._coeffs: dict = {}
 
     def _is_syzygy(self, sc, sm) -> bool:
         """Is the signature a multiple of a syzygy lead: of a divisor lead
-        of `known` (quotient divisors included), or a column's signature?"""
-        leads = self._syz.get(sc)
-        if leads is None:
-            leads = self._syz[sc] = self._known.divisor_leads(sc)
+        of `known` (quotient divisors included), read from its entries in
+        place, or of a column's signature?"""
         guards = self.ctx.guards
-        for lead in leads:
+        for lead, _, _, _ in self._known._index[sc]:
+            if not (lead - sm) & guards:
+                return True
+        for lead in self._syz.get(sc, ()):
             if not (lead - sm) & guards:
                 return True
         return False
@@ -650,7 +678,7 @@ class SignatureRun:
             terms = normal_form_terms(ambient, index, terms, track, sig)
             if not terms:
                 self.syzygy_tracks.append(track)
-                self._syz[sig[0]].append(sm)
+                self._syz.setdefault(sig[0], []).append(sm)
             elif not self._singular(terms, sig):
                 self._add(terms, track, sig)
 
@@ -681,12 +709,11 @@ class SignatureRun:
     def _add(self, terms, track, sig):
         """Add a regularly top-reduced element of signature sig, monic, and
         queue its J-pairs with the entries of its lead's component."""
-        p = self.p
         items = iter(terms.items())
         (comp, lead), lc = next(items)
-        inv = field_inverse(lc, p)
-        new = self._index.add(comp, lead, _flat(items, comp, inv, p),
-                              _flat(track.items(), 0, inv, p), sig)
+        inv = field_inverse(lc, self.p)
+        new = self._index.add(comp, lead, _flat(self, items, comp, inv),
+                              _flat(self, track.items(), 0, inv), sig)
         sc, sm = sig
         self._signed.setdefault(sc, []).append((sm, comp, lead))
         ctx = self.ctx
@@ -861,7 +888,7 @@ def _autoreduce(comp: ModuleComputation) -> GroebnerBasis:
         # later reductions use the reduced tail
         tail = normal_form_terms(comp.ambient, index,
                                  dict(_multiples(ctx, entry[1], 0, c)), None)
-        entry[1] = _flat(tail.items(), c, 1, comp.p)
+        entry[1] = _flat(comp, tail.items(), c, 1)
     return GroebnerBasis(comp.ambient, index)
 
 

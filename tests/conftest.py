@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -72,3 +74,33 @@ def p2_structure(p2_ring):
 
 def line_bundle(ring, v):
     return free_module_of(ring, (-v,))
+
+
+TRACED_PREAMBLE = """
+import tracemalloc
+
+
+def traced(call):
+    \"\"\"call() under tracemalloc; prints the peak, returns the result.\"\"\"
+    tracemalloc.start()
+    result = call()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    print(peak)
+    return result
+"""
+
+
+def fresh_peak(probe: str) -> list[int]:
+    """Run `probe` in a fresh interpreter (gext from src/, hash seed 0),
+    after a preamble that defines `traced(call)`, and return the integers
+    it printed: the tracemalloc peak of its one `traced` call first, then
+    its answers.  A fresh interpreter, as what an earlier computation
+    leaves in Python's free lists would lower a peak."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", TRACED_PREAMBLE + probe],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src,
+                                   PYTHONHASHSEED="0"))
+    assert proc.returncode == 0, proc.stderr
+    return [int(word) for word in proc.stdout.split()]

@@ -9,6 +9,8 @@ import random
 
 import pytest
 
+import gext.groebner
+
 from gext import (AlgebraError, Ring, RingMismatch, cokernel,
                   free_module_of, groebner_basis, minimal_generators,
                   normal_form, parse_polynomial, subquotient, syzygies)
@@ -826,6 +828,53 @@ def random_span_element(gens, degree, rng):
             h = random_homogeneous(ambient.ring, degree - g.degree(), rng)
             out = out + g.poly_mul(h)
     return out
+
+
+def shared_values(index, nq, slot):
+    """{value: ids of the objects holding it} over slot 1 (monomials) or 2
+    (coefficients) of the tail terms of index's entries past the quotient
+    divisors."""
+    out: dict = {}
+    for entries in index.values():
+        for _, tail, _, _ in entries[nq:]:
+            for x in tail[slot::3]:
+                out.setdefault(x, set()).add(id(x))
+    return out
+
+
+@pytest.mark.parametrize("quotient", [(), ("x^3 + y^3 - z^3",)])
+def test_runs_share_stored_terms_locally(quotient):
+    """Each run stores one object per monomial and per coefficient value,
+    through tables of its own that go with it: after two groebner_basis
+    runs and one syzygies run no container of gext.groebner, at module
+    level or on a class, has changed size, and within one returned basis
+    the tail terms of equal monomial, or equal coefficient, hold one
+    object (the tails repeat monomials, so this is tested).  The basis
+    still holds every generator."""
+    rng = random.Random(3000)
+    ring = Ring(P, ("x", "y", "z"), quotient=list(quotient))
+    fm = FreeModule(ring, (0, 1, 0))
+    gens = [random_module_element(fm, d, rng) for d in (2, 2, 3, 3, 3)]
+    gens = [g for g in gens if not g.is_zero()]
+    spaces = [vars(gext.groebner)] + [
+        vars(v) for v in vars(gext.groebner).values()
+        if isinstance(v, type) and v.__module__ == gext.groebner.__name__]
+    containers = [v for space in spaces for name, v in space.items()
+                  if not name.startswith("__")
+                  and isinstance(v, (dict, list, set))]
+    sizes = [len(v) for v in containers]
+    gb = groebner_basis(gens, ambient=fm)
+    groebner_basis(gens[:2], ambient=fm)
+    syzygies(gens, ambient=fm)
+    assert [len(v) for v in containers] == sizes
+    nq = len(ring.quotient_groebner())
+    for slot in (1, 2):
+        held = shared_values(gb._index, nq, slot)
+        assert all(len(ids) == 1 for ids in held.values())
+    terms = sum(len(tail) // 3 for entries in gb._index.values()
+                for _, tail, _, _ in entries[nq:])
+    assert terms > len(shared_values(gb._index, nq, 1))
+    assert all(gb.contains(g) for g in gens)
 
 
 @pytest.mark.parametrize("quotient", [(), ("x^3 + y^3 - z^3",)])

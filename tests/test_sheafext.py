@@ -1,10 +1,6 @@
 """Global Ext, sheaf cohomology, truncation bounds and Yoneda extensions."""
 
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -22,7 +18,7 @@ from gext.sheafext import (class_is_split, degree_zero_hom_coords,
                            extension_setup, nonsplit_extension_coords,
                            s_betti)
 
-from conftest import line_bundle
+from conftest import fresh_peak, line_bundle
 from oracles import (complete_intersection_cohomology, hilbert_polynomial,
                      monomial_exponents, projective_space_cotangent,
                      projective_space_line_bundle)
@@ -543,44 +539,56 @@ def test_yoneda_rejects_nonzero_degree(elliptic_ring):
 
 # -- memory and variable order -------------------------------------------------
 
-MEMORY_PROBE = """
-import tracemalloc
+# Omega side of a curve R: global_ext_sum(1, 0, R, Omega) with Omega's
+# S-resolution built first; the probes print its peak, then h^1(Omega(v))
+# for v = 0, 1.
+OMEGA_SIDE_PROBE = """
 from gext import (Ring, cotangent_module, global_ext_sum, hilbert_function,
                   ring_module)
-R = Ring(32003, ("w", "x", "y", "z"),
-         quotient=["w*y - x^2", "w*z - x*y", "x*z - y^2"])
+R = Ring(32003, {variables!r}, quotient={quotient!r})
 omega = cotangent_module(R)[0]
 omega.s_resolution()
 Rm = ring_module(R)
-tracemalloc.start()
-ext = global_ext_sum(1, 0, Rm, omega)
-peak = tracemalloc.get_traced_memory()[1]
-tracemalloc.stop()
-print(peak, hilbert_function(ext, 0), hilbert_function(ext, 1))
+ext = traced(lambda: global_ext_sum(1, 0, Rm, omega))
+print(hilbert_function(ext, 0), hilbert_function(ext, 1))
 """
 
 
 def test_twisted_cubic_omega_side_peak_memory():
-    """The Omega side of the twisted cubic, global_ext_sum(1, 0, R, Omega)
-    with Omega's S-resolution built first, allocates at most 260,000
-    bytes at its tracemalloc peak, measured in a fresh interpreter (what
-    an earlier computation leaves in Python's free lists would lower it).
-    It peaks at 200,340 bytes with divisor lists shared copy-on-write and
-    each kernel generator freed once its job is taken; at 300,612 when
-    every index copied its component lists and the kernel run kept its
-    generators to its end; and at 358,360 when, besides, each tail term
-    was a nested tuple ((off, mono), coeff) and each stored track a dict
-    (Python 3.11, hash seeds 0-3).  Its answer is h^1(Omega(v)) = 1, 0
-    for v = 0, 1."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    proc = subprocess.run([sys.executable, "-c", MEMORY_PROBE],
-                          capture_output=True, text=True, timeout=60,
-                          env=dict(os.environ, PYTHONPATH=src,
-                                   PYTHONHASHSEED="0"))
-    assert proc.returncode == 0, proc.stderr
-    peak, h0, h1 = map(int, proc.stdout.split())
+    """The Omega side of the twisted cubic allocates at most 188,000 bytes
+    at its tracemalloc peak, measured in a fresh interpreter.  It peaks at
+    176,232 bytes with each Groebner run storing one object per monomial
+    and coefficient value and the signature run reading known's divisor
+    leads in place; at 200,340 with divisor lists shared copy-on-write and
+    each kernel generator freed once its job is taken, but a separate int
+    object for each stored term; at 300,612 when every index copied its
+    component lists and the kernel run kept its generators to its end;
+    and at 358,360 when, besides, each tail term was a nested tuple
+    ((off, mono), coeff) and each stored track a dict (Python 3.11, hash
+    seeds 0-3).  Its answer is h^1(Omega(v)) = 1, 0 for v = 0, 1."""
+    peak, h0, h1 = fresh_peak(OMEGA_SIDE_PROBE.format(
+        variables=("w", "x", "y", "z"),
+        quotient=["w*y - x^2", "w*z - x*y", "x*z - y^2"]))
     assert (h0, h1) == (1, 0)
-    assert peak <= 260_000, peak
+    assert peak <= 188_000, peak
+
+
+def test_rational_quartic_omega_side_peak_memory():
+    """The Omega side of the rational quartic curve in P^3 (its ideal as
+    written, unscaled) allocates at most 1,250,000 bytes at its
+    tracemalloc peak, measured in a fresh interpreter; this is the query
+    that sets the benchmark's peak memory.  It peaks at 1,123,492 bytes
+    with each Groebner run storing one object per monomial and
+    coefficient value and the signature run reading known's divisor leads
+    in place, and at 1,429,760 with a separate int object for each stored
+    term (Python 3.11, hash seeds 0-3).  Its answer is h^1(Omega(v)) = 1,
+    0 for v = 0, 1."""
+    peak, h0, h1 = fresh_peak(OMEGA_SIDE_PROBE.format(
+        variables=("x0", "x1", "x2", "x3"),
+        quotient=["x1*x2 - x0*x3", "x2^3 - x1*x3^2", "x0*x2^2 - x1^2*x3",
+                  "x1^3 - x0^2*x2"]))
+    assert (h0, h1) == (1, 0)
+    assert peak <= 1_250_000, peak
 
 
 QUOTIENTS = [(), ("x^3 + y^3 - z^3",), ("x^2*y + y^2*z + z^2*x",)]
